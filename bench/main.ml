@@ -27,7 +27,8 @@ let sections, par_jobs =
         go secs (int_of_string n) rest
     | s :: rest -> go (s :: secs) jobs rest
   in
-  go [] (Busgen_par.Pool.default_jobs ()) (List.tl (Array.to_list Sys.argv))
+  go [] (Busgen_par.Supervise.default_jobs ())
+    (List.tl (Array.to_list Sys.argv))
 
 let want name = sections = [] || List.mem name sections
 
@@ -1069,10 +1070,14 @@ let par_row : par_row option ref = ref None
 let bench_par () =
   header "Parallel sweep scaling (64-config fuzz budget, seed 2026)";
   let module F = Busgen_verify.Fuzz in
+  let module Sweep = Busgen_ckpt.Sweep in
   let seed = 2026 and budget = 64 and cycles = 400 in
+  (* The CLI's path: cases run on forked workers and return through the
+     sweep-checkpoint codec, at -j 1 as at -j N. *)
+  let backend = Sweep.fuzz_backend Busgen_par.Procpool.default_config in
   let time jobs =
     let t0 = Unix.gettimeofday () in
-    let report = F.run ~cycles ~jobs ~seed ~budget () in
+    let report = F.run ~cycles ~jobs ~backend ~seed ~budget () in
     (Unix.gettimeofday () -. t0, F.report_to_json report)
   in
   (* Warm once so neither timed run pays generator memo-table misses. *)
@@ -1082,7 +1087,8 @@ let bench_par () =
   let walln, jsonn = time jobs in
   let identical = String.equal json1 jsonn in
   let speedup = wall1 /. walln in
-  Printf.printf "cores detected %d, -j %d\n" (Busgen_par.Pool.default_jobs ())
+  Printf.printf "cores detected %d, -j %d\n"
+    (Busgen_par.Supervise.default_jobs ())
     jobs;
   Printf.printf "  -j 1  %8.3f s\n  -j %-2d %8.3f s   speedup %.2fx\n" wall1
     jobs walln speedup;
@@ -1122,7 +1128,7 @@ let write_par_json path =
         \  \"speedup\": %.3f,\n\
         \  \"byte_identical\": %b\n\
          }\n"
-        (Busgen_par.Pool.default_jobs ())
+        (Busgen_par.Supervise.default_jobs ())
         r.pr_jobs r.pr_wall_j1_s r.pr_wall_jn_s r.pr_speedup r.pr_identical;
       close_out oc;
       Printf.printf "\n[bench] wrote %s\n" path
@@ -1258,130 +1264,38 @@ let write_explore_json path =
       Printf.printf "\n[bench] wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
-(* Supervision overhead: monitored sweep vs bare Pool.map              *)
-(* ------------------------------------------------------------------ *)
-
-type supervise_row = {
-  sr_jobs : int;
-  sr_pool_s : float;
-  sr_supervised_s : float;
-  sr_overhead_pct : float;
-}
-
-let supervise_row : supervise_row option ref = ref None
-
-let bench_supervise () =
-  header "Supervision overhead (256 CPU-bound jobs, deadline + retry armed)";
-  let module Sm = Busgen_par.Splitmix in
-  let module Sv = Busgen_par.Supervise in
-  (* A pure splitmix busy-loop (~1 ms per job) rather than a fuzz case:
-     the overhead being measured is the monitor's polling and the
-     commit mutex, and a compute-only job makes those the only
-     difference between the two timings. *)
-  let n = 256 in
-  let job i =
-    let g = Sm.derive ~root:97 ~index:i in
-    let acc = ref 0 in
-    for _ = 1 to 60_000 do
-      acc := !acc lxor Sm.next g
-    done;
-    !acc
-  in
-  let jobs = max 1 par_jobs in
-  let best f =
-    let rec go best k =
-      if k = 0 then best
-      else begin
-        let t0 = Unix.gettimeofday () in
-        f ();
-        let t = Unix.gettimeofday () -. t0 in
-        go (min best t) (k - 1)
-      end
-    in
-    go infinity 3
-  in
-  (* Warm both paths once (domain spawn costs, code paths). *)
-  ignore (Busgen_par.Pool.map ~jobs n job);
-  let policy = Sv.policy ~deadline:60.0 ~retries:1 () in
-  ignore (Sv.run ~policy ~jobs n job);
-  let pool_s = best (fun () -> ignore (Busgen_par.Pool.map ~jobs n job)) in
-  let supervised_s = best (fun () -> ignore (Sv.run ~policy ~jobs n job)) in
-  let overhead_pct = (supervised_s -. pool_s) /. pool_s *. 100.0 in
-  Printf.printf "  Pool.map       -j %-2d %8.3f s\n" jobs pool_s;
-  Printf.printf "  Supervise.run  -j %-2d %8.3f s   overhead %+.2f%%\n" jobs
-    supervised_s overhead_pct;
-  (* The 2% target only applies at -j >= 2, where both paths spawn
-     domains.  At -j 1 Pool.map runs inline with no domains at all,
-     while a deadline-armed supervisor must still spawn one worker plus
-     the monitor (a hung job can't observe its own deadline), so on a
-     single core the comparison measures the cost of multi-domain GC
-     synchronization, not monitoring. *)
-  if jobs >= 2 && overhead_pct > 2.0 then
-    Printf.printf
-      "[bench] WARNING: supervision overhead %.2f%% above the 2%% target\n"
-      overhead_pct;
-  if jobs < 2 then
-    print_string
-      "[bench] note: single worker — inline loop vs domain+monitor; the \
-       2% target applies at -j >= 2\n";
-  supervise_row :=
-    Some { sr_jobs = jobs; sr_pool_s = pool_s; sr_supervised_s = supervised_s;
-           sr_overhead_pct = overhead_pct }
-
-let write_supervise_json path =
-  match !supervise_row with
-  | None -> ()
-  | Some r ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema\": \"busgen-supervise-bench/1\",\n\
-        \  \"jobs\": %d,\n\
-        \  \"sweep_jobs\": 256,\n\
-        \  \"pool_s\": %.4f,\n\
-        \  \"supervised_s\": %.4f,\n\
-        \  \"overhead_pct\": %.2f,\n\
-        \  \"target_pct\": 2.0,\n\
-        \  \"target_applies\": %b\n\
-         }\n"
-        r.sr_jobs r.sr_pool_s r.sr_supervised_s r.sr_overhead_pct
-        (r.sr_jobs >= 2);
-      close_out oc;
-      Printf.printf "\n[bench] wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* Process-isolation overhead: fork + framed protocol vs domain pool   *)
+(* Worker-process cost: forked workers vs the in-process loop          *)
 (* (BENCH_procpool.json)                                               *)
 (* ------------------------------------------------------------------ *)
 
 type procpool_row = {
   pp_jobs : int;
   pp_perjob_us : float;
-  pp_domain_jn_s : float;
-  pp_proc_jn_s : float;
-  pp_overhead_jn_pct : float;
-  pp_domain_j1_s : float;
+  pp_inproc_j1_s : float;
   pp_proc_j1_s : float;
   pp_overhead_j1_pct : float;
+  pp_proc_jn_s : float;
+  pp_speedup_jn : float;
 }
 
 let procpool_row : procpool_row option ref = ref None
 
 let bench_procpool () =
-  header "Process-isolation overhead (--isolate proc vs domain pool)";
+  header "Worker-process cost (forked workers vs the in-process -j 1 loop)";
   let module Sv = Busgen_par.Supervise in
   let module P = Busgen_par.Procpool in
   let module Bio = Busgen_binio.Io in
-  let spec =
-    {
-      P.sp_config = P.default_config;
-      sp_encode =
-        (fun v ->
-          let w = Bio.writer () in
-          Bio.w_int w v;
-          Bio.contents w);
-      sp_decode = (fun s -> Bio.r_int (Bio.reader s));
-    }
+  let backend =
+    Sv.Processes
+      {
+        P.sp_config = P.default_config;
+        sp_encode =
+          (fun v ->
+            let w = Bio.writer () in
+            Bio.w_int w v;
+            Bio.contents w);
+        sp_decode = (fun s -> Bio.r_int (Bio.reader s));
+      }
   in
   let jobs = max 1 par_jobs in
   let time f =
@@ -1389,20 +1303,15 @@ let bench_procpool () =
     ignore (f ());
     Unix.gettimeofday () -. t0
   in
-  (* Fork safety pins the measurement order: every process-backend run
-     happens before the first domain spawns (a fork in a multi-domain
-     process is undefined), so proc timings come first even though the
-     domain pool is the baseline. *)
   (* (1) Per-job protocol cost: 64 no-op jobs through one worker.  The
      wall is almost purely fork + frame encode/decode + select. *)
   let trivial_n = 64 in
   let trivial_s =
-    time (fun () ->
-        Sv.run ~backend:(Sv.Processes spec) ~jobs:1 trivial_n (fun i -> i))
+    time (fun () -> Sv.run ~backend ~jobs:1 trivial_n (fun i -> i))
   in
   let perjob_us = trivial_s /. float_of_int trivial_n *. 1e6 in
-  (* (2) Realistic jobs: 16 x ~100 ms wall-spins, where isolation
-     overhead should amortize below the 10% target. *)
+  (* (2) Realistic jobs: 16 x ~100 ms wall-spins, where the worker cost
+     should amortize below the 10% target. *)
   let heavy_n = 16 and job_ms = 100. in
   let heavy _ =
     let t0 = Unix.gettimeofday () in
@@ -1412,49 +1321,34 @@ let bench_procpool () =
     done;
     !acc
   in
-  let proc_jn_s =
-    time (fun () -> Sv.run ~backend:(Sv.Processes spec) ~jobs heavy_n heavy)
-  in
-  let proc_j1_s =
-    time (fun () -> Sv.run ~backend:(Sv.Processes spec) ~jobs:1 heavy_n heavy)
-  in
-  (* Domain-pool baselines: from here on this process has spawned
-     domains, so no further forks happen in this section. *)
-  ignore (Sv.run ~jobs heavy_n (fun _ -> 0));
-  let domain_jn_s = time (fun () -> Sv.run ~jobs heavy_n heavy) in
-  let domain_j1_s = time (fun () -> Sv.run ~jobs:1 heavy_n heavy) in
-  let pct proc domain = (proc -. domain) /. domain *. 100.0 in
-  let overhead_jn_pct = pct proc_jn_s domain_jn_s in
-  let overhead_j1_pct = pct proc_j1_s domain_j1_s in
+  let inproc_j1_s = time (fun () -> Sv.run ~jobs:1 heavy_n heavy) in
+  let proc_j1_s = time (fun () -> Sv.run ~backend ~jobs:1 heavy_n heavy) in
+  let proc_jn_s = time (fun () -> Sv.run ~backend ~jobs heavy_n heavy) in
+  let overhead_j1_pct = (proc_j1_s -. inproc_j1_s) /. inproc_j1_s *. 100.0 in
+  let speedup_jn = inproc_j1_s /. proc_jn_s in
+  Printf.printf "cores detected %d, -j %d\n" (Sv.default_jobs ()) jobs;
   Printf.printf "  protocol cost      %8.1f us/job (%d no-op jobs, 1 worker)\n"
     perjob_us trivial_n;
   Printf.printf "  %d x %.0f ms jobs:\n" heavy_n job_ms;
-  Printf.printf "    domain -j %-2d %8.3f s    proc -j %-2d %8.3f s   \
-                 overhead %+.2f%%\n"
-    jobs domain_jn_s jobs proc_jn_s overhead_jn_pct;
-  Printf.printf "    domain -j 1  %8.3f s    proc -j 1  %8.3f s   \
-                 overhead %+.2f%%\n"
-    domain_j1_s proc_j1_s overhead_j1_pct;
-  if overhead_jn_pct > 10.0 then
+  Printf.printf "    in-process -j 1 %8.3f s\n" inproc_j1_s;
+  Printf.printf "    proc -j 1       %8.3f s   overhead %+.2f%%\n" proc_j1_s
+    overhead_j1_pct;
+  Printf.printf "    proc -j %-2d      %8.3f s   speedup %.2fx\n" jobs proc_jn_s
+    speedup_jn;
+  if overhead_j1_pct > 10.0 then
     Printf.printf
-      "[bench] WARNING: process-isolation overhead %.2f%% above the 10%% \
-       target for -j %d\n"
-      overhead_jn_pct jobs;
-  if jobs < 2 then
-    print_string
-      "[bench] note: single core — the -j N and -j 1 columns coincide; \
-       the honest 1-core cost is the -j 1 overhead column\n";
+      "[bench] WARNING: worker-process overhead %.2f%% above the 10%% target\n"
+      overhead_j1_pct;
   procpool_row :=
     Some
       {
         pp_jobs = jobs;
         pp_perjob_us = perjob_us;
-        pp_domain_jn_s = domain_jn_s;
-        pp_proc_jn_s = proc_jn_s;
-        pp_overhead_jn_pct = overhead_jn_pct;
-        pp_domain_j1_s = domain_j1_s;
+        pp_inproc_j1_s = inproc_j1_s;
         pp_proc_j1_s = proc_j1_s;
         pp_overhead_j1_pct = overhead_j1_pct;
+        pp_proc_jn_s = proc_jn_s;
+        pp_speedup_jn = speedup_jn;
       }
 
 let write_procpool_json path =
@@ -1464,23 +1358,23 @@ let write_procpool_json path =
       let oc = open_out path in
       Printf.fprintf oc
         "{\n\
-        \  \"schema\": \"busgen-procpool-bench/1\",\n\
+        \  \"schema\": \"busgen-procpool-bench/2\",\n\
+        \  \"cores_detected\": %d,\n\
         \  \"jobs\": %d,\n\
         \  \"trivial_jobs\": 64,\n\
         \  \"protocol_perjob_us\": %.1f,\n\
         \  \"heavy_jobs\": 16,\n\
         \  \"heavy_job_ms\": 100,\n\
-        \  \"domain_jn_s\": %.3f,\n\
-        \  \"proc_jn_s\": %.3f,\n\
-        \  \"overhead_jn_pct\": %.2f,\n\
-        \  \"domain_j1_s\": %.3f,\n\
+        \  \"inproc_j1_s\": %.3f,\n\
         \  \"proc_j1_s\": %.3f,\n\
         \  \"overhead_j1_pct\": %.2f,\n\
+        \  \"proc_jn_s\": %.3f,\n\
+        \  \"speedup_jn\": %.3f,\n\
         \  \"target_pct\": 10.0\n\
          }\n"
-        r.pp_jobs r.pp_perjob_us r.pp_domain_jn_s r.pp_proc_jn_s
-        r.pp_overhead_jn_pct r.pp_domain_j1_s r.pp_proc_j1_s
-        r.pp_overhead_j1_pct;
+        (Busgen_par.Supervise.default_jobs ())
+        r.pp_jobs r.pp_perjob_us r.pp_inproc_j1_s r.pp_proc_j1_s
+        r.pp_overhead_j1_pct r.pp_proc_jn_s r.pp_speedup_jn;
       close_out oc;
       Printf.printf "\n[bench] wrote %s\n" path
 
@@ -1715,12 +1609,9 @@ let () =
   if want "faults" then bench_faults ();
   if want "monitors" then bench_monitors ();
   if want "soak" then bench_soak ();
-  (* serve and procpool must precede any domain-spawning section: both
-     fork, and fork in a multi-domain process is undefined. *)
   if want "serve" then bench_serve ();
   if want "procpool" then bench_procpool ();
   if want "par" then bench_par ();
-  if want "supervise" then bench_supervise ();
   if want "explore" then bench_explore ();
   write_bench_json "BENCH_interp.json";
   write_tape_json "BENCH_tape.json";
@@ -1728,7 +1619,6 @@ let () =
   write_monitors_json "BENCH_monitors.json";
   write_soak_json "BENCH_soak.json";
   write_par_json "BENCH_par.json";
-  write_supervise_json "BENCH_supervise.json";
   write_procpool_json "BENCH_procpool.json";
   write_serve_json "BENCH_serve.json";
   write_explore_json "BENCH_explore.json";

@@ -24,7 +24,7 @@ let exit_partial = 3
 let exit_interrupted = 130
 
 (* Signals land in the shared Busgen_par.Intr counter, which the
-   supervisor's monitor polls; the sweep legs catch [Sv.Interrupted],
+   supervisor polls; the sweep legs catch [Sv.Interrupted],
    flush their checkpoint and exit 130 (see intr.mli for the flush
    semantics).  Never installed for the non-sweep subcommands —
    default signal behavior is right for them. *)
@@ -43,9 +43,9 @@ let deadline_arg =
         ~doc:
           "Per-job wall-clock budget in seconds for the sharded sweeps.  \
            A job that exceeds it is reported as timed-out in the failure \
-           summary and its worker is replaced (--isolate domain) or \
-           SIGKILLed and reaped (--isolate proc), so one pathological \
-           design point cannot stall the sweep.  Default: no limit.")
+           summary and its worker process is SIGKILLed and reaped, so one \
+           pathological design point cannot stall the sweep.  Default: no \
+           limit.")
 
 let retries_arg =
   Arg.(
@@ -56,28 +56,15 @@ let retries_arg =
            backoff) before quarantining it.  Default 0: a crash is \
            reported on the first attempt.")
 
-let isolate_arg =
-  Arg.(
-    value & opt string "domain"
-    & info [ "isolate" ] ~docv:"BACKEND"
-        ~doc:
-          "Worker isolation for the sharded sweeps: domain (worker \
-           domains inside this process, the default — lowest overhead) \
-           or proc (forked worker processes — a hung job is SIGKILLed \
-           at its deadline, a crashing job fails alone instead of \
-           taking down the sweep, and --worker-mem-mb / --worker-cpu-s \
-           cap each worker).  Reports, corpus files and exit codes are \
-           byte-identical across backends and -j values.")
-
 let worker_mem_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "worker-mem-mb" ] ~docv:"MB"
         ~doc:
-          "With --isolate proc: cap each worker process's address space \
-           at MB megabytes (RLIMIT_AS).  A job that allocates past the \
-           cap fails alone and is reported in the failure summary.")
+          "Cap each worker process's address space at MB megabytes \
+           (RLIMIT_AS).  A job that allocates past the cap fails alone \
+           and is reported in the failure summary.")
 
 let worker_cpu_arg =
   Arg.(
@@ -85,10 +72,10 @@ let worker_cpu_arg =
     & opt (some string) None
     & info [ "worker-cpu-s" ] ~docv:"SEC"
         ~doc:
-          "With --isolate proc: cap each worker process's CPU time at \
-           SEC seconds (RLIMIT_CPU; the kernel delivers SIGXCPU at the \
-           limit).  Catches spin loops that a wall-clock deadline alone \
-           would let burn a core until the sweep ends.")
+          "Cap each worker process's CPU time at SEC seconds \
+           (RLIMIT_CPU; the kernel delivers SIGXCPU at the limit).  \
+           Catches spin loops that a wall-clock deadline alone would let \
+           burn a core until the sweep ends.")
 
 let arch_conv =
   let parse s =
@@ -113,18 +100,30 @@ let pes_arg =
     value & opt int 4
     & info [ "p"; "pes" ] ~docv:"N" ~doc:"Number of processing elements.")
 
+(* Validated here, once for every subcommand: a job count below 1 is a
+   user error (exit 2, one line on stderr), raised while cmdliner
+   evaluates the term and before any work starts. *)
 let jobs_arg =
-  Arg.(
-    value
-    & opt int (Busgen_par.Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the embarrassingly parallel legs (fuzz \
-           budgets, fault campaigns, the all-architectures matrix).  \
-           Reports, corpus files and exit codes are byte-identical for \
-           every N, including 1: job seeds are derived from (root seed, \
-           job index) and results merge in job order.  Default: the \
-           machine's recommended domain count.")
+  let positive j =
+    if j < 1 then
+      failwith
+        (Printf.sprintf "invalid --jobs %d (expected a positive integer)" j);
+    j
+  in
+  Term.(
+    const positive
+    $ Arg.(
+        value
+        & opt int (Sv.default_jobs ())
+        & info [ "j"; "jobs" ] ~docv:"N"
+            ~doc:
+              "Worker processes for the embarrassingly parallel legs \
+               (fuzz budgets, fault campaigns, the all-architectures \
+               matrix, exploration grids, serve batches).  Reports, \
+               corpus files and exit codes are byte-identical for every \
+               N, including 1: job seeds are derived from (root seed, \
+               job index) and results merge in job order.  Default: the \
+               machine's recommended worker count."))
 
 let engine_arg =
   Arg.(
@@ -177,33 +176,19 @@ let parse_positive_int ~flag = function
             (Printf.sprintf "invalid %s %S (expected a positive integer)" flag
                s))
 
-(* Validates the isolation flags up front (so a bad value exits 2
-   before any generation work); the per-leg [backend_for] then pairs
-   the choice with that leg's result codec. *)
-let isolation_of ~isolate ~worker_mem_mb ~worker_cpu_s =
+(* Validates the worker limits up front (so a bad value exits 2 before
+   any generation work); [worker_backend] then pairs them with a leg's
+   result codec. *)
+let worker_config ~worker_mem_mb ~worker_cpu_s =
   let mem = parse_positive_int ~flag:"--worker-mem-mb" worker_mem_mb in
   let cpu = parse_positive_int ~flag:"--worker-cpu-s" worker_cpu_s in
-  match isolate with
-  | "domain" ->
-      if mem <> None || cpu <> None then
-        failwith "--worker-mem-mb and --worker-cpu-s require --isolate proc";
-      `Domain
-  | "proc" ->
-      `Proc
-        (Procpool.config ?cpu_seconds:cpu
-           ?mem_bytes:(Option.map (fun mb -> mb * 1024 * 1024) mem)
-           ~recycle_after:256 ())
-  | s ->
-      failwith
-        (Printf.sprintf
-           "unknown isolation backend %S (expected domain or proc)" s)
+  Procpool.config ?cpu_seconds:cpu
+    ?mem_bytes:(Option.map (fun mb -> mb * 1024 * 1024) mem)
+    ~recycle_after:256 ()
 
-let backend_for iso ~encode ~decode =
-  match iso with
-  | `Domain -> Sv.Domains
-  | `Proc config ->
-      Sv.Processes
-        { Procpool.sp_config = config; sp_encode = encode; sp_decode = decode }
+let worker_backend config ~encode ~decode =
+  Sv.Processes
+    { Procpool.sp_config = config; sp_encode = encode; sp_decode = decode }
 
 let config_of ~pes ~data_width ~mem_addr_width ~fifo_depth =
   {
@@ -682,8 +667,8 @@ let inject_cmd =
                 and parity modules), so faults can be flagged by the \
                 protection signals.")
   in
-  let run arch pes seed n cycles protect jobs deadline retries isolate
-      worker_mem_mb worker_cpu_s engine =
+  let run arch pes seed n cycles protect jobs deadline retries worker_mem_mb
+      worker_cpu_s engine =
     let module I = Busgen_rtl.Interp in
     let module E = Busgen_rtl.Engine in
     let module C = Busgen_rtl.Circuit in
@@ -694,12 +679,12 @@ let inject_cmd =
         ?deadline:(parse_job_deadline deadline)
         ~retries:(parse_job_retries retries) ()
     in
-    let iso = isolation_of ~isolate ~worker_mem_mb ~worker_cpu_s in
+    let workers = worker_config ~worker_mem_mb ~worker_cpu_s in
     (* Classification verdicts cross the worker-process boundary as two
-       booleans; the codec is lossless, so --isolate proc keeps the
-       byte-identity contract. *)
+       booleans; the codec is lossless, so every -j prints the same
+       bytes. *)
     let backend =
-      backend_for iso
+      worker_backend workers
         ~encode:(fun (corrupt, flagged) ->
           let w = Bio.writer () in
           Bio.w_bool w corrupt;
@@ -860,8 +845,8 @@ let inject_cmd =
              generated protection hardware.")
     Term.(
       const run $ arch_arg $ pes_arg $ seed_arg $ n_arg $ cycles_arg
-      $ protect_arg $ jobs_arg $ deadline_arg $ retries_arg $ isolate_arg
-      $ worker_mem_arg $ worker_cpu_arg $ engine_arg)
+      $ protect_arg $ jobs_arg $ deadline_arg $ retries_arg $ worker_mem_arg
+      $ worker_cpu_arg $ engine_arg)
 
 (* ------------------------------------------------------------------ *)
 (* soak                                                                *)
@@ -1123,10 +1108,10 @@ let verify_cmd =
     (violations = [] && stats.V.Traffic.mismatches = 0, Buffer.contents b)
   in
   let run arch pes cycles protect fuzz budget first_case replay corpus json
-      jobs deadline retries isolate worker_mem_mb worker_cpu_s sweep_ckpt
-      sweep_every engine =
+      jobs deadline retries worker_mem_mb worker_cpu_s sweep_ckpt sweep_every
+      engine =
     (* Validated up front so `verify --engine bogus` (or a bad
-       --job-deadline / --isolate) exits 2 before any generation work;
+       --job-deadline / --worker-* value) exits 2 before any generation work;
        the fuzz and replay legs run their own three-way differential
        and ignore the engine choice. *)
     let ekind = engine_of_string engine in
@@ -1135,7 +1120,7 @@ let verify_cmd =
         ?deadline:(parse_job_deadline deadline)
         ~retries:(parse_job_retries retries) ()
     in
-    let iso = isolation_of ~isolate ~worker_mem_mb ~worker_cpu_s in
+    let workers = worker_config ~worker_mem_mb ~worker_cpu_s in
     match replay with
     | Some path -> (
         match V.Fuzz.replay path with
@@ -1201,16 +1186,9 @@ let verify_cmd =
             (* Case results cross the worker-process boundary through
                the sweep-checkpoint codec — already proven lossless by
                the resume byte-identity tests. *)
-            let backend =
-              backend_for iso ~encode:Sweep.encode_fuzz_results
-                ~decode:(fun s ->
-                  match Sweep.decode_fuzz_results s with
-                  | Ok rs -> rs
-                  | Error why -> failwith ("fuzz result decode: " ^ why))
-            in
             match
               V.Fuzz.run ~cycles ~seed ~budget ~first_case ~jobs ~policy
-                ~backend
+                ~backend:(Sweep.fuzz_backend workers)
                 ~on_progress:(Sv.progress_line ~label:"fuzz" ())
                 ?on_case ?skip ~should_stop ()
             with
@@ -1292,7 +1270,7 @@ let verify_cmd =
             install_interrupt_handlers ();
             (* A matrix cell is (clean?, buffered report text). *)
             let backend =
-              backend_for iso
+              worker_backend workers
                 ~encode:(fun (ok, out) ->
                   let w = Bio.writer () in
                   Bio.w_bool w ok;
@@ -1360,8 +1338,8 @@ let verify_cmd =
     Term.(
       const run $ arch_opt $ pes_arg $ cycles_arg $ protect_arg $ fuzz_arg
       $ budget_arg $ first_case_arg $ replay_arg $ corpus_arg $ json_arg
-      $ jobs_arg $ deadline_arg $ retries_arg $ isolate_arg $ worker_mem_arg
-      $ worker_cpu_arg $ sweep_ckpt_arg $ sweep_every_arg $ engine_arg)
+      $ jobs_arg $ deadline_arg $ retries_arg $ worker_mem_arg $ worker_cpu_arg
+      $ sweep_ckpt_arg $ sweep_every_arg $ engine_arg)
 
 (* ------------------------------------------------------------------ *)
 (* wires                                                               *)
@@ -1565,7 +1543,7 @@ let explore_cmd =
           ~doc:
             "Emit the canonical JSON front (profile hash, Pareto front, \
              ranked points, casualties) instead of the table.  \
-             Byte-identical for every -j, either --isolate backend and \
+             Byte-identical for every -j and \
              across a --sweep-ckpt resume.")
   in
   let sweep_ckpt_arg =
@@ -1590,7 +1568,7 @@ let explore_cmd =
              cadence and always on exit).  Default 32.")
   in
   let run profile seed txns pes archs widths depths arbs protect faults
-      fault_seed json jobs deadline retries isolate worker_mem_mb worker_cpu_s
+      fault_seed json jobs deadline retries worker_mem_mb worker_cpu_s
       sweep_ckpt sweep_every engine =
     let ekind = engine_of_string engine in
     let policy =
@@ -1598,7 +1576,7 @@ let explore_cmd =
         ?deadline:(parse_job_deadline deadline)
         ~retries:(parse_job_retries retries) ()
     in
-    let iso = isolation_of ~isolate ~worker_mem_mb ~worker_cpu_s in
+    let workers = worker_config ~worker_mem_mb ~worker_cpu_s in
     let file_text =
       match profile with
       | None -> ""
@@ -1671,15 +1649,8 @@ let explore_cmd =
     let on_case =
       Option.map (fun t i s -> Sweep.note t i (X.encode_score s)) sweep
     in
-    let backend =
-      backend_for iso ~encode:X.encode_score
-        ~decode:(fun s ->
-          match X.decode_score s with
-          | Ok v -> v
-          | Error why -> failwith ("explore score decode: " ^ why))
-    in
     match
-      X.run ~engine:ekind ~jobs ~policy ~backend
+      X.run ~engine:ekind ~jobs ~policy ~backend:(X.worker_backend workers)
         ~on_progress:(Sv.progress_line ~label:"explore" ())
         ?on_case ?skip ~should_stop p
     with
@@ -1710,8 +1681,8 @@ let explore_cmd =
       const run $ profile_arg $ seed_arg $ txn_arg $ pes_arg $ archs_arg
       $ widths_arg $ depths_arg $ arbs_arg $ protect_arg $ faults_arg
       $ fault_seed_arg $ json_arg $ jobs_arg $ deadline_arg $ retries_arg
-      $ isolate_arg $ worker_mem_arg $ worker_cpu_arg $ sweep_ckpt_arg
-      $ sweep_every_arg $ engine_arg)
+      $ worker_mem_arg $ worker_cpu_arg $ sweep_ckpt_arg $ sweep_every_arg
+      $ engine_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -1881,13 +1852,7 @@ let serve_cmd =
                   (Option.value (parse_job_deadline deadline) ~default:30.)
                 ~retries:(parse_job_retries retries) ()
             in
-            let mem = parse_positive_int ~flag:"--worker-mem-mb" worker_mem_mb in
-            let cpu = parse_positive_int ~flag:"--worker-cpu-s" worker_cpu_s in
-            let limits =
-              Procpool.config ?cpu_seconds:cpu
-                ?mem_bytes:(Option.map (fun mb -> mb * 1024 * 1024) mem)
-                ~recycle_after:256 ()
-            in
+            let limits = worker_config ~worker_mem_mb ~worker_cpu_s in
             let cfg =
               Server.config
                 ~journal:(if no_journal then None else Some journal)

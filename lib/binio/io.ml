@@ -131,3 +131,19 @@ let crc32 s =
     (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xFF) lxor (!crc lsr 8))
     s;
   !crc lxor 0xFFFFFFFF
+
+(* ------------------------------------------------------------------ *)
+(* Frames                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let frame_overhead = 16
+
+(* The same bytes as [w_int len; w_raw payload; w_int (crc32 payload)],
+   built in one allocation. *)
+let frame payload =
+  let n = String.length payload in
+  let b = Bytes.create (n + frame_overhead) in
+  Bytes.set_int64_le b 0 (Int64.of_int n);
+  Bytes.blit_string payload 0 b 8 n;
+  Bytes.set_int64_le b (n + 8) (Int64.of_int (crc32 payload));
+  Bytes.unsafe_to_string b

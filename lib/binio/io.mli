@@ -8,8 +8,8 @@
     must be stable across compiler versions and diagnosable with [xxd].
 
     This is the bottom layer shared by checkpoint files
-    ([Busgen_ckpt.Io] re-exports it, adding the [Bits] codecs) and the
-    process-pool wire protocol ([Busgen_par.Procpool]). *)
+    ([Busgen_ckpt]), the process-pool wire protocol
+    ([Busgen_par.Procpool]) and the serve journal. *)
 
 type writer
 
@@ -56,4 +56,16 @@ val pos : reader -> int
 val crc32 : string -> int
 (** IEEE CRC-32 (the zlib/Ethernet polynomial) of the whole string, in
     [\[0, 2{^32})].  Table-driven; used as the checkpoint content
-    checksum and the frame checksum of the process-pool protocol. *)
+    checksum and the {!frame} checksum. *)
+
+(** {1 Frames} *)
+
+val frame : string -> string
+(** [frame payload] is an 8-byte LE payload length, the payload, and an
+    8-byte LE {!crc32} of the payload — the one record format of the
+    process-pool pipes and the serve journal.  Their readers stay
+    separate: a pipe is read with patience for a stalled peer, a
+    journal file is scanned with torn-tail rules. *)
+
+val frame_overhead : int
+(** Bytes a frame adds to its payload (16). *)

@@ -1,6 +1,8 @@
+module Io = Busgen_binio.Io
 module A = Bussyn.Archs
 module G = Bussyn.Generate
 module I = Busgen_rtl.Interp
+module Bits = Busgen_rtl.Bits
 module T = Busgen_verify.Traffic
 module P = Busgen_verify.Prop
 module Arb = Busgen_modlib.Arbiter
@@ -211,17 +213,30 @@ let r_injection r : I.injection =
   let inj_cycles = Io.r_int r in
   { I.inj_signal; inj_fault; inj_start; inj_cycles }
 
+(* Width plus hex digits; round-trips exactly. *)
+let w_bits b v =
+  Io.w_int b (Bits.width v);
+  Io.w_string b (Bits.to_hex_string v)
+
+let r_bits r =
+  let w = Io.r_int r in
+  let hex = Io.r_string r in
+  if w < 1 then Io.corrupt r "malformed bit width";
+  match Bits.of_string (Printf.sprintf "%d'h%s" w hex) with
+  | v -> v
+  | exception Invalid_argument _ -> Io.corrupt r "malformed bit vector"
+
 let w_interp_state b (st : I.state) =
   Io.w_int b st.I.st_cycle;
   Io.w_array b
     (fun b (name, v) ->
       Io.w_string b name;
-      Io.w_bits b v)
+      w_bits b v)
     st.I.st_values;
   Io.w_array b
     (fun b (name, words) ->
       Io.w_string b name;
-      Io.w_array b Io.w_bits words)
+      Io.w_array b w_bits words)
     st.I.st_mems
 
 let r_interp_state r : I.state =
@@ -229,12 +244,12 @@ let r_interp_state r : I.state =
   let st_values =
     Io.r_array r (fun r ->
         let name = Io.r_string r in
-        (name, Io.r_bits r))
+        (name, r_bits r))
   in
   let st_mems =
     Io.r_array r (fun r ->
         let name = Io.r_string r in
-        (name, Io.r_array r Io.r_bits))
+        (name, Io.r_array r r_bits))
   in
   { I.st_cycle; st_values; st_mems }
 

@@ -41,6 +41,15 @@ val read_file : string -> ((string * string) list, string) result
 (** Validate magic, version and CRC, then return the sections.  Never
     raises on file content; the [Error] is one line. *)
 
+(** {1 Bit-vector codecs} *)
+
+val w_bits : Busgen_binio.Io.writer -> Busgen_rtl.Bits.t -> unit
+(** Width plus hex digits; round-trips exactly. *)
+
+val r_bits : Busgen_binio.Io.reader -> Busgen_rtl.Bits.t
+(** Inverse of {!w_bits}.  Raises [Busgen_binio.Io.Corrupt] on a
+    malformed width or digit string. *)
+
 (** {1 RTL co-simulation snapshots} *)
 
 type snapshot = {

@@ -6,6 +6,7 @@
    to an uninterrupted run because payloads are replayed verbatim in
    job-index order. *)
 
+module Io = Busgen_binio.Io
 module Fuzz = Busgen_verify.Fuzz
 module Prop = Busgen_verify.Prop
 module Interp = Busgen_rtl.Interp
@@ -366,3 +367,15 @@ let decode_fuzz_results s =
   with
   | rs -> Ok rs
   | exception Io.Corrupt msg -> Error msg
+
+let fuzz_backend config =
+  Busgen_par.Supervise.Processes
+    {
+      Busgen_par.Procpool.sp_config = config;
+      sp_encode = encode_fuzz_results;
+      sp_decode =
+        (fun s ->
+          match decode_fuzz_results s with
+          | Ok rs -> rs
+          | Error why -> failwith ("fuzz result decode: " ^ why));
+    }

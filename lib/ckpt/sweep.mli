@@ -74,6 +74,12 @@ val decode_fuzz_results :
 (** [Error] on any corruption (bad tag, truncation, unparseable option
     text) — a caller should fall back to re-running the case. *)
 
+val fuzz_backend :
+  Busgen_par.Procpool.config ->
+  Busgen_verify.Fuzz.result list Busgen_par.Supervise.backend
+(** Forked fuzz workers with [config] that return each case's results
+    through this codec. *)
+
 (** {1 Generic string-list payloads}
 
     For sweeps whose per-job result is a flat list of strings (the

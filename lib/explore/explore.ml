@@ -237,6 +237,18 @@ type report = {
   x_casualties : (int * string) list;
 }
 
+let worker_backend config =
+  Sv.Processes
+    {
+      Busgen_par.Procpool.sp_config = config;
+      sp_encode = encode_score;
+      sp_decode =
+        (fun s ->
+          match decode_score s with
+          | Ok v -> v
+          | Error why -> failwith ("explore score decode: " ^ why));
+    }
+
 let run ?engine ?generate ?jobs ?policy ?backend ?on_progress ?on_case ?skip
     ?should_stop (p : Profile.t) =
   let cands = candidates p in
@@ -245,6 +257,12 @@ let run ?engine ?generate ?jobs ?policy ?backend ?on_progress ?on_case ?skip
     Option.map
       (fun f i -> function Sv.Ok s -> f i s | _ -> ())
       on_case
+  in
+  let backend =
+    match (backend, jobs) with
+    | None, Some j when j > 1 ->
+        Some (worker_backend Busgen_par.Procpool.default_config)
+    | b, _ -> b
   in
   let outcomes =
     Sv.run ?policy ?backend ?jobs ?on_progress ?on_result ?skip ?should_stop

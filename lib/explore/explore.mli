@@ -14,9 +14,9 @@
 
     Determinism contract: the report, the ranked text and the JSON
     front are pure functions of (profile, engine) — byte-identical for
-    every [jobs] value including 1, for either Supervise backend, and
-    across a checkpoint/resume split (the {!score} codec round-trips
-    exactly). *)
+    every [jobs] value including 1, in process or on forked workers,
+    and across a checkpoint/resume split (the {!score} codec
+    round-trips exactly). *)
 
 type candidate = {
   ca_arch : Bussyn.Generate.arch;
@@ -76,6 +76,10 @@ type report = {
       (** (candidate index, deterministic describe line) *)
 }
 
+val worker_backend : Busgen_par.Procpool.config -> score Busgen_par.Supervise.backend
+(** Forked workers with [config] that return scores through
+    {!encode_score}. *)
+
 val run :
   ?engine:Busgen_rtl.Engine.kind ->
   ?generate:(Bussyn.Generate.arch -> Bussyn.Archs.config -> Bussyn.Generate.t) ->
@@ -88,10 +92,13 @@ val run :
   ?should_stop:(unit -> bool) ->
   Profile.t ->
   report
-(** Score the whole grid under {!Busgen_par.Supervise.run}.  [on_case]
-    fires once per freshly computed score (checkpoint hook); [skip]
-    pre-fills a slot (resume hook).  May raise
-    {!Busgen_par.Supervise.Interrupted}. *)
+(** Score the whole grid under {!Busgen_par.Supervise.run}.  Without
+    [backend], [jobs] defaults to 1 and the candidates are scored in the
+    calling process (so [generate] runs there too); [jobs > 1] without
+    [backend] uses [worker_backend Procpool.default_config].  [on_case]
+    fires once per freshly
+    computed score (checkpoint hook); [skip] pre-fills a slot (resume
+    hook).  May raise {!Busgen_par.Supervise.Interrupted}. *)
 
 val points : report -> Pareto.point list
 (** The scored candidates as Pareto points (casualties excluded). *)

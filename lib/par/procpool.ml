@@ -73,23 +73,23 @@ let signal_name n =
 exception Closed
 exception Protocol of string
 
-(* A frame is: 8-byte LE payload length | payload | 8-byte LE CRC-32 of
-   the payload.  Payloads are [Busgen_binio.Io] encodings.  A child that
-   dies mid-frame closes its pipe end, so the parent sees EOF ([Closed])
-   after at most the bytes already buffered; a frame whose CRC or length
-   does not check out means the worker is unusable ([Protocol]). *)
+(* Frames are [Io.frame]s (length, payload, CRC-32) whose payloads are
+   [Busgen_binio.Io] encodings.  A child that dies mid-frame closes its
+   pipe end, so the parent sees EOF ([Closed]) after at most the bytes
+   already buffered; a frame whose CRC or length does not check out
+   means the worker is unusable ([Protocol]). *)
 
 let max_frame = 1 lsl 26
 (* 64 MB.  No legitimate sweep result approaches this; a larger length
    prefix is a corrupted stream, not a big result. *)
 
-let rec write_all fd buf pos len =
+let rec write_all fd s pos len =
   if len > 0 then begin
     let n =
-      try Unix.write fd buf pos len
+      try Unix.write_substring fd s pos len
       with Unix.Unix_error (Unix.EINTR, _, _) -> 0
     in
-    write_all fd buf (pos + n) (len - n)
+    write_all fd s (pos + n) (len - n)
   end
 
 (* How long the parent will wait for the remainder of a frame whose
@@ -122,18 +122,9 @@ let read_exact ?patience fd n =
   chunk 0;
   Bytes.unsafe_to_string b
 
-let int_bytes v =
-  let w = Io.writer () in
-  Io.w_int w v;
-  Io.contents w
-
 let write_frame fd payload =
-  let b = Buffer.create (String.length payload + 16) in
-  Buffer.add_string b (int_bytes (String.length payload));
-  Buffer.add_string b payload;
-  Buffer.add_string b (int_bytes (Io.crc32 payload));
-  let s = Buffer.to_bytes b in
-  try write_all fd s 0 (Bytes.length s)
+  let s = Io.frame payload in
+  try write_all fd s 0 (String.length s)
   with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) -> raise Closed
 
 let read_frame ?patience fd =

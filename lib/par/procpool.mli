@@ -1,10 +1,11 @@
-(** Process-isolated sweep workers.
+(** Forked sweep workers.
 
     Each worker is a forked child process speaking a length-prefixed,
-    CRC-checked binary job/result protocol over a pair of pipes (the
-    [Busgen_binio.Io] codecs — the same bytes-on-the-wire discipline as
-    the checkpoint files).  Compared to the Domain pool this buys three
-    robustness properties domains cannot provide:
+    CRC-checked binary job/result protocol over a pair of pipes
+    ([Busgen_binio.Io] frames and codecs — the same bytes-on-the-wire
+    discipline as the checkpoint files and the serve journal).  This
+    buys three robustness properties an in-process loop cannot
+    provide:
 
     - {b true cancellation} — an overdue job's worker is SIGKILLed and
       reaped via [waitpid], then replaced; no zombies, no abandoned
@@ -18,14 +19,11 @@
 
     This module is the {e mechanics} layer only: spawning, framing,
     killing, reaping, recycling bookkeeping.  Scheduling — deadlines,
-    retry, quarantine, result ordering — lives in {!Supervise}, which
-    drives either backend through the same policy.
+    retry, quarantine, result ordering — lives in {!Supervise}.
 
-    Fork safety: spawn workers only from a process with no live domains
-    (the supervisor's process backend never creates any).  Jobs run in
-    the child, so they see a copy-on-write snapshot of the parent's
-    state at spawn time and mutations never flow back: results travel
-    only through the encoded reply. *)
+    Jobs run in the child, so they see a copy-on-write snapshot of the
+    parent's state at spawn time and mutations never flow back: results
+    travel only through the encoded reply. *)
 
 (** {1 Configuration} *)
 
@@ -84,9 +82,9 @@ exception Protocol of string
 
 (** {1 Wire framing}
 
-    One frame is an 8-byte LE payload length, the payload bytes, and an
-    8-byte LE CRC-32 of the payload.  Exposed for the protocol tests
-    (and any future framed-pipe reuse). *)
+    One frame is a [Busgen_binio.Io.frame]: an 8-byte LE payload
+    length, the payload bytes, and an 8-byte LE CRC-32 of the payload.
+    Exposed for the protocol tests. *)
 
 val write_frame : Unix.file_descr -> string -> unit
 (** Raises {!Closed} when the read end is gone (EPIPE/EBADF). *)

@@ -12,7 +12,7 @@
 
     Every draw is a pure function of [(root, index, draw position)] —
     never of worker identity or completion order — which is the whole
-    determinism contract of {!Pool}. *)
+    determinism contract of {!Supervise}. *)
 
 type t
 (** A mutable generator (one independent stream). *)

@@ -1,54 +1,40 @@
-(* Supervision layer over the worker backends: per-job wall-clock
-   deadlines, bounded retry with exponential backoff, quarantine of
-   jobs that exhaust their retries, and graceful completion — the sweep
-   always drains, and every job ends in exactly one outcome.
+(* Supervision of parallel sweeps: per-job wall-clock deadlines,
+   bounded retry with exponential backoff, quarantine of jobs that
+   exhaust their retries, and graceful completion — the sweep always
+   drains, and every job ends in exactly one outcome.
 
-   Two backends share one policy and one outcome vocabulary:
+   One policy, two ways to run the jobs:
 
-   - [Domains]: jobs are handed out through one atomic counter exactly
-     as in Pool; each worker advertises the job it is on (index,
-     attempt, start time) in a state record shared under one mutex;
-     when a deadline or a stop predicate is armed, the calling domain
-     becomes a monitor that polls those records, commits [Timed_out]
-     for overdue jobs (first committer wins — if the hung attempt later
-     returns, its value is dropped), marks the worker abandoned and
-     spawns a replacement so the sweep keeps draining.  An abandoned
-     domain cannot be cancelled (OCaml domains are not killable): it
-     parks until the process exits, or, if its job eventually returns,
-     notices it was abandoned and terminates itself.
+   - with a [Processes] backend, workers are forked children (Procpool)
+     and the calling process runs a single-threaded event loop over
+     their result pipes.  An overdue job's worker is SIGKILLed and
+     reaped — true cancellation, nothing leaks — and a worker dying to
+     a signal (SIGSEGV, the OOM killer) surfaces as that one job's
+     failure while the sweep drains normally.  Retry backoff is a
+     ready-time queue in the scheduler, not a sleep, so deadlines and
+     interrupts stay responsive during waits;
 
-   - [Processes]: workers are forked children (Procpool) and the
-     calling domain runs a single-threaded event loop over their result
-     pipes.  An overdue job's worker is SIGKILLed and reaped — true
-     cancellation, nothing leaks — and a worker dying to a signal
-     (SIGSEGV, the OOM killer) surfaces as that one job's failure while
-     the sweep drains normally.  Retry backoff is a ready-time queue in
-     the scheduler, not a sleep, so deadlines and interrupts stay
-     responsive during waits.
+   - without one, the jobs run one at a time in the calling process
+     (no deadline can be enforced there, so none may be set).
 
-   Determinism (both backends): for a run in which no deadline fires
-   and no worker dies, the outcome array is a pure function of the job
-   function — byte-identical for every [jobs], including 1. *)
+   Both commit outcomes through one ledger and decide retries with one
+   rule ([after_failure]), so hooks, skip, retry and quarantine behave
+   the same either way.  Determinism: for a run in which no deadline
+   fires and no worker dies, the outcome array is a pure function of
+   the job function — byte-identical for every [jobs], including 1,
+   with or without the backend. *)
 
 type policy = {
   sv_deadline : float option;
   sv_retries : int;
   sv_backoff : float;
-  sv_max_respawns : int;
   sv_poll : float;
 }
 
 let default_policy =
-  {
-    sv_deadline = None;
-    sv_retries = 0;
-    sv_backoff = 0.05;
-    sv_max_respawns = 32;
-    sv_poll = 0.02;
-  }
+  { sv_deadline = None; sv_retries = 0; sv_backoff = 0.05; sv_poll = 0.02 }
 
-let policy ?deadline ?(retries = 0) ?(backoff = 0.05) ?(max_respawns = 32)
-    ?(poll = 0.02) () =
+let policy ?deadline ?(retries = 0) ?(backoff = 0.05) ?(poll = 0.02) () =
   if retries < 0 then invalid_arg "Supervise.policy: negative retries";
   (match deadline with
   | Some d when d <= 0. -> invalid_arg "Supervise.policy: non-positive deadline"
@@ -59,7 +45,6 @@ let policy ?deadline ?(retries = 0) ?(backoff = 0.05) ?(max_respawns = 32)
     sv_deadline = deadline;
     sv_retries = retries;
     sv_backoff = backoff;
-    sv_max_respawns = max_respawns;
     sv_poll = poll;
   }
 
@@ -69,7 +54,9 @@ type 'a outcome =
   | Timed_out of { deadline : float; attempts : int }
   | Quarantined of { error : string; attempts : int }
 
-type 'a backend = Domains | Processes of 'a Procpool.spec
+type 'a backend = Processes of 'a Procpool.spec
+
+let default_jobs () = Domain.recommended_domain_count ()
 
 let outcome_class = function
   | Ok _ -> "ok"
@@ -85,10 +72,7 @@ let describe = function
   | Ok _ -> "ok"
   | Crashed { error; attempts = _ } -> "crashed: " ^ error
   | Timed_out { deadline; attempts } ->
-      if attempts = 0 then
-        Printf.sprintf "timed out before starting (deadline %gs, all workers hung)"
-          deadline
-      else Printf.sprintf "timed out (deadline %gs, attempt %d)" deadline attempts
+      Printf.sprintf "timed out (deadline %gs, attempt %d)" deadline attempts
   | Quarantined { error; attempts } ->
       Printf.sprintf "quarantined after %d attempt(s): %s" attempts error
 
@@ -106,10 +90,10 @@ let sleepf s =
     try Unix.sleepf s with Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 (* Chunked sleep that keeps checking an abort predicate, so a retry
-   backoff cannot delay an interrupt (or outlive a monitor ruling) by
-   more than one chunk.  Returns [true] when cut short.  A raising
-   [abort] counts as an abort request — the caller re-examines its own
-   state rather than trusting the predicate. *)
+   backoff cannot delay an interrupt by more than one chunk.  Returns
+   [true] when cut short.  A raising [abort] counts as an abort
+   request — the caller re-examines its own state rather than trusting
+   the predicate. *)
 let interruptible_sleep ~abort total =
   let chunk_len = 0.05 in
   let rec go remaining =
@@ -122,301 +106,93 @@ let interruptible_sleep ~abort total =
   in
   go total
 
-let backoff_delay p k = p.sv_backoff *. (2. ** float_of_int (k - 1))
-
 (* ------------------------------------------------------------------ *)
-(* Domain backend                                                      *)
+(* The ledger and the retry rule, shared by both schedulers            *)
 (* ------------------------------------------------------------------ *)
 
-type worker_state = {
-  mutable ws_job : int;  (* index being attempted, -1 between jobs *)
-  mutable ws_started : float;
-  mutable ws_attempt : int;
-  mutable ws_abandoned : bool;  (* monitor gave up on this domain *)
-  mutable ws_exited : bool;  (* worker loop ran to completion *)
+(* One outcome per slot, first commit wins (the losing race is a
+   worker whose result arrives for a job already ruled [Timed_out]).
+   [on_result] then [on_progress] fire once per index as it commits;
+   the first exception a hook raises is kept, later hook calls are
+   suppressed, and [close] re-raises it once the sweep has drained. *)
+type 'a ledger = {
+  slots : 'a outcome option array;
+  mutable committed : int;
+  mutable hook_error : exn option;
+  on_result : (int -> 'a outcome -> unit) option;
+  on_progress : (done_:int -> total:int -> unit) option;
 }
 
-let run_domains (type a) ~policy:p ~workers ?on_progress ?on_result ?skip
-    ?should_stop n (f : int -> a) : a outcome array =
-  let results : a outcome option array = Array.make n None in
-  let m = Mutex.create () in
-  let committed = ref 0 in
-  (* User hooks run under the commit mutex (so they see a consistent
-     done-count and are serialized across domains).  A hook that
-     raises must not kill a worker domain mid-sweep: the first error
-     is remembered, later hook calls are suppressed, and the error
-     re-raises in the calling domain once the sweep has drained. *)
-  let hook_error = ref None in
-  let call_hooks i o =
-    if !hook_error = None then
-      try
-        (match on_result with None -> () | Some h -> h i o);
-        match on_progress with
-        | None -> ()
-        | Some h -> h ~done_:!committed ~total:n
-      with e -> hook_error := Some e
+let commit l i o =
+  match l.slots.(i) with
+  | Some _ -> ()
+  | None -> (
+      l.slots.(i) <- Some o;
+      l.committed <- l.committed + 1;
+      if Option.is_none l.hook_error then
+        try
+          Option.iter (fun h -> h i o) l.on_result;
+          Option.iter
+            (fun h -> h ~done_:l.committed ~total:(Array.length l.slots))
+            l.on_progress
+        with e -> l.hook_error <- Some e)
+
+let pending l i = Option.is_none l.slots.(i)
+let drained l = l.committed >= Array.length l.slots
+
+(* [skip i = Some v] pre-commits slot [i] before any job runs. *)
+let open_ledger ?on_result ?on_progress ?skip n =
+  let l =
+    { slots = Array.make n None; committed = 0; hook_error = None;
+      on_result; on_progress }
   in
-  (* Exactly one outcome per slot; first committer wins.  The losing
-     race is a worker settling a job the monitor already ruled
-     [Timed_out] — its value is dropped. *)
-  let commit_locked i o =
-    match results.(i) with
-    | Some _ -> ()
-    | None ->
-        results.(i) <- Some o;
-        incr committed;
-        call_hooks i o
-  in
-  let commit i o =
-    Mutex.lock m;
-    commit_locked i o;
-    Mutex.unlock m
-  in
-  (* Pre-commit already-completed jobs (sweep-checkpoint resume)
-     before any worker exists: Domain.spawn publishes these writes to
-     every worker, so the unlocked [results.(i)] peek below is safe
-     for them. *)
-  (match skip with
-  | None -> ()
-  | Some sk ->
+  Option.iter
+    (fun sk ->
       for i = 0 to n - 1 do
-        match sk i with Some v -> commit i (Ok v) | None -> ()
-      done);
-  let stop_requested () =
-    match should_stop with None -> false | Some f -> f ()
-  in
-  (* Worker domains also consult the stop predicate (to quit loops and
-     cut backoff sleeps short), but never let it raise — delivering the
-     interrupt is the monitor's job. *)
-  let stop_requested_quiet () = try stop_requested () with _ -> false in
-  let next = Atomic.make 0 in
-  let worker ws () =
-    let rec loop () =
-      let abandoned =
-        Mutex.lock m;
-        let a = ws.ws_abandoned in
-        Mutex.unlock m;
-        a
-      in
-      if abandoned || stop_requested_quiet () then finish ()
-      else begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n then finish ()
-        else begin
-          let already =
-            Mutex.lock m;
-            let a = results.(i) <> None in
-            Mutex.unlock m;
-            a
-          in
-          if not already then attempt i 1;
-          loop ()
-        end
-      end
-    and attempt i k =
-      Mutex.lock m;
-      ws.ws_job <- i;
-      ws.ws_attempt <- k;
-      ws.ws_started <- Unix.gettimeofday ();
-      Mutex.unlock m;
-      let settle o =
-        Mutex.lock m;
-        ws.ws_job <- -1;
-        commit_locked i o;
-        Mutex.unlock m
-      in
-      match f i with
-      | v -> settle (Ok v)
-      | exception e ->
-          let error = Printexc.to_string e in
-          if k <= p.sv_retries then begin
-            (* Possibly transient: back off and retry — unless the
-               monitor already ruled on this job (a slow crash can
-               race its own deadline). *)
-            Mutex.lock m;
-            ws.ws_job <- -1;
-            let ruled = results.(i) <> None || ws.ws_abandoned in
-            Mutex.unlock m;
-            if not ruled then begin
-              let ruled_now () =
-                Mutex.lock m;
-                let r = results.(i) <> None || ws.ws_abandoned in
-                Mutex.unlock m;
-                r
-              in
-              ignore
-                (interruptible_sleep
-                   ~abort:(fun () -> stop_requested_quiet () || ruled_now ())
-                   (backoff_delay p k));
-              (* Re-check after the sleep: a cut-short backoff means
-                 either a ruling (commit exists, drop the retry) or an
-                 interrupt (the monitor raises; drop the retry and let
-                 the loop drain out). *)
-              if not (ruled_now () || stop_requested_quiet ()) then
-                attempt i (k + 1)
-            end
-          end
-          else
-            settle
-              (if p.sv_retries = 0 then Crashed { error; attempts = k }
-               else Quarantined { error; attempts = k })
-    and finish () =
-      Mutex.lock m;
-      ws.ws_exited <- true;
-      Mutex.unlock m
-    in
-    loop ()
-  in
-  let new_state () =
-    {
-      ws_job = -1;
-      ws_started = 0.;
-      ws_attempt = 0;
-      ws_abandoned = false;
-      ws_exited = false;
-    }
-  in
-  let need_monitor = p.sv_deadline <> None || should_stop <> None in
-  if workers <= 1 && not need_monitor then
-    (* Inline: retries, hooks and skip without any domain machinery —
-       and exactly the byte-identity baseline the parallel path must
-       reproduce. *)
-    worker (new_state ()) ()
-  else begin
-    let states = ref [] in
-    let domains = ref [] in
-    let spawn_one () =
-      let ws = new_state () in
-      let d = Domain.spawn (worker ws) in
-      Mutex.lock m;
-      states := ws :: !states;
-      Mutex.unlock m;
-      domains := (ws, d) :: !domains
-    in
-    (* Initial crew.  If a spawn fails partway (domain limit), the
-       sweep degrades to however many workers came up instead of
-       aborting; zero workers is a real error. *)
-    let spawn_failed = ref None in
-    for _ = 1 to workers do
-      match spawn_one () with () -> () | exception e -> spawn_failed := Some e
-    done;
-    (match (!domains, !spawn_failed) with
-    | [], Some e -> raise e
-    | [], None -> assert false (* workers >= 1 *)
-    | _ -> ());
-    let monitor_exn = ref None in
-    if need_monitor then begin
-      let respawns = ref 0 in
-      let live_locked () =
-        List.exists (fun ws -> (not ws.ws_abandoned) && not ws.ws_exited) !states
-      in
-      let rec watch () =
-        Mutex.lock m;
-        let now = Unix.gettimeofday () in
-        let to_replace = ref 0 in
-        (match p.sv_deadline with
-        | None -> ()
-        | Some d ->
-            List.iter
-              (fun ws ->
-                if
-                  (not ws.ws_abandoned) && ws.ws_job >= 0
-                  && now -. ws.ws_started > d
-                then begin
-                  commit_locked ws.ws_job
-                    (Timed_out { deadline = d; attempts = ws.ws_attempt });
-                  ws.ws_abandoned <- true;
-                  incr to_replace
-                end)
-              !states);
-        let done_ = !committed in
-        Mutex.unlock m;
-        (* Replace abandoned workers so the sweep keeps draining.  A
-           replacement that cannot be spawned (domain limit) is
-           dropped; the starvation sweep below guarantees termination
-           even with zero live workers. *)
-        for _ = 1 to !to_replace do
-          if !respawns < p.sv_max_respawns then begin
-            incr respawns;
-            try spawn_one () with _ -> ()
-          end
-        done;
-        if done_ >= n then ()
-        else if stop_requested () then raise Interrupted
-        else begin
-          let live =
-            Mutex.lock m;
-            let l = live_locked () in
-            Mutex.unlock m;
-            l
-          in
-          if not live then begin
-            (* Every worker is hung-and-abandoned and no replacement
-               could be spawned: jobs never handed out would wait
-               forever.  Drain the counter and mark them (attempt 0 =
-               never started) so the sweep completes with a truthful
-               report instead of deadlocking. *)
-            let d = Option.value p.sv_deadline ~default:0. in
-            let rec drain () =
-              let i = Atomic.fetch_and_add next 1 in
-              if i < n then begin
-                commit i (Timed_out { deadline = d; attempts = 0 });
-                drain ()
-              end
-            in
-            drain ();
-            let done_ =
-              Mutex.lock m;
-              let c = !committed in
-              Mutex.unlock m;
-              c
-            in
-            if done_ >= n then ()
-            else begin
-              sleepf p.sv_poll;
-              watch ()
-            end
-          end
-          else begin
-            sleepf p.sv_poll;
-            watch ()
-          end
-        end
-      in
-      match watch () with
-      | () -> ()
-      | exception e -> monitor_exn := Some e
-    end;
-    (match !monitor_exn with
-    | Some e ->
-        (* Interrupted (or a monitor bug): abandon the whole crew —
-           workers may be hung, so joining could block forever.  The
-           caller is expected to flush checkpoints and exit; process
-           exit reaps the domains.  (Workers poll the stop predicate
-           between jobs and inside backoff sleeps, so non-hung ones
-           stop burning CPU promptly.) *)
-        raise e
-    | None -> ());
-    (* Normal completion: every job committed.  Join only the workers
-       that were never abandoned — those are between jobs (or about
-       to notice the exhausted counter) and terminate promptly.
-       Abandoned domains are leaked by design; see the module
-       comment. *)
-    List.iter (fun (ws, d) -> if not ws.ws_abandoned then Domain.join d)
-      !domains
-  end;
-  (match !hook_error with Some e -> raise e | None -> ());
-  Mutex.lock m;
-  let out =
-    Array.map
-      (function Some o -> o | None -> assert false (* all committed *))
-      results
-  in
-  Mutex.unlock m;
-  out
+        match sk i with Some v -> commit l i (Ok v) | None -> ()
+      done)
+    skip;
+  l
+
+let close l =
+  Option.iter raise l.hook_error;
+  Array.map
+    (function Some o -> o | None -> assert false (* all committed *))
+    l.slots
+
+(* What failed attempt [k] of a job leads to: another attempt after an
+   exponential backoff while retries remain, otherwise its final
+   outcome. *)
+let after_failure p k error =
+  if k <= p.sv_retries then
+    `Retry_after (p.sv_backoff *. (2. ** float_of_int (k - 1)))
+  else if p.sv_retries = 0 then `Final (Crashed { error; attempts = k })
+  else `Final (Quarantined { error; attempts = k })
 
 (* ------------------------------------------------------------------ *)
-(* Process backend                                                     *)
+(* In-process: one job at a time in the calling process                *)
+(* ------------------------------------------------------------------ *)
+
+let run_inline p l ~stop n f =
+  for i = 0 to n - 1 do
+    if pending l i then begin
+      let rec attempt k =
+        if stop () then raise Interrupted;
+        match f i with
+        | v -> commit l i (Ok v)
+        | exception e -> (
+            match after_failure p k (Printexc.to_string e) with
+            | `Final o -> commit l i o
+            | `Retry_after delay ->
+                if interruptible_sleep ~abort:stop delay then raise Interrupted;
+                attempt (k + 1))
+      in
+      attempt 1
+    end
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Forked workers                                                      *)
 (* ------------------------------------------------------------------ *)
 
 type proc_slot = {
@@ -425,287 +201,250 @@ type proc_slot = {
   mutable ps_job : (int * int * float) option;
 }
 
-let run_procs (type a) ~(spec : a Procpool.spec) ~policy:p ~workers
-    ?on_progress ?on_result ?skip ?should_stop n (f : int -> a) :
-    a outcome array =
-  let results : a outcome option array = Array.make n None in
-  let committed = ref 0 in
-  let hook_error = ref None in
-  (* Single-threaded: the scheduler below is the only committer, so no
-     mutex — but the hook semantics (fire once per index at commit,
-     first error deferred, later calls suppressed) match the domain
-     backend exactly. *)
-  let commit i o =
-    match results.(i) with
-    | Some _ -> ()
-    | None ->
-        results.(i) <- Some o;
-        incr committed;
-        if !hook_error = None then begin
-          try
-            (match on_result with None -> () | Some h -> h i o);
-            match on_progress with
-            | None -> ()
-            | Some h -> h ~done_:!committed ~total:n
-          with e -> hook_error := Some e
-        end
+let run_procs (type a) ~(spec : a Procpool.spec) p (l : a ledger) ~workers
+    ~stop n (f : int -> a) =
+  let limits = spec.sp_config.pc_limits in
+  let run_child i = spec.sp_encode (f i) in
+  (* Fresh jobs come from a counter; crashed attempts wait in a
+     ready-time queue sorted by (ready, index) instead of a blocking
+     backoff sleep, so the scheduler stays responsive to deadlines and
+     interrupts throughout.  Every uncommitted index is always in
+     exactly one place: not yet taken, queued for retry, or running in
+     a slot — which is the termination argument. *)
+  let next = ref 0 in
+  let retryq : (float * int * int) list ref = ref [] in
+  let push_retry ready i k =
+    let before (t1, i1, _) (t2, i2, _) = t1 < t2 || (t1 = t2 && i1 < i2) in
+    let rec ins = function
+      | [] -> [ (ready, i, k) ]
+      | x :: _ as q when before (ready, i, k) x -> (ready, i, k) :: q
+      | x :: q -> x :: ins q
+    in
+    retryq := ins !retryq
   in
-  (match skip with
-  | None -> ()
-  | Some sk ->
-      for i = 0 to n - 1 do
-        match sk i with Some v -> commit i (Ok v) | None -> ()
-      done);
-  if !committed < n then begin
-    let stop_requested () =
-      match should_stop with None -> false | Some f -> f ()
+  let rec take_fresh () =
+    if !next >= n then None
+    else begin
+      let i = !next in
+      incr next;
+      if pending l i then Some i else take_fresh ()
+    end
+  in
+  let take_job now =
+    match !retryq with
+    | (t, i, k) :: rest when t <= now ->
+        retryq := rest;
+        Some (i, k)
+    | _ -> Option.map (fun i -> (i, 1)) (take_fresh ())
+  in
+  let slots : proc_slot list ref = ref [] in
+  let spawn_slot () =
+    let w =
+      Procpool.spawn ~limits ~run:run_child
+        (List.map (fun s -> s.ps_worker) !slots)
     in
-    let limits = spec.sp_config.pc_limits in
-    let run_child i = spec.sp_encode (f i) in
-    (* Fresh jobs come from a counter; crashed attempts wait in a
-       ready-time queue sorted by (ready, index) instead of a blocking
-       backoff sleep, so the scheduler stays responsive to deadlines
-       and interrupts throughout.  Every uncommitted index is always in
-       exactly one place: not yet taken, queued for retry, or running
-       in a slot — which is the termination argument. *)
-    let next = ref 0 in
-    let retryq : (float * int * int) list ref = ref [] in
-    let push_retry ready i k =
-      let before (t1, i1, _) (t2, i2, _) = t1 < t2 || (t1 = t2 && i1 < i2) in
-      let rec ins = function
-        | [] -> [ (ready, i, k) ]
-        | x :: _ as l when before (ready, i, k) x -> (ready, i, k) :: l
-        | x :: l -> x :: ins l
-      in
-      retryq := ins !retryq
+    slots := !slots @ [ { ps_worker = w; ps_job = None } ]
+  in
+  (* Replace [s]'s dead (already-reaped) worker in place.  The stale
+     worker must not appear in the sibling list handed to the fresh
+     child: its fds are closed and the numbers may already be reused by
+     the new pipes. *)
+  let replace s =
+    let others =
+      List.filter_map
+        (fun x -> if x == s then None else Some x.ps_worker)
+        !slots
     in
-    let rec take_fresh () =
-      if !next >= n then None
-      else begin
-        let i = !next in
-        incr next;
-        if results.(i) <> None then take_fresh () else Some i
-      end
-    in
-    let take_job now =
-      match !retryq with
-      | (t, i, k) :: rest when t <= now ->
-          retryq := rest;
-          Some (i, k)
-      | _ -> (
-          match take_fresh () with Some i -> Some (i, 1) | None -> None)
-    in
-    let slots : proc_slot list ref = ref [] in
-    let spawn_slot () =
-      let w =
-        Procpool.spawn ~limits ~run:run_child
-          (List.map (fun s -> s.ps_worker) !slots)
-      in
-      slots := !slots @ [ { ps_worker = w; ps_job = None } ]
-    in
-    (* Replace [s]'s dead (already-reaped) worker in place.  The stale
-       worker must not appear in the sibling list handed to the fresh
-       child: its fds are closed and the numbers may already be reused
-       by the new pipes. *)
-    let replace s =
-      let others =
-        List.filter_map
-          (fun x -> if x == s then None else Some x.ps_worker)
+    s.ps_worker <- Procpool.spawn ~limits ~run:run_child others;
+    s.ps_job <- None
+  in
+  let kill_all () =
+    List.iter (fun s -> ignore (Procpool.kill s.ps_worker)) !slots;
+    slots := []
+  in
+  let fail_attempt i k error now =
+    if pending l i then
+      match after_failure p k error with
+      | `Final o -> commit l i o
+      | `Retry_after delay -> push_retry (now +. delay) i (k + 1)
+  in
+  let handle_readable s now =
+    let job = s.ps_job in
+    let k = match job with Some (_, k, _) -> k | None -> 1 in
+    match Procpool.read_reply s.ps_worker with
+    | reply ->
+        s.ps_job <- None;
+        (match reply with
+        | Procpool.Ok_reply (i, payload) -> (
+            match spec.sp_decode payload with
+            | v -> commit l i (Ok v)
+            | exception e ->
+                fail_attempt i k
+                  ("result decode failed: " ^ Printexc.to_string e)
+                  now)
+        | Procpool.Err_reply (i, error) -> fail_attempt i k error now);
+        (* Recycle a worker that has served its quota, bounding the
+           child's memory growth over long sweeps. *)
+        (match spec.sp_config.pc_recycle_after with
+        | Some r when Procpool.jobs_done s.ps_worker >= r ->
+            ignore (Procpool.shutdown s.ps_worker);
+            replace s
+        | _ -> ())
+    | exception ((Procpool.Closed | Procpool.Protocol _) as e) ->
+        (* The worker died (or its stream is unusable): SIGKILL is a
+           no-op on a corpse and [kill] reaps either way, reporting how
+           the child actually ended. *)
+        let death = Procpool.kill s.ps_worker in
+        s.ps_job <- None;
+        let why =
+          match (death, e) with
+          | Procpool.Signaled sg, _ -> "worker killed by " ^ sg
+          | Procpool.Exited c, Procpool.Protocol msg ->
+              Printf.sprintf "worker protocol error: %s (exit code %d)" msg c
+          | Procpool.Exited c, _ ->
+              Printf.sprintf "worker exited unexpectedly (code %d)" c
+        in
+        (match job with
+        | Some (i, k, _) -> fail_attempt i k why now
+        | None -> ());
+        if not (drained l) then replace s
+  in
+  let enforce_deadlines now =
+    match p.sv_deadline with
+    | None -> ()
+    | Some d ->
+        List.iter
+          (fun s ->
+            match s.ps_job with
+            | Some (i, k, t0) when now -. t0 > d ->
+                (* A result already sitting in the pipe beats the axe:
+                   the job did finish within the worker, we were merely
+                   slow to read it. *)
+                let readable =
+                  match
+                    Unix.select [ Procpool.result_fd s.ps_worker ] [] [] 0.
+                  with
+                  | r, _, _ -> r <> []
+                  | exception Unix.Unix_error _ -> false
+                in
+                if readable then handle_readable s now
+                else begin
+                  (* True cancellation: SIGKILL the worker running the
+                     overdue job and reap it — no zombie, no abandoned
+                     computation. *)
+                  ignore (Procpool.kill s.ps_worker);
+                  s.ps_job <- None;
+                  commit l i (Timed_out { deadline = d; attempts = k });
+                  if not (drained l) then replace s
+                end
+            | _ -> ())
           !slots
-      in
-      s.ps_worker <- Procpool.spawn ~limits ~run:run_child others;
-      s.ps_job <- None
-    in
-    let kill_all () =
-      List.iter (fun s -> ignore (Procpool.kill s.ps_worker)) !slots;
-      slots := []
-    in
-    let fail_attempt i k error now =
-      if results.(i) = None then begin
-        if k <= p.sv_retries then push_retry (now +. backoff_delay p k) i (k + 1)
-        else
-          commit i
-            (if p.sv_retries = 0 then Crashed { error; attempts = k }
-             else Quarantined { error; attempts = k })
-      end
-    in
-    let handle_readable s now =
-      let job = s.ps_job in
-      let k = match job with Some (_, k, _) -> k | None -> 1 in
-      match Procpool.read_reply s.ps_worker with
-      | reply ->
-          s.ps_job <- None;
-          (match reply with
-          | Procpool.Ok_reply (i, payload) -> (
-              match spec.sp_decode payload with
-              | v -> commit i (Ok v)
-              | exception e ->
-                  fail_attempt i k
-                    ("result decode failed: " ^ Printexc.to_string e)
-                    now)
-          | Procpool.Err_reply (i, error) -> fail_attempt i k error now);
-          (* Recycle a worker that has served its quota, bounding the
-             child's memory growth over long sweeps. *)
-          (match spec.sp_config.pc_recycle_after with
-          | Some r when Procpool.jobs_done s.ps_worker >= r ->
-              ignore (Procpool.shutdown s.ps_worker);
-              replace s
-          | _ -> ())
-      | exception ((Procpool.Closed | Procpool.Protocol _) as e) ->
-          (* The worker died (or its stream is unusable): SIGKILL is a
-             no-op on a corpse and [kill] reaps either way, reporting
-             how the child actually ended. *)
-          let death = Procpool.kill s.ps_worker in
-          s.ps_job <- None;
-          let why =
-            match (death, e) with
-            | Procpool.Signaled sg, _ -> "worker killed by " ^ sg
-            | Procpool.Exited c, Procpool.Protocol msg ->
-                Printf.sprintf "worker protocol error: %s (exit code %d)" msg c
-            | Procpool.Exited c, _ ->
-                Printf.sprintf "worker exited unexpectedly (code %d)" c
+  in
+  try
+    for _ = 1 to workers do
+      spawn_slot ()
+    done;
+    while not (drained l) do
+      if stop () then raise Interrupted;
+      let now = Unix.gettimeofday () in
+      enforce_deadlines now;
+      if not (drained l) then begin
+        List.iter
+          (fun s ->
+            if s.ps_job = None then
+              match take_job now with
+              | None -> ()
+              | Some (i, k) -> (
+                  match Procpool.send_job s.ps_worker i with
+                  | () -> s.ps_job <- Some (i, k, now)
+                  | exception (Procpool.Closed | Procpool.Protocol _) ->
+                      (* Died while idle: park the job for an immediate
+                         re-hand-out and refork. *)
+                      ignore (Procpool.kill s.ps_worker);
+                      push_retry now i k;
+                      replace s))
+          !slots;
+        let busy = List.filter (fun s -> s.ps_job <> None) !slots in
+        let timeout =
+          let next_deadline =
+            match p.sv_deadline with
+            | None -> infinity
+            | Some d ->
+                List.fold_left
+                  (fun acc s ->
+                    match s.ps_job with
+                    | Some (_, _, t0) -> Float.min acc (t0 +. d -. now)
+                    | None -> acc)
+                  infinity busy
           in
-          (match job with
-          | Some (i, k, _) -> fail_attempt i k why now
-          | None -> ());
-          if !committed < n then replace s
-    in
-    let enforce_deadlines now =
-      match p.sv_deadline with
-      | None -> ()
-      | Some d ->
-          List.iter
-            (fun s ->
-              match s.ps_job with
-              | Some (i, k, t0) when now -. t0 > d ->
-                  (* A result already sitting in the pipe beats the
-                     axe: the job did finish within the worker, we were
-                     merely slow to read it. *)
-                  let readable =
-                    match
-                      Unix.select [ Procpool.result_fd s.ps_worker ] [] [] 0.
-                    with
-                    | r, _, _ -> r <> []
-                    | exception Unix.Unix_error _ -> false
-                  in
-                  if readable then handle_readable s now
-                  else begin
-                    (* True cancellation: SIGKILL the worker running
-                       the overdue job and reap it — no zombie, no
-                       abandoned computation. *)
-                    ignore (Procpool.kill s.ps_worker);
-                    s.ps_job <- None;
-                    commit i (Timed_out { deadline = d; attempts = k });
-                    if !committed < n then replace s
-                  end
-              | _ -> ())
-            !slots
-    in
-    (try
-       for _ = 1 to workers do
-         spawn_slot ()
-       done;
-       while !committed < n do
-         if stop_requested () then raise Interrupted;
-         let now = Unix.gettimeofday () in
-         enforce_deadlines now;
-         if !committed < n then begin
-           List.iter
-             (fun s ->
-               if s.ps_job = None then
-                 match take_job now with
-                 | None -> ()
-                 | Some (i, k) -> (
-                     match Procpool.send_job s.ps_worker i with
-                     | () -> s.ps_job <- Some (i, k, now)
-                     | exception (Procpool.Closed | Procpool.Protocol _) ->
-                         (* Died while idle: park the job for an
-                            immediate re-hand-out and refork. *)
-                         ignore (Procpool.kill s.ps_worker);
-                         push_retry now i k;
-                         replace s))
-             !slots;
-           let busy = List.filter (fun s -> s.ps_job <> None) !slots in
-           let timeout =
-             let next_deadline =
-               match p.sv_deadline with
-               | None -> infinity
-               | Some d ->
-                   List.fold_left
-                     (fun acc s ->
-                       match s.ps_job with
-                       | Some (_, _, t0) -> Float.min acc (t0 +. d -. now)
-                       | None -> acc)
-                     infinity busy
-             in
-             let next_retry =
-               match !retryq with (t, _, _) :: _ -> t -. now | [] -> infinity
-             in
-             Float.max 0.001
-               (Float.min p.sv_poll (Float.min next_deadline next_retry))
-           in
-           let fds = List.map (fun s -> Procpool.result_fd s.ps_worker) busy in
-           match Unix.select fds [] [] timeout with
-           | readable, _, _ ->
-               if readable <> [] then begin
-                 let now = Unix.gettimeofday () in
-                 List.iter
-                   (fun s ->
-                     if
-                       s.ps_job <> None
-                       && List.memq (Procpool.result_fd s.ps_worker) readable
-                     then handle_readable s now)
-                   !slots
-               end
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-         end
-       done;
-       (* Drained: stop the crew.  Idle workers get the polite
-          shutdown frame; a worker still marked busy here lost a
-          commit race and is killed.  Either way every child is
-          reaped before [run] returns — zero zombies. *)
-       List.iter
-         (fun s ->
-           ignore
-             (if s.ps_job = None then Procpool.shutdown s.ps_worker
-              else Procpool.kill s.ps_worker))
-         !slots;
-       slots := []
-     with e ->
-       (* Interrupt (or a scheduler bug): SIGKILL and reap the whole
-          crew before propagating — the process backend never leaks
-          children, even on the error path. *)
-       kill_all ();
-       raise e)
-  end;
-  (match !hook_error with Some e -> raise e | None -> ());
-  Array.map
-    (function Some o -> o | None -> assert false (* all committed *))
-    results
+          let next_retry =
+            match !retryq with (t, _, _) :: _ -> t -. now | [] -> infinity
+          in
+          Float.max 0.001
+            (Float.min p.sv_poll (Float.min next_deadline next_retry))
+        in
+        let fds = List.map (fun s -> Procpool.result_fd s.ps_worker) busy in
+        match Unix.select fds [] [] timeout with
+        | readable, _, _ ->
+            if readable <> [] then begin
+              let now = Unix.gettimeofday () in
+              List.iter
+                (fun s ->
+                  if
+                    s.ps_job <> None
+                    && List.memq (Procpool.result_fd s.ps_worker) readable
+                  then handle_readable s now)
+                !slots
+            end
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      end
+    done;
+    (* Drained: stop the crew.  Idle workers get the polite shutdown
+       frame; a worker still marked busy here lost a commit race and is
+       killed.  Either way every child is reaped before [run] returns —
+       zero zombies. *)
+    List.iter
+      (fun s ->
+        ignore
+          (if s.ps_job = None then Procpool.shutdown s.ps_worker
+           else Procpool.kill s.ps_worker))
+      !slots
+  with e ->
+    (* Interrupt (or a scheduler bug): SIGKILL and reap the whole crew
+       before propagating — no children leak, even on the error path. *)
+    kill_all ();
+    raise e
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run (type a) ?(policy = default_policy) ?(backend = Domains) ?jobs
-    ?on_progress ?on_result ?skip ?should_stop n (f : int -> a) :
-    a outcome array =
+let run ?(policy = default_policy) ?backend ?jobs ?on_progress ?on_result
+    ?skip ?should_stop n f =
   if n < 0 then invalid_arg "Supervise.run: negative job count";
-  if n = 0 then [||]
-  else begin
-    let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-    let workers = min (max 1 jobs) n in
+  let jobs =
+    match (jobs, backend) with
+    | Some j, _ -> j
+    | None, Some _ -> default_jobs ()
+    | None, None -> 1
+  in
+  if jobs < 1 then invalid_arg "Supervise.run: jobs must be at least 1";
+  if Option.is_none backend && jobs > 1 then
+    invalid_arg "Supervise.run: jobs > 1 needs a process backend";
+  if Option.is_none backend && policy.sv_deadline <> None then
+    invalid_arg "Supervise.run: a deadline needs a process backend";
+  let l = open_ledger ?on_result ?on_progress ?skip n in
+  let stop () = match should_stop with None -> false | Some f -> f () in
+  if not (drained l) then begin
     match backend with
-    | Domains ->
-        run_domains ~policy ~workers ?on_progress ?on_result ?skip
-          ?should_stop n f
-    | Processes spec ->
+    | None -> run_inline policy l ~stop n f
+    | Some (Processes spec) ->
         (* Even with one worker the job runs in a forked child: -j 1
            keeps crash containment and resource limits, and stays
            byte-identical to -j N by the determinism contract. *)
-        run_procs ~spec ~policy ~workers ?on_progress ?on_result ?skip
-          ?should_stop n f
-  end
+        run_procs ~spec policy l ~workers:(min jobs n) ~stop n f
+  end;
+  close l
 
 let progress_line ?(min_interval = 0.25) ~label () =
   let tty = try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false in

@@ -15,6 +15,7 @@ module V_fuzz = Busgen_verify.Fuzz
 module X = Busgen_explore.Explore
 module Xp = Busgen_explore.Profile
 module Io = Busgen_binio.Io
+module Json = Busgen_json.Json
 
 let job_kinds = [ "generate"; "simulate"; "verify"; "fuzz"; "inject"; "explore" ]
 let debug_kinds = [ "sleep"; "spin"; "crash"; "fail" ]

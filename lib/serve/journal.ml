@@ -29,7 +29,6 @@ type recovery = {
 
 let header = "BSJL1\n"
 let file_name = "journal.bsjl"
-let frame_overhead = 16 (* 8-byte length + 8-byte CRC *)
 
 (* A record is an id plus a line/reason; anything bigger than this is
    not a record of ours, it is corruption — treat it as such rather
@@ -68,14 +67,6 @@ let decode_record payload =
   | 3 -> Quarantine (id, s)
   | _ -> raise (Io.Corrupt "journal: unknown record tag")
 
-let frame payload =
-  let n = String.length payload in
-  let b = Bytes.create (n + frame_overhead) in
-  Bytes.set_int64_le b 0 (Int64.of_int n);
-  Bytes.blit_string payload 0 b 8 n;
-  Bytes.set_int64_le b (n + 8) (Int64.of_int (Io.crc32 payload));
-  Bytes.unsafe_to_string b
-
 (* ------------------------------------------------------------------ *)
 (* Scan                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -94,12 +85,12 @@ let scan data =
   let torn = ref 0 in
   (try
      while !pos < len do
-       if len - !pos < frame_overhead then begin
+       if len - !pos < Io.frame_overhead then begin
          torn := len - !pos;
          raise Exit
        end;
        let n = Int64.to_int (String.get_int64_le data !pos) in
-       if n < 0 || n > max_record_bytes || !pos + frame_overhead + n > len
+       if n < 0 || n > max_record_bytes || !pos + Io.frame_overhead + n > len
        then begin
          torn := len - !pos;
          raise Exit
@@ -111,7 +102,7 @@ let scan data =
           match decode_record payload with
           | r -> records := r :: !records
           | exception Io.Corrupt _ -> incr corrupt);
-       pos := !pos + frame_overhead + n
+       pos := !pos + Io.frame_overhead + n
      done
    with Exit -> ());
   (List.rev !records, !corrupt, !torn)
@@ -233,7 +224,7 @@ let open_ ?(log = fun _ -> ()) ~dir () =
 (* ------------------------------------------------------------------ *)
 
 let append t r =
-  let f = frame (encode_record r) in
+  let f = Io.frame (encode_record r) in
   full_write t.jn_fd f;
   t.jn_bytes <- t.jn_bytes + String.length f;
   t.jn_appends <- t.jn_appends + 1
@@ -284,7 +275,7 @@ let compact t ~keep_done =
   let tmp = t.jn_path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   full_write fd header;
-  List.iter (fun r -> full_write fd (frame (encode_record r))) kept;
+  List.iter (fun r -> full_write fd (Io.frame (encode_record r))) kept;
   Unix.fsync fd;
   Unix.close fd;
   Sys.rename tmp t.jn_path;

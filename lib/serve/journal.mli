@@ -11,9 +11,9 @@
       deadline / unparseable journal entry); a restart must {e not}
       rerun it.
 
-    Framing mirrors the procpool wire protocol (8-byte LE length,
-    payload, 8-byte LE CRC-32 of the payload; payload is a lib/binio
-    record), so torn and corrupted writes are detectable per record.
+    Each record is one [Busgen_binio.Io.frame] (the procpool wire
+    frame) around a lib/binio record, so torn and corrupted writes are
+    detectable per record.
     Recovery semantics on open:
 
     - a torn tail (partial final frame — the SIGKILL case) is

@@ -1,3 +1,5 @@
+module Json = Busgen_json.Json
+
 type request = {
   rq_id : string;
   rq_kind : string;

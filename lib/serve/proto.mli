@@ -16,7 +16,7 @@
 type request = {
   rq_id : string;
   rq_kind : string;
-  rq_params : Json.t;  (** always an [Obj] (defaults to empty) *)
+  rq_params : Busgen_json.Json.t;  (** always an [Obj] (defaults to empty) *)
   rq_deadline_ms : int option;
 }
 
@@ -30,7 +30,7 @@ val parse_request : string -> (request, string) result
 (** {2 Reply builders} — return the reply line {e without} the
     trailing newline. *)
 
-val ok_reply : id:string -> Json.t -> string
+val ok_reply : id:string -> Busgen_json.Json.t -> string
 val err_reply : ?id:string -> code:string -> string -> string
 
 (** {2 Error codes} *)

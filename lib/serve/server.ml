@@ -8,6 +8,7 @@ module Sv = Busgen_par.Supervise
 module Procpool = Busgen_par.Procpool
 module Intr = Busgen_par.Intr
 module G = Bussyn.Generate
+module Json = Busgen_json.Json
 
 type transport = Stdio | Socket of string
 
@@ -30,11 +31,13 @@ type config = {
 let config ?(journal = Some "serve-journal") ?(queue_depth = 256)
     ?(client_inflight = 64)
     ?(policy = Sv.policy ~deadline:30. ~retries:1 ())
-    ?(jobs = 0) ?(limits = Procpool.config ()) ?(max_frame = 1024 * 1024)
+    ?(jobs = Sv.default_jobs ()) ?(limits = Procpool.config ())
+    ?(max_frame = 1024 * 1024)
     ?(debug_kinds = false) ?(circuit_cap = 64) ?(tape_cap = 8)
     ?(journal_max_bytes = 256 * 1024 * 1024)
     ?(log = fun m -> Printf.eprintf "%s\n%!" m) transport =
   if queue_depth < 1 then invalid_arg "serve: queue depth must be positive";
+  if jobs < 1 then invalid_arg "serve: worker count must be positive";
   if client_inflight < 1 then
     invalid_arg "serve: client in-flight cap must be positive";
   if max_frame < 1024 then invalid_arg "serve: frame cap must be >= 1024";
@@ -550,10 +553,6 @@ let run_batch st =
   Queue.clear st.pending;
   let n = Array.length batch in
   st.running <- n;
-  let jobs =
-    if st.cfg.cf_jobs > 0 then min st.cfg.cf_jobs n
-    else min n (Busgen_par.Pool.default_jobs ())
-  in
   let backend =
     Sv.Processes
       {
@@ -596,7 +595,8 @@ let run_batch st =
     hard_stop ()
   in
   let outcomes =
-    Sv.run ~policy:st.cfg.cf_policy ~backend ~jobs ~on_result ~should_stop n
+    Sv.run ~policy:st.cfg.cf_policy ~backend ~jobs:st.cfg.cf_jobs ~on_result
+      ~should_stop n
       (fun i -> Exec.run batch.(i).pj_rq)
   in
   ignore (outcomes : (string * Cache.snap) Sv.outcome array);

@@ -110,14 +110,15 @@ val run :
     [a, a+b) of [run ~seed ~budget:(a+b) ()] — an interrupted campaign
     continues where it stopped with no repeated or skipped cases.
 
-    [jobs] (default 1) shards the budget over supervised
-    {!Busgen_par.Supervise} workers, one job per case; [backend]
-    selects domains (default) or forked worker processes — for the
-    latter supply a lossless codec for [result list] (the sweep
-    checkpoint codec in [Busgen_ckpt.Sweep] is one).  The report —
-    results, order, failures, JSON — is byte-identical for every
-    [jobs] value and either backend as long as no deadline fires and
-    no worker dies.
+    Without [backend] the cases run one at a time in the calling
+    process.  [backend] shards the budget over [jobs] forked
+    {!Busgen_par.Supervise} workers, one job per case; its codec for
+    [result list] must be lossless (the sweep checkpoint codec in
+    [Busgen_ckpt.Sweep] is one).  [jobs] (default 1) above 1, or a
+    deadline, without [backend] raises [Invalid_argument].  The report
+    — results, order, failures, JSON — is byte-identical for every
+    [jobs] value, with or without the backend, as long as no deadline
+    fires and no worker dies.
 
     [policy] arms per-case deadlines / retry / quarantine
     (default {!Busgen_par.Supervise.default_policy}: none of them);

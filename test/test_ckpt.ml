@@ -18,7 +18,7 @@ module T = Busgen_verify.Traffic
 module P = Busgen_verify.Prop
 module Ckpt = Busgen_ckpt.Ckpt
 module Soak = Busgen_ckpt.Soak
-module Io = Busgen_ckpt.Io
+module Io = Busgen_binio.Io
 
 let has_infix needle hay =
   let n = String.length hay and m = String.length needle in
@@ -98,7 +98,7 @@ let test_io_roundtrip () =
   Io.w_int b min_int;
   Io.w_string b "hello";
   Io.w_string b "";
-  Io.w_bits b (Bits.of_string "17'h1ffff");
+  Ckpt.w_bits b (Bits.of_string "17'h1ffff");
   Io.w_list b Io.w_int [ 3; 1; 4; 1; 5 ];
   Io.w_array b Io.w_bool [| true; false; true |];
   Io.w_opt b Io.w_int None;
@@ -111,7 +111,7 @@ let test_io_roundtrip () =
   Alcotest.(check string) "string" "hello" (Io.r_string r);
   Alcotest.(check string) "empty string" "" (Io.r_string r);
   Alcotest.(check bool) "bits" true
-    (Bits.equal (Bits.of_string "17'h1ffff") (Io.r_bits r));
+    (Bits.equal (Bits.of_string "17'h1ffff") (Ckpt.r_bits r));
   Alcotest.(check (list int)) "list" [ 3; 1; 4; 1; 5 ] (Io.r_list r Io.r_int);
   Alcotest.(check (array bool))
     "array" [| true; false; true |]

@@ -123,7 +123,7 @@ let test_engine_unknown () =
     [ "simulate"; "-a"; "bfba"; "-w"; "database"; "--engine"; "bogus" ]
     ~on_stderr:"unknown engine"
 
-(* The supervision and isolation flags follow the same user-error
+(* The supervision and worker flags follow the same user-error
    contract: a bad value is one line on stderr and exit 2, never a
    stack trace.  Negative numbers must use the = form — cmdliner eats a
    bare "-3" as an unknown option (exit 124), which is its contract,
@@ -141,12 +141,20 @@ let test_supervision_flag_validation () =
   check_user_error "negative --job-retries"
     [ "inject"; "-a"; "bfba"; "-p"; "2"; "--job-retries=-3" ]
     ~on_stderr:"invalid --job-retries";
-  check_user_error "unknown --isolate"
-    [ "verify"; "--cycles"; "100"; "--isolate"; "bogus" ]
-    ~on_stderr:"unknown isolation backend";
-  check_user_error "worker limits need proc isolation"
-    [ "verify"; "--cycles"; "100"; "--worker-mem-mb"; "512" ]
-    ~on_stderr:"require --isolate proc"
+  check_user_error "invalid --worker-mem-mb"
+    [ "verify"; "--cycles"; "100"; "--worker-mem-mb"; "lots" ]
+    ~on_stderr:"invalid --worker-mem-mb";
+  check_user_error "zero --jobs"
+    [ "inject"; "-a"; "bfba"; "-p"; "2"; "-n"; "4"; "--cycles"; "40";
+      "--jobs=0" ]
+    ~on_stderr:"invalid --jobs";
+  check_user_error "negative --jobs"
+    [ "inject"; "-a"; "bfba"; "-p"; "2"; "-n"; "4"; "--cycles"; "40";
+      "--jobs=-3" ]
+    ~on_stderr:"invalid --jobs";
+  check_user_error "serve --jobs 0"
+    [ "serve"; "--stdio"; "--no-journal"; "--jobs"; "0" ]
+    ~on_stderr:"invalid --jobs"
 
 let test_wires_check_valid_ok () =
   (* The happy path still exits 0: dump a library, then validate it. *)
@@ -225,47 +233,6 @@ let test_verify_fuzz_jobs_identical () =
   Alcotest.(check int) "same exit code" c1 c4;
   Alcotest.(check string) "same stdout" o1 o4
 
-(* ------------------------------------------------------------------ *)
-(* Process isolation: --isolate proc must change nothing but the       *)
-(* failure domain                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_inject_isolate_proc_identical () =
-  let args rest =
-    [ "inject"; "-a"; "gbaviii"; "-p"; "2"; "--protect"; "--seed"; "7";
-      "-n"; "6"; "--cycles"; "60" ]
-    @ rest
-  in
-  let cd, od, _ = run (args [ "-j"; "1" ]) in
-  let c1, o1, _ = run (args [ "--isolate"; "proc"; "-j"; "1" ]) in
-  let c2, o2, _ = run (args [ "--isolate"; "proc"; "-j"; "2" ]) in
-  Alcotest.(check int) "proc -j 1 exit matches domain" cd c1;
-  Alcotest.(check int) "proc -j 2 exit matches domain" cd c2;
-  Alcotest.(check string) "proc -j 1 stdout matches domain" od o1;
-  Alcotest.(check string) "proc -j 2 stdout matches domain" od o2
-
-let test_verify_fuzz_isolate_proc_identical () =
-  (* Fuzz reports cross the process boundary through the sweep codec;
-     worker rlimits must not perturb the bytes either. *)
-  let args rest =
-    [ "verify"; "--fuzz"; "2026"; "--budget"; "8"; "--cycles"; "300";
-      "--json" ]
-    @ rest
-  in
-  let cd, od, _ = run (args [ "-j"; "1" ]) in
-  let c1, o1, _ = run (args [ "--isolate"; "proc"; "-j"; "1" ]) in
-  let c3, o3, _ =
-    run
-      (args
-         [ "--isolate"; "proc"; "-j"; "3"; "--worker-mem-mb"; "2048";
-           "--worker-cpu-s"; "60" ])
-  in
-  Alcotest.(check int) "proc -j 1 exit matches domain" cd c1;
-  Alcotest.(check int) "proc -j 3 exit matches domain" cd c3;
-  Alcotest.(check string) "proc -j 1 stdout matches domain" od o1;
-  Alcotest.(check string) "proc -j 3 (with rlimits) stdout matches domain" od
-    o3
-
 let explore_profile =
   "seed = 11\n\
    transactions = 10\n\
@@ -276,18 +243,22 @@ let explore_profile =
 
 let test_explore_jobs_identical () =
   (* The acceptance contract: the emitted front is byte-identical
-     across -j 1 / -j 4, both isolation backends, and --json/text. *)
+     across -j 1 / -j 4, capped worker processes, and --json/text. *)
   let prof = in_tmp "explore_profile.txt" in
   write_file prof explore_profile;
   let args rest = [ "explore"; "--profile"; prof; "--json" ] @ rest in
   let cd, od, _ = run (args [ "-j"; "1" ]) in
   Alcotest.(check int) "clean run" 0 cd;
   let c4, o4, _ = run (args [ "-j"; "4" ]) in
-  let cp, op, _ = run (args [ "--isolate"; "proc"; "-j"; "2" ]) in
+  let cp, op, _ =
+    run
+      (args
+         [ "-j"; "2"; "--worker-mem-mb"; "2048"; "--worker-cpu-s"; "60" ])
+  in
   Alcotest.(check int) "-j 4 exit" cd c4;
-  Alcotest.(check int) "proc exit" cd cp;
+  Alcotest.(check int) "capped -j 2 exit" cd cp;
   Alcotest.(check string) "-j 4 front byte-identical" od o4;
-  Alcotest.(check string) "proc front byte-identical" od op;
+  Alcotest.(check string) "capped -j 2 front byte-identical" od op;
   (* Grid overrides funnel through the same parser as the file. *)
   let ce, _, err =
     run (args [ "--archs"; "martian" ])
@@ -341,7 +312,7 @@ let test_verify_fuzz_sweep_resume () =
     (has "resuming: 6/6" err2)
 
 let test_sigint_flushes_sweep_ckpt () =
-  (* Interrupt a live process-isolated sweep with a real SIGINT: the
+  (* Interrupt a live sweep on worker processes with a real SIGINT: the
      supervisor must flush the sweep checkpoint, reap its workers and
      exit 130 promptly; a rerun must resume from the flushed state. *)
   let dir = in_tmp "sweep_sigint" in
@@ -349,7 +320,7 @@ let test_sigint_flushes_sweep_ckpt () =
   let out = in_tmp "sigint_stdout" and err = in_tmp "sigint_stderr" in
   let argv =
     [| exe; "verify"; "--fuzz"; "2026"; "--budget"; "200"; "--cycles"; "300";
-       "--json"; "-j"; "2"; "--isolate"; "proc"; "--sweep-every"; "1";
+       "--json"; "-j"; "2"; "--sweep-every"; "1";
        "--sweep-ckpt"; dir |]
   in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
@@ -399,7 +370,7 @@ let test_sigint_flushes_sweep_ckpt () =
   let code, _, err2 =
     run
       [ "verify"; "--fuzz"; "2026"; "--budget"; "200"; "--cycles"; "300";
-        "--json"; "-j"; "2"; "--isolate"; "proc"; "--sweep-ckpt"; dir ]
+        "--json"; "-j"; "2"; "--sweep-ckpt"; dir ]
   in
   Alcotest.(check int) "resumed sweep completes" 0 code;
   let has needle hay =
@@ -461,13 +432,6 @@ let () =
             test_verify_matrix_jobs_identical;
           Alcotest.test_case "verify --fuzz -j 1 vs -j 4" `Slow
             test_verify_fuzz_jobs_identical;
-        ] );
-      ( "process isolation",
-        [
-          Alcotest.test_case "inject --isolate proc -j 1 vs -j 2" `Slow
-            test_inject_isolate_proc_identical;
-          Alcotest.test_case "verify --fuzz --isolate proc -j 1 vs -j 3"
-            `Slow test_verify_fuzz_isolate_proc_identical;
         ] );
       ( "explore",
         [

@@ -1,12 +1,15 @@
-(* Tests for the worker-pool sweep engine: splitmix substream
-   derivation, pool scheduling and crash attribution, and the
-   determinism contract — a sharded fuzz sweep must be byte-identical
-   to the sequential one, report and repro corpus alike. *)
+(* Tests for the sweep scheduler: splitmix substream derivation,
+   worker-pool ordering and crash attribution, the supervision policy
+   on both the in-process path and forked workers, and the determinism
+   contract — a sharded fuzz sweep must be byte-identical to the
+   sequential one, report and repro corpus alike. *)
 
 module Sm = Busgen_par.Splitmix
-module Pool = Busgen_par.Pool
 module Sv = Busgen_par.Supervise
+module Procpool = Busgen_par.Procpool
+module Io = Busgen_binio.Io
 module Fuzz = Busgen_verify.Fuzz
+module Sweep = Busgen_ckpt.Sweep
 
 (* ------------------------------------------------------------------ *)
 (* Splitmix                                                            *)
@@ -76,53 +79,60 @@ let test_case_seed_collisions () =
     [ 1; 42; 2026 ]
 
 (* ------------------------------------------------------------------ *)
-(* Pool                                                                *)
+(* The process worker pool                                             *)
 (* ------------------------------------------------------------------ *)
+
+let int_backend () =
+  Sv.Processes
+    {
+      Procpool.sp_config = Procpool.default_config;
+      sp_encode =
+        (fun v ->
+          let w = Io.writer () in
+          Io.w_int w v;
+          Io.contents w);
+      sp_decode = (fun s -> Io.r_int (Io.reader s));
+    }
+
+let ok_value i = function
+  | Sv.Ok v -> v
+  | o -> Alcotest.failf "job %d not Ok: %s" i (Sv.describe o)
 
 let test_pool_order_and_results () =
   List.iter
     (fun jobs ->
-      let r = Pool.map ~jobs 37 (fun i -> i * i) in
+      let r = Sv.run ~backend:(int_backend ()) ~jobs 37 (fun i -> i * i) in
       Alcotest.(check int) "length" 37 (Array.length r);
       Array.iteri
-        (fun i -> function
-          | Ok v -> Alcotest.(check int) "slot i holds f i" (i * i) v
-          | Error e -> Alcotest.failf "job %d failed: %s" i e)
+        (fun i o -> Alcotest.(check int) "slot i holds f i" (i * i) (ok_value i o))
         r)
     [ 1; 4 ]
 
 let test_pool_crash_attribution () =
-  (* A crashing job lands as Error in its own slot; siblings complete. *)
+  (* A crashing job lands as Crashed in its own slot; siblings complete. *)
   let r =
-    Pool.map ~jobs:4 8 (fun i ->
+    Sv.run ~backend:(int_backend ()) ~jobs:4 8 (fun i ->
         if i = 5 then failwith "boom five" else i + 100)
   in
   Array.iteri
-    (fun i -> function
-      | Ok v when i <> 5 ->
-          Alcotest.(check int) "sibling completed" (i + 100) v
-      | Ok _ -> Alcotest.fail "job 5 should have failed"
-      | Error e when i = 5 ->
-          if not (String.length e > 0) then Alcotest.fail "empty error";
+    (fun i o ->
+      match (i, o) with
+      | 5, Sv.Crashed { error; attempts } ->
+          Alcotest.(check int) "one attempt" 1 attempts;
           Alcotest.(check bool) "error names the exception" true
             (let rec has j =
-               j + 9 <= String.length e
-               && (String.sub e j 9 = "boom five" || has (j + 1))
+               j + 9 <= String.length error
+               && (String.sub error j 9 = "boom five" || has (j + 1))
              in
              has 0)
-      | Error e -> Alcotest.failf "job %d failed unexpectedly: %s" i e)
+      | 5, o -> Alcotest.failf "job 5 ruled %s" (Sv.describe o)
+      | _, o -> Alcotest.(check int) "sibling completed" (i + 100) (ok_value i o))
     r
-
-let test_pool_map_exn_lowest_index () =
-  match Pool.map_exn ~jobs:4 8 (fun i -> if i >= 3 then failwith "x" else i) with
-  | _ -> Alcotest.fail "map_exn should raise"
-  | exception Pool.Job_failed { index; _ } ->
-      Alcotest.(check int) "lowest failed index reported" 3 index
 
 let test_pool_progress_monotone () =
   let seen = ref [] in
   let _ =
-    Pool.map ~jobs:4
+    Sv.run ~backend:(int_backend ()) ~jobs:4
       ~on_progress:(fun ~done_ ~total ->
         Alcotest.(check int) "total is n" 23 total;
         seen := done_ :: !seen)
@@ -140,38 +150,29 @@ let test_pool_progress_monotone () =
 (* ------------------------------------------------------------------ *)
 
 let test_supervise_clean_matches_pool () =
-  (* With no pathology the supervised sweep is the pool: every slot Ok,
-     values identical for every -j including the inline path. *)
-  List.iter
-    (fun jobs ->
-      let r = Sv.run ~jobs 31 (fun i -> (i * 7) + 1) in
-      Alcotest.(check int) "length" 31 (Array.length r);
-      Array.iteri
-        (fun i -> function
-          | Sv.Ok v -> Alcotest.(check int) "slot value" ((i * 7) + 1) v
-          | o -> Alcotest.failf "job %d not Ok: %s" i (Sv.describe o))
-        r)
-    [ 1; 4 ]
+  (* With no pathology the in-process sweep and the worker pool agree:
+     every slot Ok, values identical. *)
+  let f i = (i * 7) + 1 in
+  let inline = Sv.run 31 f in
+  let pooled = Sv.run ~backend:(int_backend ()) ~jobs:4 31 f in
+  Alcotest.(check int) "length" 31 (Array.length inline);
+  Array.iteri
+    (fun i o ->
+      Alcotest.(check int) "in-process slot value" (f i) (ok_value i o);
+      Alcotest.(check int) "pool slot value" (f i) (ok_value i pooled.(i)))
+    inline
 
 let test_supervise_timeout_spares_siblings () =
-  (* One job hangs until released; with a deadline armed the monitor
-     must rule it Timed_out while every sibling completes.  The hang is
-     a polling loop on an atomic (not a real infinite loop) so the
-     abandoned domain exits once the test releases it — no leaked
-     domain outlives the test binary's exit. *)
-  let release = Atomic.make false in
+  (* One job hangs; with a deadline armed its worker is SIGKILLed and
+     the job ruled Timed_out while every sibling completes. *)
   let outcomes =
-    Sv.run
+    Sv.run ~backend:(int_backend ())
       ~policy:(Sv.policy ~deadline:0.3 ~poll:0.01 ())
       ~jobs:2 6
       (fun i ->
-        if i = 2 then
-          while not (Atomic.get release) do
-            Unix.sleepf 0.02
-          done;
+        if i = 2 then Unix.sleep 600;
         i * 10)
   in
-  Atomic.set release true;
   Array.iteri
     (fun i o ->
       match (i, o) with
@@ -180,52 +181,56 @@ let test_supervise_timeout_spares_siblings () =
             deadline;
           Alcotest.(check int) "first attempt timed out" 1 attempts
       | 2, o -> Alcotest.failf "hung job ruled %s" (Sv.describe o)
-      | _, Sv.Ok v -> Alcotest.(check int) "sibling value" (i * 10) v
-      | _, o -> Alcotest.failf "sibling %d ruled %s" i (Sv.describe o))
+      | _, o -> Alcotest.(check int) "sibling value" (i * 10) (ok_value i o))
     outcomes
 
 let test_supervise_retry_succeeds () =
   (* Each flaky job crashes on its first two attempts and succeeds on
-     the third; with retries:2 every slot must end Ok. *)
-  let attempts = Array.init 8 (fun _ -> Atomic.make 0) in
+     the third; with retries:2 every slot must end Ok.  In process, so
+     the attempt counters are visible here. *)
+  let attempts = Array.make 8 0 in
   let outcomes =
     Sv.run
       ~policy:(Sv.policy ~retries:2 ~backoff:0.005 ())
-      ~jobs:4 8
+      8
       (fun i ->
-        let k = 1 + Atomic.fetch_and_add attempts.(i) 1 in
-        if k < 3 then failwith "transient" else i + 50)
+        attempts.(i) <- attempts.(i) + 1;
+        if attempts.(i) < 3 then failwith "transient" else i + 50)
   in
   Array.iteri
-    (fun i -> function
-      | Sv.Ok v -> Alcotest.(check int) "value after retries" (i + 50) v
-      | o -> Alcotest.failf "job %d ruled %s" i (Sv.describe o))
+    (fun i o -> Alcotest.(check int) "value after retries" (i + 50) (ok_value i o))
     outcomes;
   Array.iteri
     (fun i a ->
       Alcotest.(check int)
         (Printf.sprintf "job %d ran exactly 3 attempts" i)
-        3 (Atomic.get a))
+        3 a)
     attempts
 
 let test_supervise_quarantine_and_crash () =
   (* A job that always crashes: with retries it is Quarantined after
-     1 + retries attempts; with retries:0 it is Crashed on attempt 1. *)
-  let q =
-    Sv.run ~policy:(Sv.policy ~retries:2 ~backoff:0.005 ()) ~jobs:2 3
-      (fun i -> if i = 1 then failwith "hopeless" else i)
-  in
-  (match q.(1) with
-  | Sv.Quarantined { attempts; error } ->
-      Alcotest.(check int) "1 + retries attempts" 3 attempts;
-      Alcotest.(check bool) "error names the exception" true
-        (String.length error > 0)
-  | o -> Alcotest.failf "expected quarantine, got %s" (Sv.describe o));
-  let c = Sv.run ~jobs:2 3 (fun i -> if i = 1 then failwith "nope" else i) in
-  match c.(1) with
-  | Sv.Crashed { attempts; _ } ->
-      Alcotest.(check int) "single attempt" 1 attempts
-  | o -> Alcotest.failf "expected crash, got %s" (Sv.describe o)
+     1 + retries attempts; with retries:0 it is Crashed on attempt 1.
+     Both schedulers apply the same rule. *)
+  let hopeless i = if i = 1 then failwith "hopeless" else i in
+  List.iter
+    (fun (what, backend, jobs) ->
+      let q =
+        Sv.run ?backend ~jobs
+          ~policy:(Sv.policy ~retries:2 ~backoff:0.005 ())
+          3 hopeless
+      in
+      (match q.(1) with
+      | Sv.Quarantined { attempts; error } ->
+          Alcotest.(check int) (what ^ ": 1 + retries attempts") 3 attempts;
+          Alcotest.(check bool) (what ^ ": error names the exception") true
+            (String.length error > 0)
+      | o -> Alcotest.failf "%s: expected quarantine, got %s" what (Sv.describe o));
+      let c = Sv.run ?backend ~jobs 3 hopeless in
+      match c.(1) with
+      | Sv.Crashed { attempts; _ } ->
+          Alcotest.(check int) (what ^ ": single attempt") 1 attempts
+      | o -> Alcotest.failf "%s: expected crash, got %s" what (Sv.describe o))
+    [ ("in-process", None, 1); ("forked", Some (int_backend ()), 2) ]
 
 let test_supervise_skip_and_on_result () =
   (* skip pre-completes even slots: f must not run for them, and
@@ -233,7 +238,7 @@ let test_supervise_skip_and_on_result () =
   let ran = Array.make 10 false in
   let reported = Array.make 10 0 in
   let outcomes =
-    Sv.run ~jobs:3
+    Sv.run
       ~skip:(fun i -> if i mod 2 = 0 then Some (i * 100) else None)
       ~on_result:(fun i _ -> reported.(i) <- reported.(i) + 1)
       10
@@ -242,9 +247,7 @@ let test_supervise_skip_and_on_result () =
         i * 100)
   in
   Array.iteri
-    (fun i -> function
-      | Sv.Ok v -> Alcotest.(check int) "slot value" (i * 100) v
-      | o -> Alcotest.failf "job %d ruled %s" i (Sv.describe o))
+    (fun i o -> Alcotest.(check int) "slot value" (i * 100) (ok_value i o))
     outcomes;
   Array.iteri
     (fun i r ->
@@ -262,20 +265,33 @@ let test_supervise_skip_and_on_result () =
 
 let test_supervise_casualties_byte_identity () =
   (* A deterministic crasher must produce the same failure-summary
-     lines for every -j: the j1 ≡ jN contract extends to failures. *)
-  let sweep jobs =
-    Sv.run ~jobs 20 (fun i ->
-        if i mod 5 = 3 then failwith (Printf.sprintf "bad point %d" i)
-        else i)
+     lines in process at -j 1 as on four workers: the j1 ≡ jN contract
+     extends to failures. *)
+  let job i =
+    if i mod 5 = 3 then failwith (Printf.sprintf "bad point %d" i) else i
   in
-  let lines jobs =
+  let lines outcomes =
     List.map
       (fun (i, why) -> Printf.sprintf "%d: %s" i why)
-      (Sv.casualties (sweep jobs))
+      (Sv.casualties outcomes)
   in
-  let l1 = lines 1 in
+  let l1 = lines (Sv.run 20 job) in
   Alcotest.(check int) "four casualties" 4 (List.length l1);
-  Alcotest.(check (list string)) "j1 vs j4 casualty lines" l1 (lines 4)
+  Alcotest.(check (list string)) "j1 vs j4 casualty lines" l1
+    (lines (Sv.run ~backend:(int_backend ()) ~jobs:4 20 job))
+
+let test_supervise_needs_backend () =
+  (* Without a backend nothing can be cancelled or run in parallel, so
+     asking for either is refused instead of silently ignored. *)
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "jobs > 1" (fun () -> Sv.run ~jobs:2 3 Fun.id);
+  refused "deadline" (fun () ->
+      Sv.run ~policy:(Sv.policy ~deadline:1.0 ()) 3 Fun.id);
+  refused "jobs < 1" (fun () -> Sv.run ~backend:(int_backend ()) ~jobs:0 3 Fun.id)
 
 let test_interruptible_sleep () =
   (* Abort flag raised from the start: the sleep must return almost
@@ -300,13 +316,13 @@ let test_supervise_interrupt_mid_backoff () =
   (* Regression: retry backoff used to be a dead [sleepf], so a SIGINT
      arriving mid-backoff waited out the full exponential delay before
      the sweep noticed.  With every job crashing into a 10 s backoff
-     and the stop flag raised at 0.3 s, the sweep must abandon within a
-     couple of seconds, not after the backoff expires. *)
+     and the stop flag raised at 0.3 s, the in-process sweep must
+     abandon within a couple of seconds, not after the backoff
+     expires. *)
   let t0 = Unix.gettimeofday () in
   (match
      Sv.run
        ~policy:(Sv.policy ~retries:5 ~backoff:10.0 ())
-       ~jobs:2
        ~should_stop:(fun () -> Unix.gettimeofday () -. t0 > 0.3)
        4
        (fun _ -> failwith "crash into backoff")
@@ -322,11 +338,16 @@ let test_supervise_interrupt_mid_backoff () =
 (* Fuzz sharding: -j N byte-identical to -j 1                          *)
 (* ------------------------------------------------------------------ *)
 
+let fuzz_backend () = Sweep.fuzz_backend Procpool.default_config
+
 let test_fuzz_byte_identity () =
   List.iter
     (fun seed ->
       let r1 = Fuzz.run ~cycles:300 ~jobs:1 ~seed ~budget:10 () in
-      let r4 = Fuzz.run ~cycles:300 ~jobs:4 ~seed ~budget:10 () in
+      let r4 =
+        Fuzz.run ~cycles:300 ~jobs:4 ~backend:(fuzz_backend ()) ~seed
+          ~budget:10 ()
+      in
       Alcotest.(check string)
         (Printf.sprintf "seed %d: report JSON identical" seed)
         (Fuzz.report_to_json r1) (Fuzz.report_to_json r4);
@@ -346,8 +367,9 @@ let test_fuzz_byte_identity () =
 let test_fuzz_resume_matches_sharded () =
   (* first_case composition must hold under sharding too: the second
      half of a sharded budget equals a fresh resumed run. *)
-  let whole = Fuzz.run ~cycles:300 ~jobs:4 ~seed:11 ~budget:8 () in
-  let tail = Fuzz.run ~cycles:300 ~jobs:4 ~seed:11 ~first_case:4 ~budget:4 () in
+  let sharded = Fuzz.run ~cycles:300 ~jobs:4 ~backend:(fuzz_backend ()) in
+  let whole = sharded ~seed:11 ~budget:8 () in
+  let tail = sharded ~seed:11 ~first_case:4 ~budget:4 () in
   let classes r =
     List.map (fun x -> Fuzz.outcome_class x.Fuzz.r_outcome) r.Fuzz.f_results
   in
@@ -377,8 +399,6 @@ let () =
           Alcotest.test_case "ordered results" `Quick test_pool_order_and_results;
           Alcotest.test_case "crash attribution" `Quick
             test_pool_crash_attribution;
-          Alcotest.test_case "map_exn lowest index" `Quick
-            test_pool_map_exn_lowest_index;
           Alcotest.test_case "progress hook monotone" `Quick
             test_pool_progress_monotone;
         ] );
@@ -400,6 +420,8 @@ let () =
             test_interruptible_sleep;
           Alcotest.test_case "interrupt cuts retry backoff short" `Quick
             test_supervise_interrupt_mid_backoff;
+          Alcotest.test_case "no backend: no parallelism, no deadline"
+            `Quick test_supervise_needs_backend;
         ] );
       ( "fuzz sharding",
         [

@@ -1,13 +1,9 @@
-(* Tests for the process-isolated worker backend: framed pipe protocol,
-   crash containment (a worker SIGKILLed mid-job fails only its own
-   job), true cancellation (overdue workers are SIGKILLed and reaped —
-   the ECHILD probe proves zero zombies), rlimit enforcement, worker
-   recycling, and the byte-identity contract under --isolate proc.
-
-   This binary deliberately never spawns a domain: the backend forks,
-   and mixing fork with live domains is undefined behavior.  The only
-   Domains-backend run below uses jobs:1 with no monitor, which runs
-   inline in this thread. *)
+(* Tests for the forked worker backend: framed pipe protocol, crash
+   containment (a worker SIGKILLed mid-job fails only its own job),
+   true cancellation (overdue workers are SIGKILLed and reaped — the
+   ECHILD probe proves zero zombies), rlimit enforcement, worker
+   recycling, the supervisor's hook contract, and the byte-identity
+   contract between forked workers and the in-process path. *)
 
 module P = Busgen_par.Procpool
 module Sv = Busgen_par.Supervise
@@ -140,6 +136,69 @@ let test_skip_prevents_forking () =
   Array.iteri (fun i o -> Alcotest.(check int) "value" (i * 7) (ok_value o)) r;
   Alcotest.(check int) "no forks" forked_before (P.forked_total ())
 
+let test_hooks_once_per_index () =
+  (* on_result fires exactly once per index (skipped ones included) and
+     on_progress follows it with done counts 1..n, all in the parent. *)
+  let n = 12 in
+  let reported = Array.make n 0 in
+  let progress = ref [] in
+  let r =
+    Sv.run ~backend:(proc ()) ~jobs:3
+      ~skip:(fun i -> if i mod 4 = 0 then Some (-i) else None)
+      ~on_result:(fun i _ -> reported.(i) <- reported.(i) + 1)
+      ~on_progress:(fun ~done_ ~total ->
+        Alcotest.(check int) "total is n" n total;
+        progress := done_ :: !progress)
+      n
+      (fun i -> i)
+  in
+  Array.iteri
+    (fun i o ->
+      Alcotest.(check int) "value" (if i mod 4 = 0 then -i else i) (ok_value o))
+    r;
+  Array.iteri
+    (fun i k ->
+      Alcotest.(check int) (Printf.sprintf "on_result once for job %d" i) 1 k)
+    reported;
+  Alcotest.(check (list int)) "done counts are 1..n in order"
+    (List.init n (fun i -> i + 1))
+    (List.rev !progress);
+  assert_all_reaped "hook sweep"
+
+let test_hook_exception_after_drain () =
+  (* The first hook exception is held until every job has committed;
+     later hook calls are suppressed, and no worker is left behind. *)
+  let calls = ref 0 in
+  (match
+     Sv.run ~backend:(proc ()) ~jobs:2
+       ~on_result:(fun i _ ->
+         incr calls;
+         if i = 1 then failwith "hook failed at 1")
+       6
+       (fun i -> i)
+   with
+  | _ -> Alcotest.fail "expected the hook's exception"
+  | exception Failure msg ->
+      Alcotest.(check string) "first hook error re-raised" "hook failed at 1" msg);
+  Alcotest.(check bool)
+    (Printf.sprintf "later hook calls suppressed (%d calls)" !calls)
+    true (!calls < 6);
+  assert_all_reaped "hook-exception sweep"
+
+let test_casualties_j1_vs_j4 () =
+  (* Deterministic crashers give the same failure-summary lines on one
+     worker as on four. *)
+  let job i = if i mod 5 = 3 then failwith (Printf.sprintf "bad point %d" i) else i in
+  let lines jobs =
+    List.map
+      (fun (i, why) -> Printf.sprintf "%d: %s" i why)
+      (Sv.casualties (Sv.run ~backend:(proc ()) ~jobs 20 job))
+  in
+  let l1 = lines 1 in
+  Alcotest.(check int) "four casualties" 4 (List.length l1);
+  Alcotest.(check (list string)) "-j 1 vs -j 4 casualty lines" l1 (lines 4);
+  assert_all_reaped "casualty sweeps"
+
 (* ------------------------------------------------------------------ *)
 (* Crash containment                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -217,7 +276,7 @@ let test_deadline_true_cancellation () =
 
 let test_mixed_casualties_acceptance () =
   (* The acceptance scenario from the issue: one worker SIGKILLed, one
-     job over its deadline, in the same --isolate proc sweep.  The
+     job over its deadline, in the same forked sweep.  The
      sweep completes, each casualty gets its own outcome, zero zombies
      remain, and the survivors are byte-identical to a casualty-free
      ordering of the same results. *)
@@ -417,8 +476,8 @@ let test_interrupt_reaps_everything () =
   Alcotest.(check bool)
     (Printf.sprintf "interrupted promptly (%.2fs)" wall)
     true (wall < 5.);
-  (* Unlike the domain backend there is nothing to abandon: both hung
-     workers were SIGKILLed and reaped on the way out. *)
+  (* Nothing is abandoned: both hung workers were SIGKILLed and reaped
+     on the way out. *)
   assert_all_reaped "interrupted sweep"
 
 let test_interrupt_mid_backoff_prompt () =
@@ -447,23 +506,13 @@ let test_interrupt_mid_backoff_prompt () =
 (* Fuzz sweeps over processes                                          *)
 (* ------------------------------------------------------------------ *)
 
-let fuzz_backend () =
-  Sv.Processes
-    {
-      P.sp_config = P.default_config;
-      sp_encode = Sweep.encode_fuzz_results;
-      sp_decode =
-        (fun s ->
-          match Sweep.decode_fuzz_results s with
-          | Ok rs -> rs
-          | Error why -> failwith ("fuzz result decode: " ^ why));
-    }
+let fuzz_backend () = Sweep.fuzz_backend P.default_config
 
 let test_fuzz_proc_byte_identity () =
-  (* The whole-stack determinism contract under --isolate proc: for
-     each seed, the full report JSON must be byte-identical between
-     -j 1 and -j 4 process sweeps AND the inline in-process run —
-     proving the sweep-checkpoint codec is lossless on the wire. *)
+  (* The whole-stack determinism contract on forked workers: for each
+     seed, the full report JSON must be byte-identical between -j 1 and
+     -j 4 process sweeps AND the in-process run — proving the
+     sweep-checkpoint codec is lossless on the wire. *)
   List.iter
     (fun seed ->
       let report backend jobs =
@@ -501,6 +550,12 @@ let () =
             test_side_effects_stay_in_child;
           Alcotest.test_case "fully-skipped sweep never forks" `Quick
             test_skip_prevents_forking;
+          Alcotest.test_case "hooks fire once per index" `Quick
+            test_hooks_once_per_index;
+          Alcotest.test_case "hook exception re-raised after drain" `Quick
+            test_hook_exception_after_drain;
+          Alcotest.test_case "casualty lines -j 1 vs -j 4" `Quick
+            test_casualties_j1_vs_j4;
         ] );
       ( "crash containment",
         [

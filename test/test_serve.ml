@@ -11,7 +11,7 @@
      to an uninterrupted run's, with zero lost or duplicated jobs. *)
 
 module Lru = Busgen_cache.Lru
-module Json = Busgen_serve.Json
+module Json = Busgen_json.Json
 module Proto = Busgen_serve.Proto
 module Journal = Busgen_serve.Journal
 
