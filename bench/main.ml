@@ -17,7 +17,7 @@ let line = String.make 78 '-'
 let header title = Printf.printf "\n%s\n%s\n%s\n" line title line
 
 (* Sections selected on the command line ([] = everything), e.g.
-   `dune exec bench/main.exe -- table5 interp` for a CI smoke run.
+   `dune exec bench/main.exe -- table5 procpool` for a CI smoke run.
    `-j N` picks the worker count for the `par` section (default: every
    core the runtime reports). *)
 let sections, par_jobs =
@@ -31,21 +31,6 @@ let sections, par_jobs =
     (List.tl (Array.to_list Sys.argv))
 
 let want name = sections = [] || List.mem name sections
-
-(* Measurements accumulated for BENCH_interp.json. *)
-type interp_row = {
-  ir_circuit : string;
-  ir_cycles_per_sec : float;
-  ir_ref_cycles_per_sec : float;
-}
-
-let interp_rows : interp_row list ref = ref []
-let table_walls : (string * float) list ref = ref []
-
-let timed name f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  table_walls := (name, Unix.gettimeofday () -. t0) :: !table_walls
 
 (* ------------------------------------------------------------------ *)
 (* Table II: OFDM transmitter                                          *)
@@ -552,11 +537,6 @@ let bechamel_tables () =
         results)
     tests
 
-(* ------------------------------------------------------------------ *)
-(* Interpreter micro-benchmark: slot-compiled engine vs the reference  *)
-(* string-keyed engine, on generated Table II / Table III circuits     *)
-(* ------------------------------------------------------------------ *)
-
 (* OLS nanoseconds-per-run of a single Bechamel test. *)
 let ols_ns_per_run ?(quota = 1.0) test =
   let open Bechamel in
@@ -573,161 +553,6 @@ let ols_ns_per_run ?(quota = 1.0) test =
       | Some [ ns_per_run ] -> Some ns_per_run
       | Some _ | None -> acc)
     results None
-
-let bench_interp () =
-  header
-    "Interp micro-bench - cycles/second, slot-compiled engine vs reference";
-  let open Bechamel in
-  let cycles_per_run = 50 in
-  Printf.printf "%-18s %14s %14s %9s\n" "circuit" "engine[c/s]" "ref[c/s]"
-    "speedup";
-  List.iter
-    (fun (nm, arch) ->
-      let r = G.generate arch (Bussyn.Archs.small_config ~n_pes:4) in
-      let top = r.G.generated.Bussyn.Archs.top in
-      let fast = Busgen_rtl.Interp.create top in
-      Busgen_rtl.Interp.reset fast;
-      let slow = Busgen_rtl.Interp_ref.create top in
-      Busgen_rtl.Interp_ref.reset slow;
-      let cps_of_ns ns = float_of_int cycles_per_run *. 1e9 /. ns in
-      let t_fast =
-        Test.make ~name:(nm ^ ":slot")
-          (Staged.stage (fun () -> Busgen_rtl.Interp.run fast cycles_per_run))
-      in
-      let t_slow =
-        Test.make ~name:(nm ^ ":ref")
-          (Staged.stage (fun () ->
-               Busgen_rtl.Interp_ref.run slow cycles_per_run))
-      in
-      match (ols_ns_per_run t_fast, ols_ns_per_run t_slow) with
-      | Some ns_fast, Some ns_slow ->
-          let cps = cps_of_ns ns_fast and ref_cps = cps_of_ns ns_slow in
-          Printf.printf "%-18s %14.0f %14.0f %8.1fx\n%!" nm cps ref_cps
-            (cps /. ref_cps);
-          interp_rows :=
-            { ir_circuit = nm; ir_cycles_per_sec = cps;
-              ir_ref_cycles_per_sec = ref_cps }
-            :: !interp_rows
-      | _ -> Printf.printf "%-18s (no estimate)\n%!" nm)
-    [ ("gbavi-table2", G.Gbavi); ("hybrid-table3", G.Hybrid) ]
-
-(* ------------------------------------------------------------------ *)
-(* Tape engine: flat-tape + activity skipping vs the slot engine, on   *)
-(* idle-heavy and saturated traffic (BENCH_tape.json)                  *)
-(* ------------------------------------------------------------------ *)
-
-type tape_row = {
-  tp_circuit : string;
-  tp_profile : string;
-  tp_slot_cps : float;
-  tp_tape_cps : float;
-}
-
-let tape_rows : tape_row list ref = ref []
-
-let bench_tape () =
-  header
-    "Tape engine - cycles/second vs the slot engine, idle-heavy vs \
-     saturated traffic";
-  let module E = Busgen_rtl.Engine in
-  let module C = Busgen_rtl.Circuit in
-  let module B = Busgen_rtl.Bits in
-  Printf.printf "%-18s %-10s %14s %14s %9s\n" "circuit" "profile"
-    "slot[c/s]" "tape[c/s]" "speedup";
-  List.iter
-    (fun (nm, arch) ->
-      let r = G.generate arch (Bussyn.Archs.small_config ~n_pes:4) in
-      let top = r.G.generated.Bussyn.Archs.top in
-      let inputs = C.inputs top in
-      let zeros =
-        List.map
-          (fun (p : C.port) -> (p.C.port_name, B.zero p.C.port_width))
-          inputs
-      in
-      (* Deterministic stimulus, identical for both engines: the same
-         LCG seed drives the same input bits in the same order. *)
-      let drive_burst sim lcg n =
-        for _ = 1 to n do
-          List.iter
-            (fun (p : C.port) ->
-              E.set_input sim p.C.port_name
-                (B.init p.C.port_width (fun _ ->
-                     lcg := ((!lcg * 1664525) + 1013904223) land 0x3FFFFFFF;
-                     !lcg land 1 = 1)))
-            inputs;
-          E.step sim
-        done
-      in
-      (* Both profiles drive exactly 2000 cycles per chunk. *)
-      let profiles =
-        [
-          (* 1% active: 10-cycle random bursts separated by 990 cycles
-             with the inputs held at zero — the register-stable
-             stretches the tape engine fast-forwards through. *)
-          ( "idle",
-            fun sim lcg ->
-              for _ = 1 to 2 do
-                drive_burst sim lcg 10;
-                List.iter (fun (pn, v) -> E.set_input sim pn v) zeros;
-                E.run sim 990
-              done );
-          (* Every input toggles every cycle: no idle stretches, and
-             most of the netlist is dirty — the win here is the flat
-             tape itself, not the dynamic skipping. *)
-          ("saturated", fun sim lcg -> drive_burst sim lcg 2000);
-        ]
-      in
-      let chunk_cycles = 2000.0 in
-      let median l = List.nth (List.sort compare l) (List.length l / 2) in
-      List.iter
-        (fun (profile, chunk) ->
-          let cps kind =
-            let sim = E.create ~kind top in
-            E.reset sim;
-            let lcg = ref 0x7A9E in
-            chunk sim lcg (* warm-up *);
-            let rounds = 7 in
-            let times =
-              List.init rounds (fun _ ->
-                  let t0 = Unix.gettimeofday () in
-                  chunk sim lcg;
-                  Unix.gettimeofday () -. t0)
-            in
-            chunk_cycles /. median times
-          in
-          let slot = cps E.Slot and tape = cps E.Tape in
-          Printf.printf "%-18s %-10s %14.0f %14.0f %8.1fx\n%!" nm profile
-            slot tape (tape /. slot);
-          tape_rows :=
-            { tp_circuit = nm; tp_profile = profile; tp_slot_cps = slot;
-              tp_tape_cps = tape }
-            :: !tape_rows)
-        profiles)
-    [ ("gbavi-table2", G.Gbavi); ("hybrid-table3", G.Hybrid) ]
-
-let write_tape_json path =
-  if !tape_rows <> [] then begin
-    let oc = open_out path in
-    let rows =
-      List.rev !tape_rows
-      |> List.map (fun r ->
-             Printf.sprintf
-               "    {\"circuit\": %S, \"profile\": %S, \
-                \"slot_cycles_per_sec\": %.1f, \"tape_cycles_per_sec\": \
-                %.1f, \"speedup\": %.2f}"
-               r.tp_circuit r.tp_profile r.tp_slot_cps r.tp_tape_cps
-               (r.tp_tape_cps /. r.tp_slot_cps))
-      |> String.concat ",\n"
-    in
-    Printf.fprintf oc
-      "{\n\
-      \  \"schema\": \"busgen-tape-bench/1\",\n\
-      \  \"runs\": [\n%s\n  ]\n\
-       }\n"
-      rows;
-    close_out oc;
-    Printf.printf "\n[bench] wrote %s\n" path
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Fault model: overhead of the armed-but-silent machinery, and the    *)
@@ -835,7 +660,7 @@ let monitor_rows : monitor_row list ref = ref []
 
 let bench_monitors () =
   header
-    "Property monitors - cycles/second, bare interpreter vs armed pack";
+    "Property monitors - cycles/second, bare tape engine vs armed pack";
   Printf.printf "%-10s %6s %14s %14s %10s\n" "arch" "props" "bare[c/s]"
     "armed[c/s]" "overhead";
   List.iter
@@ -849,23 +674,33 @@ let bench_monitors () =
          two independent multi-second runs — GC state, CPU frequency
          and heap layout all move more than the observer cost.  So:
          same sim, alternate bare/armed chunks, take medians. *)
-      let sim = Busgen_rtl.Interp.create top in
-      Busgen_rtl.Interp.reset sim;
+      let tb = Busgen_rtl.Testbench.create top in
+      let sim = Busgen_rtl.Testbench.engine tb in
+      (* Seeded bus traffic keeps the netlist active: on an idle design
+         the tape engine batches whole stretches, and the bare side
+         would time a counter increment. *)
+      let traffic = Busgen_verify.Traffic.create tb ~arch ~config:cfg ~seed:1 in
+      let run_cycles n =
+        let stop = Busgen_rtl.Engine.current_cycle sim + n in
+        while Busgen_rtl.Engine.current_cycle sim < stop do
+          Busgen_verify.Traffic.step traffic
+        done
+      in
       let chunk = 1500 and rounds = 24 in
-      Busgen_rtl.Interp.run sim 2000 (* warm-up *);
+      run_cycles 2000 (* warm-up *);
       let mon = ref None in
       let time_chunk () =
+        let c0 = Busgen_rtl.Engine.current_cycle sim in
         let t0 = Unix.gettimeofday () in
-        Busgen_rtl.Interp.run sim chunk;
-        (Unix.gettimeofday () -. t0) /. float_of_int chunk
+        run_cycles chunk;
+        (Unix.gettimeofday () -. t0)
+        /. float_of_int (Busgen_rtl.Engine.current_cycle sim - c0)
       in
       let bares = ref [] and ratios = ref [] in
       for _ = 1 to rounds do
-        Busgen_rtl.Interp.clear_observers sim;
+        Busgen_rtl.Engine.clear_observers sim;
         let tb = time_chunk () in
-        mon :=
-          Some
-            (Busgen_verify.Pack.attach (Busgen_rtl.Engine.of_interp sim) top);
+        mon := Some (Busgen_verify.Pack.attach sim top);
         let ta = time_chunk () in
         bares := tb :: !bares;
         (* overhead as a within-round ratio: clock-frequency and GC
@@ -902,8 +737,11 @@ let write_monitors_json path =
     Printf.fprintf oc
       "{\n\
       \  \"schema\": \"busgen-monitors-bench/1\",\n\
+      \  \"engine\": \"tape\",\n\
+      \  \"cores_detected\": %d,\n\
       \  \"runs\": [\n%s\n  ]\n\
        }\n"
+      (Busgen_par.Supervise.default_jobs ())
       rows;
     close_out oc;
     Printf.printf "\n[bench] wrote %s\n" path
@@ -1542,52 +1380,17 @@ let write_serve_json path =
       close_out oc;
       Printf.printf "\n[bench] wrote %s\n" path
 
-(* ------------------------------------------------------------------ *)
-(* BENCH_interp.json: machine-readable perf trajectory across PRs      *)
-(* ------------------------------------------------------------------ *)
-
-let write_bench_json path =
-  if !interp_rows <> [] || !table_walls <> [] then begin
-  let oc = open_out path in
-  let circuit_rows =
-    List.rev !interp_rows
-    |> List.map (fun r ->
-           Printf.sprintf
-             "    {\"name\": %S, \"cycles_per_sec\": %.1f, \
-              \"reference_cycles_per_sec\": %.1f, \"speedup\": %.2f}"
-             r.ir_circuit r.ir_cycles_per_sec r.ir_ref_cycles_per_sec
-             (r.ir_cycles_per_sec /. r.ir_ref_cycles_per_sec))
-    |> String.concat ",\n"
-  in
-  let table_rows =
-    List.rev !table_walls
-    |> List.map (fun (n, s) ->
-           Printf.sprintf "    {\"name\": %S, \"wall_s\": %.3f}" n s)
-    |> String.concat ",\n"
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"busgen-interp-bench/1\",\n\
-    \  \"circuits\": [\n%s\n  ],\n\
-    \  \"tables\": [\n%s\n  ]\n\
-     }\n"
-    circuit_rows table_rows;
-  close_out oc;
-  Printf.printf "\n[bench] wrote %s\n" path
-  end
-
 let () =
   print_string
     "BusSyn reproduction benchmarks (Ryu & Mooney, DATE 2003)\n\
      Every measured table of the paper, regenerated.\n";
   if sections <> [] then
     Printf.printf "[sections: %s]\n" (String.concat " " sections);
-  let section name f = if want name then timed name f in
-  section "table1" table1;
-  section "table2" table2;
-  section "table3" table3;
-  section "table4" table4;
-  section "table5" table5;
+  if want "table1" then table1 ();
+  if want "table2" then table2 ();
+  if want "table3" then table3 ();
+  if want "table4" then table4 ();
+  if want "table5" then table5 ();
   if want "ablations" then begin
     ablation_arbiter ();
     ablation_fifo_depth ();
@@ -1604,8 +1407,6 @@ let () =
     ablation_depth ()
   end;
   if want "bechamel" then bechamel_tables ();
-  if want "interp" then bench_interp ();
-  if want "tape" then bench_tape ();
   if want "faults" then bench_faults ();
   if want "monitors" then bench_monitors ();
   if want "soak" then bench_soak ();
@@ -1613,8 +1414,6 @@ let () =
   if want "procpool" then bench_procpool ();
   if want "par" then bench_par ();
   if want "explore" then bench_explore ();
-  write_bench_json "BENCH_interp.json";
-  write_tape_json "BENCH_tape.json";
   write_faults_json "BENCH_faults.json";
   write_monitors_json "BENCH_monitors.json";
   write_soak_json "BENCH_soak.json";

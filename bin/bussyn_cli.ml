@@ -100,41 +100,67 @@ let pes_arg =
     value & opt int 4
     & info [ "p"; "pes" ] ~docv:"N" ~doc:"Number of processing elements.")
 
-(* Validated here, once for every subcommand: a job count below 1 is a
-   user error (exit 2, one line on stderr), raised while cmdliner
+(* Counts are validated here, once for every subcommand: a value below
+   1 is a user error (exit 2, one line on stderr), raised while cmdliner
    evaluates the term and before any work starts. *)
-let jobs_arg =
-  let positive j =
-    if j < 1 then
+let positive ~flag arg =
+  let check n =
+    if n < 1 then
       failwith
-        (Printf.sprintf "invalid --jobs %d (expected a positive integer)" j);
-    j
+        (Printf.sprintf "invalid %s %d (expected a positive integer)" flag n);
+    n
   in
-  Term.(
-    const positive
-    $ Arg.(
-        value
-        & opt int (Sv.default_jobs ())
-        & info [ "j"; "jobs" ] ~docv:"N"
-            ~doc:
-              "Worker processes for the embarrassingly parallel legs \
-               (fuzz budgets, fault campaigns, the all-architectures \
-               matrix, exploration grids, serve batches).  Reports, \
-               corpus files and exit codes are byte-identical for every \
-               N, including 1: job seeds are derived from (root seed, \
-               job index) and results merge in job order.  Default: the \
-               machine's recommended worker count."))
+  Term.(const check $ arg)
+
+let jobs_arg =
+  positive ~flag:"--jobs"
+    Arg.(
+      value
+      & opt int (Sv.default_jobs ())
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Worker processes for the embarrassingly parallel legs (fuzz \
+             budgets, fault campaigns, the all-architectures matrix, \
+             exploration grids, serve batches).  Reports, corpus files \
+             and exit codes are byte-identical for every N, including 1: \
+             job seeds are derived from (root seed, job index) and results \
+             merge in job order.  Default: the machine's recommended \
+             worker count.")
+
+(* The sweep checkpoint flags of `verify --fuzz` and `explore`. *)
+let sweep_ckpt_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "sweep-ckpt" ] ~docv:"DIR"
+        ~doc:
+          "Checkpoint sweep progress (completed-job bitmap + accumulated \
+           results: fuzz cases for verify --fuzz, scored candidates for \
+           explore) to DIR/sweep.bsck at a cadence, and resume from it if \
+           it already exists — a SIGKILLed sweep re-run with the same \
+           arguments picks up where it died and produces a \
+           byte-identical final report.")
+
+let sweep_every_arg =
+  positive ~flag:"--sweep-every"
+    Arg.(
+      value & opt int 32
+      & info [ "sweep-every" ] ~docv:"N"
+          ~doc:
+            "With --sweep-ckpt: rewrite the checkpoint after every N newly \
+             completed jobs (it is also rewritten on a wall-clock cadence \
+             and always on exit).  Default 32.")
 
 let engine_arg =
   Arg.(
     value & opt string "tape"
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "RTL evaluation engine for the interpreter-backed legs: tape \
-           (flat-tape with activity-based skipping, the default), slot \
-           (slot-indexed closures) or ref (tree-walking reference).  All \
-           three are bit-exact; pick ref or slot to cross-check a result \
-           or to bisect a suspected tape-compiler bug.")
+          "RTL evaluation engine for the simulation-backed legs: tape \
+           (flat tape with activity-based skipping, the default) or ref \
+           (the tree-walking reference oracle).  The two are bit-exact; \
+           pick ref to cross-check a result or to bisect a suspected \
+           tape-compiler bug.")
 
 (* Deliberately a plain string option validated here, not an
    [Arg.conv]: cmdliner reports conversion failures as CLI errors
@@ -669,7 +695,7 @@ let inject_cmd =
   in
   let run arch pes seed n cycles protect jobs deadline retries worker_mem_mb
       worker_cpu_s engine =
-    let module I = Busgen_rtl.Interp in
+    let module I = Busgen_rtl.Flat in
     let module E = Busgen_rtl.Engine in
     let module C = Busgen_rtl.Circuit in
     let module B = Busgen_rtl.Bits in
@@ -1042,27 +1068,6 @@ let verify_cmd =
       value & flag
       & info [ "json" ] ~doc:"Print a machine-readable JSON report.")
   in
-  let sweep_ckpt_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sweep-ckpt" ] ~docv:"DIR"
-          ~doc:
-            "With --fuzz: checkpoint sweep progress (completed-case \
-             bitmap + accumulated results) to DIR/sweep.bsck at a \
-             cadence, and resume from it if it already exists — a \
-             SIGKILLed sweep re-run with the same arguments picks up \
-             where it died and produces a byte-identical final report.")
-  in
-  let sweep_every_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "sweep-every" ] ~docv:"N"
-          ~doc:
-            "With --sweep-ckpt: rewrite the checkpoint after every N \
-             newly completed cases (it is also rewritten on a wall-clock \
-             cadence and always on exit).  Default 32.")
-  in
   (* Builds its report into a buffer instead of printing, so the
      all-architectures matrix can run the cells on a worker pool and
      still print byte-identical output in architecture order. *)
@@ -1112,7 +1117,7 @@ let verify_cmd =
       engine =
     (* Validated up front so `verify --engine bogus` (or a bad
        --job-deadline / --worker-* value) exits 2 before any generation work;
-       the fuzz and replay legs run their own three-way differential
+       the fuzz and replay legs run their own tape-vs-ref differential
        and ignore the engine choice. *)
     let ekind = engine_of_string engine in
     let policy =
@@ -1545,27 +1550,6 @@ let explore_cmd =
              ranked points, casualties) instead of the table.  \
              Byte-identical for every -j and \
              across a --sweep-ckpt resume.")
-  in
-  let sweep_ckpt_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sweep-ckpt" ] ~docv:"DIR"
-          ~doc:
-            "Checkpoint sweep progress (completed-candidate bitmap + \
-             scores) to DIR/sweep.bsck at a cadence, and resume from it \
-             if it already exists — a SIGKILLed exploration re-run with \
-             the same profile picks up where it died and produces a \
-             byte-identical front.")
-  in
-  let sweep_every_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "sweep-every" ] ~docv:"N"
-          ~doc:
-            "With --sweep-ckpt: rewrite the checkpoint after every N \
-             newly scored candidates (also rewritten on a wall-clock \
-             cadence and always on exit).  Default 32.")
   in
   let run profile seed txns pes archs widths depths arbs protect faults
       fault_seed json jobs deadline retries worker_mem_mb worker_cpu_s

@@ -55,9 +55,9 @@ let () =
     expected;
 
   (* Waveform of the accelerator's handshake, straight from the RTL. *)
-  let sim2 = Interp.create g.Archs.top in
-  Interp.reset sim2;
-  let tb2 = Testbench.of_interp sim2 in
+  let sim2 = Engine.create g.Archs.top in
+  Engine.reset sim2;
+  let tb2 = Testbench.of_engine sim2 in
   List.iter
     (fun pe ->
       List.iter

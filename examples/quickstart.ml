@@ -31,35 +31,35 @@ let () =
      (A small configuration keeps interpretation fast.) *)
   let small = Bussyn.Archs.small_config ~n_pes:2 in
   let g = Bussyn.Archs.bfba small in
-  let sim = Interp.create g.Bussyn.Archs.top in
-  Interp.reset sim;
+  let sim = Engine.create g.Bussyn.Archs.top in
+  Engine.reset sim;
   let dw = small.Bussyn.Archs.bus_data_width in
   for k = 0 to 1 do
     let p s = Printf.sprintf "cpu%d_%s" k s in
-    Interp.set_input sim (p "req") (Bits.zero 1);
-    Interp.set_input sim (p "rnw") (Bits.zero 1);
-    Interp.set_input sim (p "addr") (Bits.zero 32);
-    Interp.set_input sim (p "wdata") (Bits.zero dw)
+    Engine.set_input sim (p "req") (Bits.zero 1);
+    Engine.set_input sim (p "rnw") (Bits.zero 1);
+    Engine.set_input sim (p "addr") (Bits.zero 32);
+    Engine.set_input sim (p "wdata") (Bits.zero dw)
   done;
   let txn k ~rnw ~addr ~wdata =
     let p s = Printf.sprintf "cpu%d_%s" k s in
-    Interp.set_input sim (p "req") (Bits.of_bool true);
-    Interp.set_input sim (p "rnw") (Bits.of_bool rnw);
-    Interp.set_input sim (p "addr") (Bits.of_int ~width:32 addr);
-    Interp.set_input sim (p "wdata") (Bits.of_int ~width:dw wdata);
-    Interp.step sim;
-    Interp.set_input sim (p "req") (Bits.of_bool false);
+    Engine.set_input sim (p "req") (Bits.of_bool true);
+    Engine.set_input sim (p "rnw") (Bits.of_bool rnw);
+    Engine.set_input sim (p "addr") (Bits.of_int ~width:32 addr);
+    Engine.set_input sim (p "wdata") (Bits.of_int ~width:dw wdata);
+    Engine.step sim;
+    Engine.set_input sim (p "req") (Bits.of_bool false);
     let rec wait n =
       if n > 500 then failwith "bus transaction timed out"
-      else if Interp.peek_int sim (p "ack") = 1 then
-        Interp.peek_int sim (p "rdata")
+      else if Engine.peek_int sim (p "ack") = 1 then
+        Engine.peek_int sim (p "rdata")
       else begin
-        Interp.step sim;
+        Engine.step sim;
         wait (n + 1)
       end
     in
     let v = wait 0 in
-    Interp.step sim;
+    Engine.step sim;
     v
   in
   ignore (txn 0 ~rnw:false ~addr:0x20 ~wdata:0xBEEF);
@@ -75,9 +75,9 @@ let () =
     (txn 0 ~rnw:false
        ~addr:(Bussyn.Addrmap.peer_base + Bussyn.Addrmap.peer_fifo_offset)
        ~wdata:0x42);
-  Interp.step sim;
+  Engine.step sim;
   Printf.printf "RTL check: PE1 interrupt line = %d after the push\n"
-    (Interp.peek_int sim "cpu1_irq");
+    (Engine.peek_int sim "cpu1_irq");
   let w = txn 1 ~rnw:true ~addr:Bussyn.Addrmap.own_fifo_base ~wdata:0 in
   Printf.printf "RTL check: PE1 popped 0x%X from its Bi-FIFO\n" w;
   print_endline "\nquickstart complete."

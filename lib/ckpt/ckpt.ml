@@ -1,7 +1,7 @@
 module Io = Busgen_binio.Io
 module A = Bussyn.Archs
 module G = Bussyn.Generate
-module I = Busgen_rtl.Interp
+module I = Busgen_rtl.Flat
 module Bits = Busgen_rtl.Bits
 module T = Busgen_verify.Traffic
 module P = Busgen_verify.Prop

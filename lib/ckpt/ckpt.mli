@@ -10,8 +10,8 @@
 
     On top of the container sit two typed snapshots:
 
-    - {!snapshot}: full RTL co-simulation state — interpreter signal
-      and memory values ({!Busgen_rtl.Interp.state}), installed fault
+    - {!snapshot}: full RTL co-simulation state — engine signal and
+      memory values ({!Busgen_rtl.Flat.state}), installed fault
       injections, the traffic driver's RNG and shadow model
       ({!Busgen_verify.Traffic.state}), property-monitor obligations
       ({!Busgen_verify.Prop.monitor_state}) — plus the provenance
@@ -58,8 +58,8 @@ type snapshot = {
   ck_arch : Bussyn.Generate.arch;
   ck_config : Bussyn.Archs.config;
   ck_seed : int;              (** traffic seed of the run *)
-  ck_interp : Busgen_rtl.Interp.state;
-  ck_injections : Busgen_rtl.Interp.injection list;
+  ck_interp : Busgen_rtl.Flat.state;
+  ck_injections : Busgen_rtl.Flat.injection list;
   ck_traffic : Busgen_verify.Traffic.state option;
   ck_monitor : Busgen_verify.Prop.monitor_state option;
 }

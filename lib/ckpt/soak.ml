@@ -1,6 +1,6 @@
 module A = Bussyn.Archs
 module G = Bussyn.Generate
-module I = Busgen_rtl.Interp
+module I = Busgen_rtl.Flat
 module E = Busgen_rtl.Engine
 module Bits = Busgen_rtl.Bits
 module Tb = Busgen_rtl.Testbench

@@ -27,7 +27,7 @@ type config = {
   sk_keep : int;              (** checkpoint files retained (newest first) *)
   sk_campaign : (int * int) option;
       (** [(seed, n)]: install a random fault campaign over the design
-          (see {!Busgen_rtl.Interp.random_campaign}) *)
+          (see {!Busgen_rtl.Engine.random_campaign}) *)
   sk_monitor : bool;          (** arm the standard property pack *)
   sk_engine : Busgen_rtl.Engine.kind;  (** evaluation engine *)
   sk_log : string -> unit;    (** progress lines (checkpoints, resume, skips) *)

@@ -9,7 +9,7 @@
 module Io = Busgen_binio.Io
 module Fuzz = Busgen_verify.Fuzz
 module Prop = Busgen_verify.Prop
-module Interp = Busgen_rtl.Interp
+module Flat = Busgen_rtl.Flat
 
 let file_name = "sweep.bsck"
 let meta_section = "sweep-meta"
@@ -217,31 +217,31 @@ let load ?(log = fun _ -> ()) ?(every = 32) ?(wall = 5.0) ~dir ~ident ~total ()
    Marshal, every decode bounds-checked. *)
 
 let w_fault w = function
-  | Interp.Stuck_at_0 -> Io.w_int w 0
-  | Interp.Stuck_at_1 -> Io.w_int w 1
-  | Interp.Flip b ->
+  | Flat.Stuck_at_0 -> Io.w_int w 0
+  | Flat.Stuck_at_1 -> Io.w_int w 1
+  | Flat.Flip b ->
       Io.w_int w 2;
       Io.w_int w b
 
 let r_fault r =
   match Io.r_int r with
-  | 0 -> Interp.Stuck_at_0
-  | 1 -> Interp.Stuck_at_1
-  | 2 -> Interp.Flip (Io.r_int r)
+  | 0 -> Flat.Stuck_at_0
+  | 1 -> Flat.Stuck_at_1
+  | 2 -> Flat.Flip (Io.r_int r)
   | n -> raise (Io.Corrupt (Printf.sprintf "bad fault tag %d at %d" n (Io.pos r)))
 
-let w_injection w (i : Interp.injection) =
-  Io.w_string w i.Interp.inj_signal;
-  w_fault w i.Interp.inj_fault;
-  Io.w_int w i.Interp.inj_start;
-  Io.w_int w i.Interp.inj_cycles
+let w_injection w (i : Flat.injection) =
+  Io.w_string w i.Flat.inj_signal;
+  w_fault w i.Flat.inj_fault;
+  Io.w_int w i.Flat.inj_start;
+  Io.w_int w i.Flat.inj_cycles
 
 let r_injection r =
   let inj_signal = Io.r_string r in
   let inj_fault = r_fault r in
   let inj_start = Io.r_int r in
   let inj_cycles = Io.r_int r in
-  { Interp.inj_signal; inj_fault; inj_start; inj_cycles }
+  { Flat.inj_signal; inj_fault; inj_start; inj_cycles }
 
 let w_scenario w (sc : Fuzz.scenario) =
   Io.w_string w (Bussyn.Options_text.print sc.Fuzz.sc_options);

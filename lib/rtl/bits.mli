@@ -2,8 +2,8 @@
 
     A value of type {!t} is an immutable unsigned bit vector with an explicit
     width in bits.  All arithmetic is modulo [2^width].  Bit 0 is the least
-    significant bit.  This module is the value domain of the RTL interpreter
-    ({!Interp}) and of constant expressions ({!Expr.Const}). *)
+    significant bit.  This module is the value domain of the RTL engines
+    ({!Engine}) and of constant expressions ({!Expr.Const}). *)
 
 type t
 

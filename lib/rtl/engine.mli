@@ -1,26 +1,27 @@
-(** One handle over the three evaluation engines.
+(** One handle over the two evaluation engines: {!Interp_tape}, checked
+    against the {!Interp_ref} oracle.
 
     Downstream subsystems (testbench, property monitors, fault
     campaigns, checkpoint/soak drivers, CLI) hold an {!t} instead of a
-    concrete engine, so [--engine ref|slot|tape] swaps the evaluator
-    without touching them.  All three engines share the flat-name
-    universe and {!Interp.state} snapshot layout, so cross-engine
-    checkpoint restore works by construction. *)
+    concrete engine, so [--engine tape|ref] swaps the evaluator without
+    touching them.  Both engines share the flat-name universe and the
+    {!Flat.state} snapshot layout, so cross-engine checkpoint restore
+    works by construction. *)
 
-type kind = Ref | Slot | Tape
+type kind = Ref | Tape
 
 val kind_of_string : string -> (kind, string) result
-(** ["ref"], ["slot"] or ["tape"]; [Error] carries a one-line message
+(** ["tape"] or ["ref"]; [Error] carries a one-line message naming both,
     suitable for stderr. *)
 
 val kind_to_string : kind -> string
 
 val all_kinds : kind list
-(** [[Ref; Slot; Tape]], for test matrices. *)
+(** [[Ref; Tape]], for test matrices. *)
 
 val default_kind : kind
-(** {!Tape} — the fastest engine, held bit-exact against the others by
-    the three-way differential suite. *)
+(** {!Tape} — the fast engine, held bit-exact against the oracle by the
+    differential suite. *)
 
 type t
 
@@ -28,9 +29,6 @@ val create : ?kind:kind -> Circuit.t -> t
 (** Flatten and compile the design with the chosen engine
     (default {!default_kind}).
     @raise Invalid_argument on combinational loops. *)
-
-val of_interp : Interp.t -> t
-(** Wrap an existing slot engine (legacy call sites). *)
 
 val kind : t -> kind
 
@@ -55,14 +53,14 @@ val clear_observers : t -> unit
 val reader : t -> string -> unit -> Bits.t
 (** @raise Not_found if the signal is unknown. *)
 
-val inject : t -> Interp.injection list -> unit
+val inject : t -> Flat.injection list -> unit
 val clear_injections : t -> unit
 val current_cycle : t -> int
 
-val export_state : t -> Interp.state
-val import_state : t -> Interp.state -> unit
+val export_state : t -> Flat.state
+val import_state : t -> Flat.state -> unit
 
 val random_campaign :
-  t -> seed:int -> n:int -> horizon:int -> Interp.injection list
-(** Engine-independent: all three engines draw the identical stream for
-    the same circuit and arguments. *)
+  t -> seed:int -> n:int -> horizon:int -> Flat.injection list
+(** {!Flat.random_campaign} over the design's flat signals: the stream
+    depends on the circuit and the arguments, never on the engine. *)

@@ -1,0 +1,86 @@
+(** The flat view of a {!Circuit} hierarchy that the evaluation engines
+    share: the flattening, the fault-injection descriptors and the
+    simulation-state snapshot.
+
+    {!Interp_tape} flattens through {!flatten} and interns the flat
+    signals in the declaration order it returns, so this module fixes
+    the flat-name universe, the slot order and the {!state} layout that
+    checkpoints store.  {!Interp_ref}, the oracle, keeps its own
+    flattening and shares only the types, so a snapshot taken under
+    either engine restores into the other. *)
+
+(** {1 Flattening} *)
+
+type flat_reg = { fr_name : string; fr_init : Bits.t; fr_next : Expr.t }
+
+type flat_mem = {
+  fm_name : string;
+  fm_width : int;
+  fm_depth : int;
+  fm_init : Bits.t array;
+  fm_writes : Circuit.mem_write list;  (** expressions already renamed *)
+  fm_reads : (string * Expr.t) list;
+}
+
+val flatten :
+  Circuit.t ->
+  (string * int) list
+  * (string, int) Hashtbl.t
+  * (string * Expr.t) list
+  * flat_reg list
+  * flat_mem list
+(** [flatten top] is [(decls, top_inputs, assigns, regs, mems)]: every
+    flat signal as [(name, width)] in declaration order, the top-level
+    inputs by name, the combinational assignments (instance boundaries
+    become alias assignments), the registers and the memories.  The
+    signals of instance [u] are named [u$signal].
+    @raise Invalid_argument if two declarations flatten to the same name
+    (the message names both instance paths). *)
+
+(** {1 Fault injection}
+
+    Deterministic, cycle-scheduled faults on named flat signals.  While
+    active, an injection perturbs the value a signal presents to the
+    rest of the design: combinational targets after every evaluation,
+    registers at the clock-edge commit, and undriven signals (top
+    inputs, floating wires) once per step. *)
+
+type fault =
+  | Stuck_at_0      (** force every bit to 0 while active *)
+  | Stuck_at_1      (** force every bit to 1 while active *)
+  | Flip of int     (** invert one bit (LSB = 0) while active *)
+
+type injection = {
+  inj_signal : string;  (** flat signal name *)
+  inj_fault : fault;
+  inj_start : int;      (** first affected cycle, counted by steps *)
+  inj_cycles : int;     (** duration; [1] models a transient glitch *)
+}
+
+val apply_fault : fault -> Bits.t -> Bits.t
+(** The value a faulted signal presents.  A [Flip] outside the width
+    leaves the value unchanged. *)
+
+val random_campaign :
+  (string * int) list -> seed:int -> n:int -> horizon:int -> injection list
+(** [random_campaign signals ~seed ~n ~horizon] draws [n] injections
+    over [signals] ([(flat name, width)] pairs, in any order; the draw
+    walks them sorted by name), with start cycles in [\[0, horizon)]
+    and durations of 1-4 cycles, from a seeded LCG: no global RNG, no
+    wall clock.  The same arguments always give the same campaign.
+    @raise Invalid_argument if [n < 0] or [horizon < 1]. *)
+
+(** {1 State snapshot}
+
+    Full simulation state as plain data, for checkpoint/restore.  A
+    snapshot taken after a step and imported into a freshly created
+    engine of the same circuit resumes bit-exactly.  Installed
+    injections are not part of the state: the restoring caller
+    re-installs them (they are scheduled on absolute cycles, so they
+    re-arm correctly against the restored cycle). *)
+
+type state = {
+  st_cycle : int;  (** steps taken at snapshot time *)
+  st_values : (string * Bits.t) array;  (** every flat signal's value *)
+  st_mems : (string * Bits.t array) array;  (** every memory's words *)
+}

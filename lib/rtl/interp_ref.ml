@@ -1,9 +1,11 @@
 (* The original string-keyed evaluation engine, kept verbatim as the
-   semantic reference for the slot-compiled {!Interp}.  Every signal is
-   looked up by flat name in hashtables and every expression tree is
-   re-walked on each evaluation — slow, but simple enough to audit.
-   The differential tests in [test/test_rtl.ml] step both engines in
-   lockstep and require identical state.
+   semantic reference for the tape-compiled {!Interp_tape}.  Every
+   signal is looked up by flat name in hashtables and every expression
+   tree is re-walked on each evaluation — slow, but simple enough to
+   audit.  The differential tests in [test/test_rtl.ml] step both
+   engines in lockstep and require identical state.  It shares only the
+   {!Flat} types with the fast engine; the flattening and the fault
+   transform below are its own.
 
    Flattening: every signal of every instance becomes a flat signal named
    [prefix ^ signal]; instance boundaries become alias assignments. *)
@@ -39,7 +41,8 @@ let flatten (top : Circuit.t) =
   let mems = ref [] in
   let add_width name w =
     if Hashtbl.mem widths name then
-      invalid_arg (Printf.sprintf "Interp: duplicate flat signal %s" name);
+      invalid_arg
+        (Printf.sprintf "Interp_ref: duplicate flat signal %s" name);
     Hashtbl.add widths name w
   in
   let rec go prefix (c : Circuit.t) =
@@ -134,7 +137,7 @@ let schedule widths assigns (mems : flat_mem list) =
         | Some 1 ->
             let cycle = name :: List.rev (name :: path) in
             invalid_arg
-              ("Interp: combinational loop: " ^ String.concat " -> "
+              ("Interp_ref: combinational loop: " ^ String.concat " -> "
                  (List.rev cycle))
         | Some _ | None ->
             Hashtbl.replace state name 1;
@@ -154,12 +157,12 @@ let schedule widths assigns (mems : flat_mem list) =
 
 type sched_node = [ `Assign of Expr.t | `Memread of flat_mem * Expr.t ]
 
-(* Mirror of {!Interp}'s fault injection, re-implemented independently
-   against the string-keyed engine so differential tests can hold the
-   two faulty simulations bit-equivalent. *)
+(* Fault injection over {!Flat.injection} descriptors, implemented
+   independently against the string-keyed engine so differential tests
+   can hold the faulty simulations of both engines bit-equivalent. *)
 type rinj = {
   ri_name : string;
-  ri_fault : Interp.fault;
+  ri_fault : Flat.fault;
   ri_start : int;
   ri_stop : int; (* exclusive *)
   ri_driven : bool;
@@ -170,16 +173,16 @@ type sim = {
   sched : (string * sched_node) array;
   mutable cycle : int;
   mutable injections : rinj list;
-  active : (string, Interp.fault) Hashtbl.t;
+  active : (string, Flat.fault) Hashtbl.t;
   mutable observers : (int -> unit) list; (* attach order *)
 }
 
-let apply_fault (f : Interp.fault) v =
+let apply_fault (f : Flat.fault) v =
   let w = Bits.width v in
   match f with
-  | Interp.Stuck_at_0 -> Bits.zero w
-  | Interp.Stuck_at_1 -> Bits.ones w
-  | Interp.Flip i ->
+  | Flat.Stuck_at_0 -> Bits.zero w
+  | Flat.Stuck_at_1 -> Bits.ones w
+  | Flat.Flip i ->
       if i < 0 || i >= w then v
       else Bits.logxor v (Bits.shift_left (Bits.of_int ~width:w 1) i)
 
@@ -193,7 +196,7 @@ let faulted sim name v =
 let env sim name =
   match Hashtbl.find_opt sim.base.values name with
   | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Interp: unknown signal %s" name)
+  | None -> invalid_arg (Printf.sprintf "Interp_ref: unknown signal %s" name)
 
 let settle_sim sim =
   Array.iter
@@ -299,12 +302,13 @@ let reset sim =
 
 let set_input sim name v =
   match Hashtbl.find_opt sim.base.top_inputs name with
-  | None -> invalid_arg (Printf.sprintf "Interp: %s is not a top input" name)
+  | None ->
+      invalid_arg (Printf.sprintf "Interp_ref: %s is not a top input" name)
   | Some w ->
       if Bits.width v <> w then
         invalid_arg
-          (Printf.sprintf "Interp: input %s expects width %d, got %d" name w
-             (Bits.width v));
+          (Printf.sprintf "Interp_ref: input %s expects width %d, got %d"
+             name w (Bits.width v));
       Hashtbl.replace sim.base.values name v
 
 let settle = settle_sim
@@ -318,7 +322,7 @@ let refresh_active sim =
           Hashtbl.replace sim.active ri.ri_name ri.ri_fault;
           if not ri.ri_driven then
             match ri.ri_fault with
-            | Interp.Flip _ when sim.cycle > ri.ri_start -> ()
+            | Flat.Flip _ when sim.cycle > ri.ri_start -> ()
             | f ->
                 Hashtbl.replace sim.base.values ri.ri_name
                   (apply_fault f (env sim ri.ri_name))
@@ -332,8 +336,8 @@ let step sim =
      new state. *)
   refresh_active sim;
   settle_sim sim;
-  (* Same sampling point as {!Interp.step}: observers see the settled
-     pre-edge values the registers are about to latch. *)
+  (* Sampling point: observers see the settled pre-edge values the
+     registers are about to latch. *)
   List.iter (fun f -> f sim.cycle) sim.observers;
   clock_edge sim;
   settle_sim sim;
@@ -356,7 +360,7 @@ let peek_mem sim name addr =
   | None -> raise Not_found
   | Some arr ->
       if addr < 0 || addr >= Array.length arr then
-        invalid_arg "Interp.peek_mem: address out of range";
+        invalid_arg "Interp_ref.peek_mem: address out of range";
       arr.(addr)
 
 let poke_mem sim name addr v =
@@ -364,7 +368,7 @@ let poke_mem sim name addr v =
   | None -> raise Not_found
   | Some arr ->
       if addr < 0 || addr >= Array.length arr then
-        invalid_arg "Interp.poke_mem: address out of range";
+        invalid_arg "Interp_ref.poke_mem: address out of range";
       arr.(addr) <- v
 
 let signal_names sim =
@@ -380,59 +384,29 @@ let reader sim name =
      call; this engine hashes strings everywhere anyway. *)
   fun () -> Hashtbl.find sim.base.values name
 
-(* Mirrors {!Interp.random_campaign} bit for bit: same LCG over the same
-   sorted name list, so the two engines derive identical campaigns from
-   identical arguments. *)
-let random_campaign sim ~seed ~n ~horizon =
-  if n < 0 then invalid_arg "Interp_ref.random_campaign: negative n";
-  if horizon < 1 then
-    invalid_arg "Interp_ref.random_campaign: horizon must be >= 1";
-  let names = Array.of_list (signal_names sim) in
-  if Array.length names = 0 then []
-  else begin
-    let lcg = ref (seed land 0x3FFFFFFF) in
-    let next m =
-      lcg := ((!lcg * 1664525) + 1013904223) land 0x3FFFFFFF;
-      !lcg mod max 1 m
-    in
-    List.init n (fun _ ->
-        let name = names.(next (Array.length names)) in
-        let w = Bits.width (Hashtbl.find sim.base.values name) in
-        let fault =
-          match next 3 with
-          | 0 -> Interp.Stuck_at_0
-          | 1 -> Interp.Stuck_at_1
-          | _ -> Interp.Flip (next w)
-        in
-        let start = next horizon in
-        let cycles = 1 + next 4 in
-        { Interp.inj_signal = name; inj_fault = fault; inj_start = start;
-          inj_cycles = cycles })
-  end
-
 let current_cycle sim = sim.cycle
 
 let inject sim injs =
-  let compile_inj (inj : Interp.injection) =
-    if not (Hashtbl.mem sim.base.widths inj.Interp.inj_signal) then
+  let compile_inj (inj : Flat.injection) =
+    if not (Hashtbl.mem sim.base.widths inj.Flat.inj_signal) then
       invalid_arg
         (Printf.sprintf "Interp_ref.inject: unknown signal %s"
-           inj.Interp.inj_signal);
-    if inj.Interp.inj_start < 0 || inj.Interp.inj_cycles < 1 then
+           inj.Flat.inj_signal);
+    if inj.Flat.inj_start < 0 || inj.Flat.inj_cycles < 1 then
       invalid_arg
         (Printf.sprintf "Interp_ref.inject: %s: bad schedule"
-           inj.Interp.inj_signal);
+           inj.Flat.inj_signal);
     let driven =
-      Array.exists (fun (n, _) -> n = inj.Interp.inj_signal) sim.sched
+      Array.exists (fun (n, _) -> n = inj.Flat.inj_signal) sim.sched
       || Array.exists
-           (fun r -> r.fr_name = inj.Interp.inj_signal)
+           (fun r -> r.fr_name = inj.Flat.inj_signal)
            sim.base.regs
     in
     {
-      ri_name = inj.Interp.inj_signal;
-      ri_fault = inj.Interp.inj_fault;
-      ri_start = inj.Interp.inj_start;
-      ri_stop = inj.Interp.inj_start + inj.Interp.inj_cycles;
+      ri_name = inj.Flat.inj_signal;
+      ri_fault = inj.Flat.inj_fault;
+      ri_start = inj.Flat.inj_start;
+      ri_stop = inj.Flat.inj_start + inj.Flat.inj_cycles;
       ri_driven = driven;
     }
   in
@@ -447,14 +421,14 @@ let memories sim =
     (Array.map (fun m -> (m.fm_name, m.fm_depth)) sim.base.mems)
   |> List.sort compare
 
-(* State snapshots share {!Interp.state} so a checkpoint written by one
+(* State snapshots share {!Flat.state} so a checkpoint written by one
    engine can restore the other (the flattening is identical). *)
 
 let by_name (a, _) (b, _) = compare a b
 
-let export_state sim : Interp.state =
+let export_state sim : Flat.state =
   {
-    Interp.st_cycle = sim.cycle;
+    Flat.st_cycle = sim.cycle;
     st_values =
       (let l =
          Hashtbl.fold (fun n v acc -> (n, v) :: acc) sim.base.values []
@@ -473,14 +447,14 @@ let export_state sim : Interp.state =
        a);
   }
 
-let import_state sim (st : Interp.state) =
-  if st.Interp.st_cycle < 0 then
+let import_state sim (st : Flat.state) =
+  if st.Flat.st_cycle < 0 then
     invalid_arg "Interp_ref.import_state: negative cycle";
-  if Array.length st.Interp.st_values <> Hashtbl.length sim.base.values then
+  if Array.length st.Flat.st_values <> Hashtbl.length sim.base.values then
     invalid_arg
       (Printf.sprintf
          "Interp_ref.import_state: snapshot has %d signals, design has %d"
-         (Array.length st.Interp.st_values)
+         (Array.length st.Flat.st_values)
          (Hashtbl.length sim.base.values));
   Array.iter
     (fun (name, v) ->
@@ -496,7 +470,7 @@ let import_state sim (st : Interp.state) =
                   width %d"
                  name (Bits.width v) w);
           Hashtbl.replace sim.base.values name v)
-    st.Interp.st_values;
+    st.Flat.st_values;
   Array.iter
     (fun (name, words) ->
       match Hashtbl.find_opt sim.base.arrays name with
@@ -511,6 +485,6 @@ let import_state sim (st : Interp.state) =
                   design depth %d"
                  name (Array.length words) (Array.length arr));
           Array.blit words 0 arr 0 (Array.length arr))
-    st.Interp.st_mems;
+    st.Flat.st_mems;
   Hashtbl.reset sim.active;
-  sim.cycle <- st.Interp.st_cycle
+  sim.cycle <- st.Flat.st_cycle

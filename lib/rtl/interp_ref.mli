@@ -1,13 +1,14 @@
 (** Reference interpreter: the original string-keyed, tree-walking
     evaluation engine, kept as the executable specification of the
-    simulation semantics.
+    simulation semantics (the oracle).
 
-    {!Interp} (the slot-compiled engine that replaced this one on the
-    hot path) must agree with this module bit for bit; the differential
-    tests in [test/test_rtl.ml] enforce that on every generated bus
-    architecture.  Use {!Interp} everywhere else — this engine re-walks
-    every expression tree with hashtable lookups per signal per cycle
-    and is an order of magnitude slower. *)
+    {!Interp_tape} (the fast engine) must agree with this module bit for
+    bit; the differential tests in [test/test_rtl.ml] enforce that on
+    every generated bus architecture.  Use {!Interp_tape} everywhere
+    else — this engine re-walks every expression tree with hashtable
+    lookups per signal per cycle and is an order of magnitude slower.
+    It keeps its own flattening and fault transform and shares only the
+    {!Flat} types with the fast engine. *)
 
 type t
 
@@ -35,9 +36,9 @@ val memories : t -> (string * int) list
 (** All flattened memories as [(flat name, depth)], sorted. *)
 
 val on_cycle : t -> (int -> unit) -> unit
-(** Register a per-cycle observer.  Same sampling point as
-    {!Interp.on_cycle}: after the combinational settle with the cycle's
-    inputs, before the clock edge. *)
+(** Register a per-cycle observer.  It runs after the combinational
+    settle with the cycle's inputs, before the clock edge, and receives
+    the cycle number. *)
 
 val clear_observers : t -> unit
 
@@ -45,13 +46,9 @@ val reader : t -> string -> unit -> Bits.t
 (** Accessor for a flat signal (hashes the name per call — this is the
     slow engine).  @raise Not_found if the signal is unknown. *)
 
-val random_campaign : t -> seed:int -> n:int -> horizon:int -> Interp.injection list
-(** Identical stream to {!Interp.random_campaign} for the same circuit
-    and arguments (same LCG over the same sorted name list). *)
-
-val inject : t -> Interp.injection list -> unit
-(** Mirror of {!Interp.inject} (same campaign descriptors), so faulty
-    runs of both engines can be compared differentially.
+val inject : t -> Flat.injection list -> unit
+(** Install injections (cumulative with previous calls), so faulty runs
+    of both engines can be compared differentially.
     @raise Invalid_argument on unknown signals or bad schedules. *)
 
 val clear_injections : t -> unit
@@ -59,11 +56,11 @@ val clear_injections : t -> unit
 val current_cycle : t -> int
 (** Steps taken since [create]/[reset]. *)
 
-val export_state : t -> Interp.state
-(** Snapshot the current state.  Shares {!Interp.state} so a checkpoint
+val export_state : t -> Flat.state
+(** Snapshot the current state.  Shares {!Flat.state} so a checkpoint
     written by one engine can restore the other — the flattening (and
     therefore the flat-name universe) is identical. *)
 
-val import_state : t -> Interp.state -> unit
+val import_state : t -> Flat.state -> unit
 (** Restore a snapshot into an engine created from the same circuit.
     @raise Invalid_argument on unknown names or width/depth mismatch. *)

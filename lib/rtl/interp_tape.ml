@@ -1,18 +1,16 @@
 (* Tape-compiled evaluation engine with activity-based scheduling.
 
-   Third engine in the ref -> slot -> tape lineage.  Where {!Interp}
-   compiles every expression into a closure (one indirect call per
-   operator per cycle), [create] here flattens the levelized schedule
-   into one flat linear tape of pre-decoded ops: an int opcode plus up
-   to four int operands per op, stored in parallel [int array]s.  The
-   interpreter loop is a single [match] over an int — no closure
-   dispatch, no expression-tree traversal, and for signals of width
-   <= 62 bits (the dominant case in generated bus fabrics) no [Bits.t]
-   boxing either: small values live unboxed in an [int array] and the
-   ALU cases operate on them directly with the same mask discipline as
-   {!Bits}.  Wide signals and corner-case ops fall back to [call] ops
-   that invoke a closure over the exact {!Bits} operations, so the
-   engine inherits the reference semantics (including error behavior)
+   [create] flattens the levelized schedule into one flat linear tape
+   of pre-decoded ops: an int opcode plus up to four int operands per
+   op, stored in parallel [int array]s.  The interpreter loop is a
+   single [match] over an int — no closure dispatch, no
+   expression-tree traversal, and for signals of width <= 62 bits (the
+   dominant case in generated bus fabrics) no [Bits.t] boxing either:
+   small values live unboxed in an [int array] and the ALU cases
+   operate on them directly with the same mask discipline as {!Bits}.
+   Wide signals and corner-case ops fall back to [call] ops that
+   invoke a closure over the exact {!Bits} operations, so the engine
+   inherits the reference semantics (including error behavior)
    wherever the inline transcription would not be exactly faithful.
 
    On top of the tape sit two dynamic optimizations:
@@ -23,8 +21,8 @@
      dependent schedule nodes are marked dirty (bucketed by level) and
      re-evaluated, level by level; combinational cones whose inputs
      did not change are skipped entirely.  With faults active the
-     engine falls back to full re-evaluation, mirroring {!Interp}'s
-     semantics exactly.
+     engine falls back to full re-evaluation in schedule order, the
+     semantics {!Interp_ref} specifies.
 
    - {b Idle-stretch batching}: a step whose clock edge commits no
      register or memory change and leaves nothing dirty puts the
@@ -35,10 +33,9 @@
      the batch the moment an observer perturbs the simulation or a
      scheduled fault campaign comes due.
 
-   Flattening goes through {!Interp.flatten}, so the flat-name
-   universe, slot numbering and snapshot layout agree with the other
-   engines by construction; {!Interp.state} snapshots interchange
-   freely. *)
+   Flattening goes through {!Flat.flatten}, so the flat-name universe,
+   slot numbering and {!Flat.state} snapshot layout are fixed there;
+   snapshots interchange freely with {!Interp_ref}. *)
 
 let small_limit = 62
 
@@ -394,7 +391,7 @@ type treg = { tr_slot : int; tr_init : Bits.t; tr_next : int (* cell *) }
 
 type cinj = {
   ci_slot : int;
-  ci_fault : Interp.fault;
+  ci_fault : Flat.fault;
   ci_start : int;
   ci_stop : int; (* exclusive *)
   ci_driven : bool;
@@ -452,7 +449,7 @@ type t = {
   mutable cycle : int;
   mutable injections : cinj array;
   mutable inj_pending : cinj list; (* newest first *)
-  active : (int, Interp.fault) Hashtbl.t;
+  active : (int, Flat.fault) Hashtbl.t;
   mutable n_active : int;
   mutable observers : (int -> unit) array;
   mutable obs_pending : (int -> unit) list; (* newest first *)
@@ -671,15 +668,15 @@ let settle_dirty t =
   done;
   t.have_dirty <- false
 
-(* Full re-evaluation with fault transforms, mirroring [Interp.settle]'s
-   faulted branch: every node in schedule order, transform after. *)
+(* Full re-evaluation with fault transforms: every node in schedule
+   order, transform after. *)
 let settle_full_faulty t =
   for nd = 0 to Array.length t.node_slot - 1 do
     exec t t.node_lo.(nd) t.node_hi.(nd);
     let s = t.node_slot.(nd) in
     match Hashtbl.find_opt t.active s with
     | None -> ()
-    | Some f -> set_cell t s (Interp.apply_fault f (get_cell t s))
+    | Some f -> set_cell t s (Flat.apply_fault f (get_cell t s))
   done
 
 let settle t =
@@ -715,7 +712,7 @@ let clock_edge t =
       match Hashtbl.find_opt t.active r.tr_slot with
       | None -> ()
       | Some f ->
-          set_cell t r.tr_next (Interp.apply_fault f (get_cell t r.tr_next))
+          set_cell t r.tr_next (Flat.apply_fault f (get_cell t r.tr_next))
     done;
   let quiet = ref true in
   for i = 0 to Array.length regs - 1 do
@@ -795,10 +792,10 @@ let refresh_active t =
           t.n_active <- t.n_active + 1;
           if not ci.ci_driven then begin
             match ci.ci_fault with
-            | Interp.Flip _ when t.cycle > ci.ci_start -> ()
+            | Flat.Flip _ when t.cycle > ci.ci_start -> ()
             | f ->
                 let s = ci.ci_slot in
-                set_cell t s (Interp.apply_fault f (get_cell t s));
+                set_cell t s (Flat.apply_fault f (get_cell t s));
                 dirty_fanout t s
           end
         end)
@@ -893,7 +890,7 @@ let run t n =
 (* ------------------------------------------------------------------ *)
 
 let create top =
-  let decls, input_widths, assigns, fregs, fmems = Interp.flatten top in
+  let decls, input_widths, assigns, fregs, fmems = Flat.flatten top in
   let n_sig = List.length decls in
   let b = builder () in
   (* Cells [0, n_sig): one per flat signal, in declaration order. *)
@@ -918,7 +915,7 @@ let create top =
   let n_mems = Array.length fmems_arr in
   let mem_arrs =
     Array.map
-      (fun (m : Interp.flat_mem) ->
+      (fun (m : Flat.flat_mem) ->
         let arr =
           Array.init m.fm_depth (fun i ->
               if i < Array.length m.fm_init then m.fm_init.(i)
@@ -929,16 +926,16 @@ let create top =
       fmems_arr
   in
   Array.iteri
-    (fun i (m : Interp.flat_mem) -> Hashtbl.replace mem_index m.fm_name i)
+    (fun i (m : Flat.flat_mem) -> Hashtbl.replace mem_index m.fm_name i)
     fmems_arr;
-  (* Levelize combinational assignments plus memory read ports, exactly
-     as {!Interp} does, so the evaluation order agrees. *)
+  (* Levelize combinational assignments plus memory read ports as one
+     dependency graph over flat names. *)
   let node_bodies = Hashtbl.create (2 * List.length assigns) in
   List.iter
     (fun (tgt, e) -> Hashtbl.replace node_bodies tgt (`Assign e))
     assigns;
   Array.iteri
-    (fun mi (m : Interp.flat_mem) ->
+    (fun mi (m : Flat.flat_mem) ->
       List.iter
         (fun (rd, a) -> Hashtbl.replace node_bodies rd (`Memread (mi, a)))
         m.fm_reads)
@@ -946,7 +943,7 @@ let create top =
   let graph =
     List.map (fun (tgt, e) -> (tgt, Expr.vars e)) assigns
     @ List.concat_map
-        (fun (m : Interp.flat_mem) ->
+        (fun (m : Flat.flat_mem) ->
           List.map (fun (rd, a) -> (rd, Expr.vars a)) m.fm_reads)
         fmems
   in
@@ -1001,7 +998,7 @@ let create top =
   let regs =
     Array.of_list
       (List.map
-         (fun (r : Interp.flat_reg) ->
+         (fun (r : Flat.flat_reg) ->
            let s = slot r.fr_name in
            let w = cell_w b s in
            if Bits.width r.fr_init <> w then
@@ -1020,7 +1017,7 @@ let create top =
   in
   let mems =
     Array.mapi
-      (fun mi (m : Interp.flat_mem) ->
+      (fun mi (m : Flat.flat_mem) ->
         let writes =
           Array.of_list
             (List.map
@@ -1028,9 +1025,9 @@ let create top =
                  (* Sample into private cells: a bare [Var] compiles to
                     the slot cell itself, and the commit loop runs after
                     registers commit — reading a register's slot there
-                    would observe the post-edge value.  [Interp] samples
-                    all write ports pre-commit; the copy preserves
-                    that. *)
+                    would observe the post-edge value.  Every write
+                    port samples pre-commit values; the copy
+                    preserves that. *)
                  let cw e =
                    let c =
                      comp_to b ~var:slot ~what:(m.fm_name ^ " write") None e
@@ -1274,7 +1271,7 @@ let clear_observers t =
 let current_cycle t = t.cycle
 
 let inject t injs =
-  let compile_inj (inj : Interp.injection) =
+  let compile_inj (inj : Flat.injection) =
     let s =
       match Hashtbl.find_opt t.slots inj.inj_signal with
       | Some s -> s
@@ -1292,14 +1289,14 @@ let inject t injs =
         (Printf.sprintf "Interp_tape.inject: %s: duration must be >= 1 cycle"
            inj.inj_signal);
     (match inj.inj_fault with
-    | Interp.Flip i ->
+    | Flat.Flip i ->
         let w = t.widths.(s) in
         if i < 0 || i >= w then
           invalid_arg
             (Printf.sprintf
                "Interp_tape.inject: %s: flip bit %d out of range 0..%d"
                inj.inj_signal i (w - 1))
-    | Interp.Stuck_at_0 | Interp.Stuck_at_1 -> ());
+    | Flat.Stuck_at_0 | Flat.Stuck_at_1 -> ());
     {
       ci_slot = s;
       ci_fault = inj.inj_fault;
@@ -1324,15 +1321,15 @@ let clear_injections t =
   t.all_dirty <- true;
   t.steady <- false
 
-let export_state t : Interp.state =
+let export_state t : Flat.state =
   {
-    Interp.st_cycle = t.cycle;
+    Flat.st_cycle = t.cycle;
     st_values = Array.init t.n_sig (fun i -> (t.names.(i), get_cell t i));
     st_mems = Array.map (fun m -> (m.tm_name, Array.copy m.tm_arr)) t.mems;
   }
 
-let import_state t (st : Interp.state) =
-  if st.Interp.st_cycle < 0 then
+let import_state t (st : Flat.state) =
+  if st.Flat.st_cycle < 0 then
     invalid_arg "Interp_tape.import_state: negative cycle";
   if Array.length st.st_values <> t.n_sig then
     invalid_arg
@@ -1377,36 +1374,3 @@ let import_state t (st : Interp.state) =
      matches the cells: recompute once at the next settle. *)
   t.all_dirty <- true;
   t.steady <- false
-
-(* Identical stream to {!Interp.random_campaign} for the same circuit
-   and arguments: same LCG over the same sorted name list. *)
-let random_campaign t ~seed ~n ~horizon =
-  if n < 0 then invalid_arg "Interp_tape.random_campaign: negative n";
-  if horizon < 1 then
-    invalid_arg "Interp_tape.random_campaign: horizon must be >= 1";
-  let names = Array.of_list (signal_names t) in
-  if Array.length names = 0 then []
-  else begin
-    let lcg = ref (seed land 0x3FFFFFFF) in
-    let next m =
-      lcg := ((!lcg * 1664525) + 1013904223) land 0x3FFFFFFF;
-      !lcg mod max 1 m
-    in
-    List.init n (fun _ ->
-        let name = names.(next (Array.length names)) in
-        let w = t.widths.(Hashtbl.find t.slots name) in
-        let fault =
-          match next 3 with
-          | 0 -> Interp.Stuck_at_0
-          | 1 -> Interp.Stuck_at_1
-          | _ -> Interp.Flip (next w)
-        in
-        let start = next horizon in
-        let cycles = 1 + next 4 in
-        {
-          Interp.inj_signal = name;
-          inj_fault = fault;
-          inj_start = start;
-          inj_cycles = cycles;
-        })
-  end

@@ -1,6 +1,6 @@
-(** Tape-compiled interpreter with activity-based evaluation.
+(** Tape-compiled interpreter with activity-based evaluation: the fast
+    engine.
 
-    Third evaluation engine in the ref -> slot -> tape lineage.
     {!create} compiles the levelized circuit into a flat linear tape of
     pre-decoded ops — int opcode plus slot operands in contiguous
     arrays, no per-expression closures — with the immediate-int fast
@@ -11,11 +11,10 @@
     register-stable stretches while still firing observers at correct
     cycle numbers).
 
-    The API mirrors {!Interp} exactly — same fault-injection and
-    observer interfaces, and {!Interp.state} snapshots interchange
-    across all three engines.  Differential tests in [test/test_rtl.ml]
-    hold this engine bit-exact against both {!Interp} and
-    {!Interp_ref}. *)
+    The API mirrors {!Interp_ref} exactly — same fault-injection and
+    observer interfaces, and {!Flat.state} snapshots interchange between
+    the two.  Differential tests in [test/test_rtl.ml] hold this engine
+    bit-exact against {!Interp_ref}. *)
 
 type t
 
@@ -50,9 +49,9 @@ val memories : t -> (string * int) list
 (** All flattened memories as [(flat name, depth)], sorted. *)
 
 val on_cycle : t -> (int -> unit) -> unit
-(** Register a per-cycle observer.  Same sampling point as
-    {!Interp.on_cycle}: after the combinational settle with the cycle's
-    inputs, before the clock edge. *)
+(** Register a per-cycle observer.  It runs after the combinational
+    settle with the cycle's inputs, before the clock edge, and receives
+    the cycle number. *)
 
 val clear_observers : t -> unit
 
@@ -60,10 +59,10 @@ val reader : t -> string -> unit -> Bits.t
 (** Pre-resolved accessor for a flat signal.
     @raise Not_found if the signal is unknown. *)
 
-val inject : t -> Interp.injection list -> unit
-(** Mirror of {!Interp.inject} (same campaign descriptors, same
-    validation).  Installing injections disables idle batching until
-    the campaign windows are resolved.
+val inject : t -> Flat.injection list -> unit
+(** Install injections (cumulative with previous calls).  Installing
+    injections disables idle batching until the campaign windows are
+    resolved.
     @raise Invalid_argument on unknown signals or bad schedules. *)
 
 val clear_injections : t -> unit
@@ -71,16 +70,10 @@ val clear_injections : t -> unit
 val current_cycle : t -> int
 (** Steps taken since [create]/[reset]. *)
 
-val export_state : t -> Interp.state
-(** Snapshot the current state.  Shares {!Interp.state}, so checkpoints
-    interchange with the other engines — the flattening (and therefore
-    the flat-name universe) is identical by construction. *)
+val export_state : t -> Flat.state
+(** Snapshot the current state.  The layout is {!Flat.flatten}'s, so
+    checkpoints interchange with {!Interp_ref}. *)
 
-val import_state : t -> Interp.state -> unit
+val import_state : t -> Flat.state -> unit
 (** Restore a snapshot into an engine created from the same circuit.
     @raise Invalid_argument on unknown names or width/depth mismatch. *)
-
-val random_campaign :
-  t -> seed:int -> n:int -> horizon:int -> Interp.injection list
-(** Identical stream to {!Interp.random_campaign} for the same circuit
-    and arguments (same LCG over the same sorted name list). *)

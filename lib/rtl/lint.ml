@@ -67,8 +67,8 @@ let check top =
      List.iter collect subs
    with Invalid_argument msg -> errors := msg :: !errors);
   collect top;
-  (* Combinational loop detection: rely on the interpreter's scheduler. *)
-  (try ignore (Interp.create top)
+  (* Combinational loop detection: rely on the engine's scheduler. *)
+  (try ignore (Engine.create top)
    with Invalid_argument msg -> errors := msg :: !errors);
   { errors = List.rev !errors; warnings = List.rev !warnings }
 

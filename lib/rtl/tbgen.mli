@@ -3,7 +3,7 @@
     The paper's flow (Fig. 28) hands the generated bus to a commercial
     simulator; this module completes that path: given a generated Bus
     System and a transaction script, it runs the script on the built-in
-    {!Interp} to compute the expected read data, then emits a plain
+    {!Engine} to compute the expected read data, then emits a plain
     Verilog-2001 testbench that replays the same transactions against
     the emitted RTL, compares every read, and prints [TB PASS] /
     [TB FAIL].  A downstream user can therefore check our RTL under

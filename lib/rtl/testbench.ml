@@ -29,8 +29,6 @@ let create ?engine circuit =
 let of_engine sim =
   { circuit = None; sim; widths = Hashtbl.create 0; cycle_count = 0 }
 
-let of_interp sim = of_engine (Engine.of_interp sim)
-
 let engine t = t.sim
 
 let input_width t name =

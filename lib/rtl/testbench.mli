@@ -20,10 +20,6 @@ val create : ?engine:Engine.kind -> Circuit.t -> t
 val of_engine : Engine.t -> t
 (** Wrap an existing simulation (inputs are left as they are). *)
 
-val of_interp : Interp.t -> t
-(** Wrap an existing slot-engine simulation (inputs are left as they
-    are). *)
-
 val engine : t -> Engine.t
 
 val drive : t -> string -> int -> unit

@@ -6,7 +6,6 @@ module A = Bussyn.Archs
 module E = Busgen_rtl.Engine
 module C = Busgen_rtl.Circuit
 module B = Busgen_rtl.Bits
-module I = Busgen_rtl.Interp
 module Tb = Busgen_rtl.Testbench
 module V_pack = Busgen_verify.Pack
 module V_prop = Busgen_verify.Prop

@@ -12,7 +12,7 @@ type scenario = {
   sc_seed : int;
   sc_cycles : int;
   sc_campaign : (int * int) option;
-  sc_faults : Interp.injection list;
+  sc_faults : Flat.injection list;
 }
 
 let scenario ?campaign ?(faults = []) ?(cycles = 1000) ~seed options =
@@ -63,8 +63,8 @@ let rand_bits state width =
 
 exception Diverged of string
 
-(* Three-way lockstep (ref vs slot vs tape) on the top-level ports, with
-   the scenario's fault load installed in every engine. *)
+(* Lockstep of every engine against the ref oracle on the top-level
+   ports, with the scenario's fault load installed in each. *)
 let differential top ~seed ~cycles ~faults =
   let sims =
     List.map
@@ -133,15 +133,15 @@ let classify sc =
       if not (Lint.is_clean lint) then
         fail (Lint_error (String.concat "; " lint.Lint.errors)) 0 []
       else
-        (* Resolve the fault load once, against a throwaway engine, so
+        (* Resolve the fault load once, from the flattened design, so
            the differential and the monitored run inject identically. *)
         let faults =
           match sc.sc_campaign with
           | None -> sc.sc_faults
           | Some (cseed, n) ->
-              let probe = Interp.create top in
+              let signals, _, _, _, _ = Flat.flatten top in
               sc.sc_faults
-              @ Interp.random_campaign probe ~seed:cseed ~n
+              @ Flat.random_campaign signals ~seed:cseed ~n
                   ~horizon:(max 1 (sc.sc_cycles / 2))
         in
         let diff_cycles = min sc.sc_cycles 48 in
@@ -208,7 +208,7 @@ let is_failure r =
    sequential-LCG stream had two defects: case k+1's option stream was
    a one-step offset of case k's campaign stream (the same LCG constants
    are consumed downstream by Options.sample and
-   Interp.random_campaign, so "different" seeds walked overlapping
+   Flat.random_campaign, so "different" seeds walked overlapping
    sequences), and resuming at first_case required replaying the
    stream.  Indexed substreams are uncorrelated across cases and O(1)
    to reach, which is also what lets a worker pool classify cases in
@@ -402,18 +402,18 @@ let shrink ?(max_evals = 60) sc (r : result) =
 let header = "# busgen-verify repro v1"
 
 let fault_to_string = function
-  | Interp.Stuck_at_0 -> "stuck0"
-  | Interp.Stuck_at_1 -> "stuck1"
-  | Interp.Flip b -> Printf.sprintf "flip%d" b
+  | Flat.Stuck_at_0 -> "stuck0"
+  | Flat.Stuck_at_1 -> "stuck1"
+  | Flat.Flip b -> Printf.sprintf "flip%d" b
 
 let fault_of_string s =
   match s with
-  | "stuck0" -> Ok Interp.Stuck_at_0
-  | "stuck1" -> Ok Interp.Stuck_at_1
+  | "stuck0" -> Ok Flat.Stuck_at_0
+  | "stuck1" -> Ok Flat.Stuck_at_1
   | _ ->
       if String.length s > 4 && String.sub s 0 4 = "flip" then
         match int_of_string_opt (String.sub s 4 (String.length s - 4)) with
-        | Some b -> Ok (Interp.Flip b)
+        | Some b -> Ok (Flat.Flip b)
         | None -> Error (Printf.sprintf "bad fault %S" s)
       else Error (Printf.sprintf "bad fault %S" s)
 
@@ -427,11 +427,11 @@ let repro_to_string ~expect sc =
   | Some (s, n) -> Buffer.add_string b (Printf.sprintf "campaign %d %d\n" s n)
   | None -> ());
   List.iter
-    (fun (i : Interp.injection) ->
+    (fun (i : Flat.injection) ->
       Buffer.add_string b
-        (Printf.sprintf "inject %s %s %d %d\n" i.Interp.inj_signal
-           (fault_to_string i.Interp.inj_fault)
-           i.Interp.inj_start i.Interp.inj_cycles))
+        (Printf.sprintf "inject %s %s %d %d\n" i.Flat.inj_signal
+           (fault_to_string i.Flat.inj_fault)
+           i.Flat.inj_start i.Flat.inj_cycles))
     sc.sc_faults;
   Buffer.add_string b "options\n";
   Buffer.add_string b (Options_text.print sc.sc_options);
@@ -475,7 +475,7 @@ let repro_of_string text =
               with
               | Ok f, Some st, Some n ->
                   faults :=
-                    { Interp.inj_signal = signal; inj_fault = f;
+                    { Flat.inj_signal = signal; inj_fault = f;
                       inj_start = st; inj_cycles = n }
                     :: !faults;
                   scan rest

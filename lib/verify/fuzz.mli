@@ -5,7 +5,7 @@
     option tree, a traffic seed, a cycle horizon and an optional fault
     load (explicit injections and/or a seeded random campaign).
     {!classify} runs the full pipeline on it — generate, lint,
-    {!Busgen_rtl.Interp} vs {!Busgen_rtl.Interp_ref} differential,
+    {!Busgen_rtl.Interp_tape} vs {!Busgen_rtl.Interp_ref} differential,
     monitored simulation under {!Pack} with {!Traffic} stimulus — and
     reports one {!outcome}.  Everything is driven by seeds: the same
     scenario always classifies identically. *)
@@ -16,12 +16,12 @@ type scenario = {
   sc_cycles : int;      (** monitored simulation horizon, in cycles *)
   sc_campaign : (int * int) option;
       (** [(seed, n)]: derive [n] random injections from the generated
-          design via {!Busgen_rtl.Interp.random_campaign} *)
-  sc_faults : Busgen_rtl.Interp.injection list;
+          design via {!Busgen_rtl.Flat.random_campaign} *)
+  sc_faults : Busgen_rtl.Flat.injection list;
       (** explicit injections, applied in addition to the campaign *)
 }
 
-val scenario : ?campaign:int * int -> ?faults:Busgen_rtl.Interp.injection list
+val scenario : ?campaign:int * int -> ?faults:Busgen_rtl.Flat.injection list
   -> ?cycles:int -> seed:int -> Bussyn.Options.t -> scenario
 (** [cycles] defaults to 1000. *)
 
@@ -32,7 +32,7 @@ type outcome =
   | Clean
   | Generation_error of string  (** options rejected / builder refused *)
   | Lint_error of string        (** generated circuit fails {!Busgen_rtl.Lint} *)
-  | Engine_divergence of string (** Interp and Interp_ref disagree *)
+  | Engine_divergence of string (** tape and the ref oracle disagree *)
   | Property_violation of Prop.violation list
       (** monitors fired during the monitored run (under faults, this is
           the monitors *detecting* the fault load) *)

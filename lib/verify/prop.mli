@@ -11,7 +11,7 @@
 
 type read = string -> unit -> Busgen_rtl.Bits.t
 (** Signal access as handed to predicate compilation: pre-resolved
-    per-name readers ({!Busgen_rtl.Interp.reader}). *)
+    per-name readers ({!Busgen_rtl.Engine.reader}). *)
 
 type pred
 

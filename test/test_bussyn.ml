@@ -284,11 +284,11 @@ let test_netlist_basic () =
   Alcotest.(check (list string)) "outputs" [ "value" ]
     info.Netlist.exported_outputs;
   Alcotest.(check (list string)) "dangling" [ "C1.count" ] info.Netlist.dangling;
-  let sim = Interp.create c in
-  Interp.reset sim;
-  Interp.set_input sim "en" (Bits.of_bool true);
-  Interp.run sim 5;
-  Alcotest.(check int) "counts" 5 (Interp.peek_int sim "value")
+  let sim = Engine.create c in
+  Engine.reset sim;
+  Engine.set_input sim "en" (Bits.of_bool true);
+  Engine.run sim 5;
+  Alcotest.(check int) "counts" 5 (Engine.peek_int sim "value")
 
 let test_netlist_rom_composition () =
   (* A Module Library ROM wired through the netlister: the image is
@@ -313,23 +313,23 @@ let test_netlist_rom_composition () =
   let c, _ = Netlist.build ~name:"rom_nl" ~boundary:"TOP" ~elements ~entry () in
   Alcotest.(check bool) "lint clean" true
     (Busgen_rtl.Lint.is_clean (Busgen_rtl.Lint.check c));
-  let sim = Interp.create c in
-  Interp.reset sim;
-  Interp.set_input sim "csb" (Bits.of_bool false);
-  Interp.set_input sim "reb" (Bits.of_bool false);
+  let sim = Engine.create c in
+  Engine.reset sim;
+  Engine.set_input sim "csb" (Bits.of_bool false);
+  Engine.set_input sim "reb" (Bits.of_bool false);
   List.iteri
     (fun i want ->
-      Interp.set_input sim "addr" (Bits.of_int ~width:2 i);
-      Interp.settle sim;
+      Engine.set_input sim "addr" (Bits.of_int ~width:2 i);
+      Engine.settle sim;
       Alcotest.(check int) (Printf.sprintf "word %d" i) want
-        (Interp.peek_int sim "q"))
+        (Engine.peek_int sim "q"))
     [ 0xCAFE; 0xBEEF; 0x1234; 0 ];
   (* The image is restored by reset, not just load time. *)
-  Interp.run sim 3;
-  Interp.reset sim;
-  Interp.set_input sim "addr" (Bits.of_int ~width:2 1);
-  Interp.settle sim;
-  Alcotest.(check int) "after reset" 0xBEEF (Interp.peek_int sim "q")
+  Engine.run sim 3;
+  Engine.reset sim;
+  Engine.set_input sim "addr" (Bits.of_int ~width:2 1);
+  Engine.settle sim;
+  Alcotest.(check int) "after reset" 0xBEEF (Engine.peek_int sim "q")
 
 let test_netlist_errors () =
   let elements =
@@ -372,10 +372,10 @@ let test_netlist_ties () =
       ()
   in
   Alcotest.(check (list string)) "tied" [ "C1.enable" ] info.Netlist.tied;
-  let sim = Interp.create c in
-  Interp.reset sim;
-  Interp.run sim 3;
-  Alcotest.(check int) "free-running" 3 (Interp.peek_int sim "value")
+  let sim = Engine.create c in
+  Engine.reset sim;
+  Engine.run sim 3;
+  Alcotest.(check int) "free-running" 3 (Engine.peek_int sim "value")
 
 let test_netlist_multi_fanout () =
   (* One output drives several wires: the first is the primary, the rest
@@ -400,15 +400,15 @@ let test_netlist_multi_fanout () =
         ] }
   in
   let c, _ = Netlist.build ~name:"fanout" ~boundary:"TOP" ~elements ~entry () in
-  let sim = Interp.create c in
-  Interp.reset sim;
-  Interp.set_input sim "en" (Bits.of_bool true);
-  Interp.run sim 8;
+  let sim = Engine.create c in
+  Engine.reset sim;
+  Engine.set_input sim "en" (Bits.of_bool true);
+  Engine.run sim 8;
   (* SRC counts 1..8; its bit 0 enables A and B on odd values: both see
      the same enable stream, so they stay equal. *)
-  Alcotest.(check int) "same fanout value" (Interp.peek_int sim "a")
-    (Interp.peek_int sim "b");
-  Alcotest.(check bool) "they advanced" true (Interp.peek_int sim "a" > 0)
+  Alcotest.(check int) "same fanout value" (Engine.peek_int sim "a")
+    (Engine.peek_int sim "b");
+  Alcotest.(check bool) "they advanced" true (Engine.peek_int sim "a" > 0)
 
 let test_netlist_boundary_width_conflict () =
   let elements =
@@ -550,39 +550,39 @@ let test_archs_protected () =
 let init_pe_inputs sim n dw =
   for k = 0 to n - 1 do
     let p s = Printf.sprintf "cpu%d_%s" k s in
-    Interp.set_input sim (p "req") (Bits.zero 1);
-    Interp.set_input sim (p "rnw") (Bits.zero 1);
-    Interp.set_input sim (p "addr") (Bits.zero 32);
-    Interp.set_input sim (p "wdata") (Bits.zero dw)
+    Engine.set_input sim (p "req") (Bits.zero 1);
+    Engine.set_input sim (p "rnw") (Bits.zero 1);
+    Engine.set_input sim (p "addr") (Bits.zero 32);
+    Engine.set_input sim (p "wdata") (Bits.zero dw)
   done
 
 let cpu_txn sim k ~dw ~rnw ~addr ~wdata =
   let p s = Printf.sprintf "cpu%d_%s" k s in
-  Interp.set_input sim (p "req") (Bits.of_bool true);
-  Interp.set_input sim (p "rnw") (Bits.of_bool rnw);
-  Interp.set_input sim (p "addr") (Bits.of_int ~width:32 addr);
-  Interp.set_input sim (p "wdata") (Bits.of_int ~width:dw wdata);
-  Interp.step sim;
-  Interp.set_input sim (p "req") (Bits.of_bool false);
+  Engine.set_input sim (p "req") (Bits.of_bool true);
+  Engine.set_input sim (p "rnw") (Bits.of_bool rnw);
+  Engine.set_input sim (p "addr") (Bits.of_int ~width:32 addr);
+  Engine.set_input sim (p "wdata") (Bits.of_int ~width:dw wdata);
+  Engine.step sim;
+  Engine.set_input sim (p "req") (Bits.of_bool false);
   let rec wait n =
     if n > 500 then Alcotest.failf "transaction timeout (cpu%d, 0x%x)" k addr
-    else if Interp.peek_int sim (p "ack") = 1 then
-      Interp.peek_int sim (p "rdata")
+    else if Engine.peek_int sim (p "ack") = 1 then
+      Engine.peek_int sim (p "rdata")
     else begin
-      Interp.step sim;
+      Engine.step sim;
       wait (n + 1)
     end
   in
   let v = wait 0 in
-  Interp.step sim;
+  Engine.step sim;
   v
 
 let dw = 16
 
 let make_sim name =
   let g = List.assoc name (Lazy.force archs_small) in
-  let sim = Interp.create g.Archs.top in
-  Interp.reset sim;
+  let sim = Engine.create g.Archs.top in
+  Engine.reset sim;
   init_pe_inputs sim 2 dw;
   sim
 
@@ -602,8 +602,8 @@ let test_bfba_end_to_end () =
     (cpu_txn sim 0 ~dw ~rnw:false
        ~addr:(Addrmap.peer_base + Addrmap.peer_fifo_offset)
        ~wdata:0x77);
-  Interp.step sim;
-  Alcotest.(check int) "receiver irq" 1 (Interp.peek_int sim "cpu1_irq");
+  Engine.step sim;
+  Alcotest.(check int) "receiver irq" 1 (Engine.peek_int sim "cpu1_irq");
   Alcotest.(check int) "receiver pops the word" 0x77
     (cpu_txn sim 1 ~dw ~rnw:true ~addr:Addrmap.own_fifo_base ~wdata:0);
   (* Handshake: PE0 sets DONE_OP in PE1's HS_REGS; PE1 reads and clears. *)
@@ -676,8 +676,8 @@ let test_dct_accelerator_option () =
   let g = Archs.gbaviii c in
   Alcotest.(check bool) "lint clean" true
     (Lint.is_clean (Lint.check g.Archs.top));
-  let sim = Interp.create g.Archs.top in
-  Interp.reset sim;
+  let sim = Engine.create g.Archs.top in
+  Engine.reset sim;
   init_pe_inputs sim 2 dw;
   let samples = [| 8.; 16.; 24.; 32.; 40.; 48.; 56.; 64. |] in
   Array.iteri
@@ -716,8 +716,8 @@ let test_ring_of_one () =
   let g = Archs.bfba (Archs.small_config ~n_pes:1) in
   Alcotest.(check bool) "lint clean" true
     (Lint.is_clean (Lint.check g.Archs.top));
-  let sim = Interp.create g.Archs.top in
-  Interp.reset sim;
+  let sim = Engine.create g.Archs.top in
+  Engine.reset sim;
   init_pe_inputs sim 1 dw;
   (* The PE's peer window now reaches its own FIFO: self-push, self-pop. *)
   ignore
@@ -736,8 +736,8 @@ let test_memory_kinds_end_to_end () =
     let g = Archs.gbaviii c in
     Alcotest.(check bool) "lint clean" true
       (Lint.is_clean (Lint.check g.Archs.top));
-    let sim = Interp.create g.Archs.top in
-    Interp.reset sim;
+    let sim = Engine.create g.Archs.top in
+    Engine.reset sim;
     init_pe_inputs sim 2 dw;
     ignore (cpu_txn sim 0 ~dw ~rnw:false ~addr:9 ~wdata:0x3D);
     let t0 = ref 0 in
@@ -746,14 +746,14 @@ let test_memory_kinds_end_to_end () =
       (cpu_txn sim 0 ~dw ~rnw:true ~addr:9 ~wdata:0);
     (* Measure one read's latency in steps. *)
     let p s = Printf.sprintf "cpu0_%s" s in
-    Interp.set_input sim (p "req") (Bits.of_bool true);
-    Interp.set_input sim (p "rnw") (Bits.of_bool true);
-    Interp.set_input sim (p "addr") (Bits.of_int ~width:32 9);
-    Interp.step sim;
-    Interp.set_input sim (p "req") (Bits.of_bool false);
+    Engine.set_input sim (p "req") (Bits.of_bool true);
+    Engine.set_input sim (p "rnw") (Bits.of_bool true);
+    Engine.set_input sim (p "addr") (Bits.of_int ~width:32 9);
+    Engine.step sim;
+    Engine.set_input sim (p "req") (Bits.of_bool false);
     let n = ref 0 in
-    while Interp.peek_int sim (p "ack") <> 1 && !n < 200 do
-      Interp.step sim;
+    while Engine.peek_int sim (p "ack") <> 1 && !n < 200 do
+      Engine.step sim;
       incr n
     done;
     !n
@@ -1186,8 +1186,8 @@ let test_splitba_three_subsystems () =
   let g = Archs.splitba_n ~n_ss:3 c in
   Alcotest.(check bool) "lint clean" true
     (Busgen_rtl.Lint.is_clean (Busgen_rtl.Lint.check g.Archs.top));
-  let sim = Interp.create g.Archs.top in
-  Interp.reset sim;
+  let sim = Engine.create g.Archs.top in
+  Engine.reset sim;
   init_pe_inputs sim 3 dw;
   (* PE 0 (ss 0) writes into every subsystem's shared memory. *)
   List.iter
@@ -1276,21 +1276,21 @@ let test_arbitration_under_contention () =
   let sim = make_sim "gbaviii" in
   let p k s = Printf.sprintf "cpu%d_%s" k s in
   for k = 0 to 1 do
-    Interp.set_input sim (p k "req") (Bits.of_bool true);
-    Interp.set_input sim (p k "rnw") (Bits.of_bool false);
-    Interp.set_input sim (p k "addr")
+    Engine.set_input sim (p k "req") (Bits.of_bool true);
+    Engine.set_input sim (p k "rnw") (Bits.of_bool false);
+    Engine.set_input sim (p k "addr")
       (Bits.of_int ~width:32 (Addrmap.global_base + k));
-    Interp.set_input sim (p k "wdata") (Bits.of_int ~width:dw (0x10 + k))
+    Engine.set_input sim (p k "wdata") (Bits.of_int ~width:dw (0x10 + k))
   done;
-  Interp.step sim;
+  Engine.step sim;
   for k = 0 to 1 do
-    Interp.set_input sim (p k "req") (Bits.of_bool false)
+    Engine.set_input sim (p k "req") (Bits.of_bool false)
   done;
   let acked = Array.make 2 false in
   for _ = 1 to 200 do
-    Interp.step sim;
+    Engine.step sim;
     for k = 0 to 1 do
-      if Interp.peek_int sim (p k "ack") = 1 then acked.(k) <- true
+      if Engine.peek_int sim (p k "ack") = 1 then acked.(k) <- true
     done
   done;
   Alcotest.(check bool) "both complete" true (acked.(0) && acked.(1));

@@ -10,9 +10,8 @@
 
 module A = Bussyn.Archs
 module G = Bussyn.Generate
-module I = Busgen_rtl.Interp
+module I = Busgen_rtl.Flat
 module E = Busgen_rtl.Engine
-module Iref = Busgen_rtl.Interp_ref
 module Bits = Busgen_rtl.Bits
 module T = Busgen_verify.Traffic
 module P = Busgen_verify.Prop
@@ -334,35 +333,12 @@ let matrix_tests =
         [ false; true ])
     all_archs
 
-(* Cross-engine restore: a checkpoint taken from the slot-compiled
-   engine restores into the reference engine (identical flattening),
-   and both advance identically from it. *)
-let test_interp_ref_resume () =
-  let cfg = A.small_config ~n_pes:2 in
-  let gen = G.generate G.Gbaviii cfg in
-  let top = gen.G.generated.A.top in
-  let tb = Busgen_rtl.Testbench.create ~engine:E.Slot top in
-  let sim = Busgen_rtl.Testbench.engine tb in
-  let d = T.create tb ~arch:G.Gbaviii ~config:cfg ~seed:5 in
-  while E.current_cycle sim < 20 do
-    T.step d
-  done;
-  let st = E.export_state sim in
-  let rf = Iref.create top in
-  Iref.import_state rf st;
-  check_state_equal "after import" st (Iref.export_state rf);
-  (* Advance both engines in lockstep on identical inputs. *)
-  E.run sim 40;
-  Iref.run rf 40;
-  check_state_equal "after 40 free-running cycles" (E.export_state sim)
-    (Iref.export_state rf)
-
-(* The full cross-engine matrix: a snapshot taken under any engine
-   restores into every other engine, and two fresh engines restored
-   from the same snapshot advance bit-exactly — free-running and under
-   an identical fault campaign.  This is the contract that lets a soak
-   run checkpointed under `--engine slot` resume under `--engine
-   tape` (and back). *)
+(* The full cross-engine matrix: a snapshot taken under either engine
+   restores into the other, and two fresh engines restored from the
+   same snapshot advance bit-exactly — free-running and under an
+   identical fault campaign.  This is the contract that lets a soak run
+   checkpointed under `--engine ref` resume under `--engine tape` (and
+   back). *)
 let test_cross_engine_resume () =
   let cfg = A.small_config ~n_pes:2 in
   let gen = G.generate G.Hybrid cfg in
@@ -771,8 +747,6 @@ let () =
       ("resume-matrix", matrix_tests);
       ( "cross-engine",
         [
-          Alcotest.test_case "Interp checkpoint restores into Interp_ref"
-            `Quick test_interp_ref_resume;
           Alcotest.test_case "cross-engine restore matrix" `Quick
             test_cross_engine_resume;
         ] );

@@ -121,7 +121,22 @@ let test_engine_unknown () =
     ~on_stderr:"unknown engine";
   check_user_error "simulate --engine bogus"
     [ "simulate"; "-a"; "bfba"; "-w"; "database"; "--engine"; "bogus" ]
-    ~on_stderr:"unknown engine"
+    ~on_stderr:"unknown engine";
+  (* So is the removed [slot] engine, and the one line names the
+     engines that exist. *)
+  check_user_error "inject --engine slot"
+    [ "inject"; "-a"; "bfba"; "-p"; "2"; "--engine"; "slot" ]
+    ~on_stderr:"expected tape or ref";
+  check_user_error "verify --engine slot"
+    [ "verify"; "-a"; "bfba"; "--cycles"; "100"; "--engine"; "slot" ]
+    ~on_stderr:"expected tape or ref";
+  check_user_error "soak --engine slot"
+    [ "soak"; "-a"; "bfba"; "-p"; "2"; "--cycles"; "100"; "--ckpt-dir";
+      in_tmp "soak_engine_slot"; "--engine"; "slot" ]
+    ~on_stderr:"expected tape or ref";
+  check_user_error "simulate --engine slot"
+    [ "simulate"; "-a"; "bfba"; "-w"; "database"; "--engine"; "slot" ]
+    ~on_stderr:"expected tape or ref"
 
 (* The supervision and worker flags follow the same user-error
    contract: a bad value is one line on stderr and exit 2, never a
@@ -154,7 +169,15 @@ let test_supervision_flag_validation () =
     ~on_stderr:"invalid --jobs";
   check_user_error "serve --jobs 0"
     [ "serve"; "--stdio"; "--no-journal"; "--jobs"; "0" ]
-    ~on_stderr:"invalid --jobs"
+    ~on_stderr:"invalid --jobs";
+  check_user_error "verify --sweep-every 0"
+    [ "verify"; "--fuzz"; "1"; "--budget"; "3"; "--cycles"; "50";
+      "--sweep-ckpt"; in_tmp "sweep_every_zero"; "--sweep-every=0" ]
+    ~on_stderr:"invalid --sweep-every 0 (expected a positive integer)";
+  check_user_error "explore --sweep-every 0"
+    [ "explore"; "--archs"; "bfba"; "--sweep-ckpt";
+      in_tmp "explore_every_zero"; "--sweep-every=0" ]
+    ~on_stderr:"invalid --sweep-every 0 (expected a positive integer)"
 
 let test_wires_check_valid_ok () =
   (* The happy path still exits 0: dump a library, then validate it. *)
@@ -187,8 +210,8 @@ let test_inject_jobs_identical () =
   Alcotest.(check int) "same exit code" c1 c4;
   Alcotest.(check string) "same stdout" o1 o4
 
-(* All three engines must print byte-identical campaign reports: the
-   faults drawn, the stimulus and every classification depend only on
+(* Both engines must print byte-identical campaign reports: the faults
+   drawn, the stimulus and every classification depend only on
    (circuit, seed), never on the evaluator. *)
 let test_inject_engines_agree () =
   let args e =
@@ -196,11 +219,8 @@ let test_inject_engines_agree () =
       "-n"; "4"; "--cycles"; "50"; "--engine"; e ]
   in
   let ct, ot, _ = run (args "tape") in
-  let cs, os, _ = run (args "slot") in
   let cr, orf, _ = run (args "ref") in
-  Alcotest.(check int) "tape vs slot exit" ct cs;
   Alcotest.(check int) "tape vs ref exit" ct cr;
-  Alcotest.(check string) "tape vs slot stdout" ot os;
   Alcotest.(check string) "tape vs ref stdout" ot orf
 
 let test_inject_tape_jobs_identical () =
@@ -396,6 +416,58 @@ let test_verify_fuzz_sweep_mismatch_refused () =
     (args "999")
     ~on_stderr:"sweep-ckpt"
 
+(* ------------------------------------------------------------------ *)
+(* Checkpoints written by the deleted slot engine                      *)
+(* ------------------------------------------------------------------ *)
+
+(* fixtures/slot-ckpt holds the cycle-3003 checkpoint that the slot
+   engine wrote, before it was deleted, for
+
+     soak -a gbaviii -p 2 --engine slot --seed 42 --faults 3:4
+          --cycles 6000 --every 1000 --keep 10
+
+   (four installed injections).  The flattening, slot order and
+   snapshot layout are unchanged, so both remaining engines must resume
+   it and end on the uninterrupted run's stats line. *)
+let slot_fixture =
+  let name = Filename.concat "slot-ckpt" "ckpt-000000003003.bsck" in
+  let candidates =
+    [ Filename.concat "fixtures" name;
+      Filename.concat "test" (Filename.concat "fixtures" name) ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> failwith "slot checkpoint fixture not found"
+
+let test_slot_checkpoint_resumes () =
+  List.iter
+    (fun engine ->
+      let dir = in_tmp ("slot_ckpt_" ^ engine) in
+      rm_rf dir;
+      Sys.mkdir dir 0o755;
+      write_file
+        (Filename.concat dir "ckpt-000000003003.bsck")
+        (read_file slot_fixture);
+      let code, out, _ =
+        run
+          [ "soak"; "-a"; "gbaviii"; "-p"; "2"; "--engine"; engine;
+            "--seed"; "42"; "--faults"; "3:4"; "--cycles"; "6000";
+            "--every"; "1000"; "--keep"; "10"; "--ckpt-dir"; dir ]
+      in
+      Alcotest.(check int) (engine ^ ": exit 0") 0 code;
+      let lines = String.split_on_char '\n' (String.trim out) in
+      Alcotest.(check string)
+        (engine ^ ": resumes at cycle 3003")
+        (Printf.sprintf "[soak] resuming from %s (cycle 3003)"
+           (Filename.concat dir "ckpt-000000003003.bsck"))
+        (List.hd lines);
+      Alcotest.(check string)
+        (engine ^ ": same final stats as the uninterrupted run")
+        "soak GBAVIII: 6003 cycles, 855 transactions (264 reads, 591 \
+         writes), 0 mismatch(es), 0 violation(s)"
+        (List.nth lines (List.length lines - 1)))
+    [ "tape"; "ref" ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -419,10 +491,12 @@ let () =
         ] );
       ( "engine equivalence",
         [
-          Alcotest.test_case "inject ref vs slot vs tape" `Slow
+          Alcotest.test_case "inject ref vs tape" `Slow
             test_inject_engines_agree;
           Alcotest.test_case "inject --engine tape -j 1 vs -j 2" `Slow
             test_inject_tape_jobs_identical;
+          Alcotest.test_case "slot checkpoint resumes under tape and ref"
+            `Quick test_slot_checkpoint_resumes;
         ] );
       ( "sharding determinism",
         [

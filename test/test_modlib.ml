@@ -7,7 +7,7 @@ open Busgen_modlib
 let b1 v = Bits.of_bool v
 let bi ~w v = Bits.of_int ~width:w v
 
-let set sim name v = Interp.set_input sim name v
+let set sim name v = Engine.set_input sim name v
 
 (* ------------------------------------------------------------------ *)
 (* FIFO                                                               *)
@@ -16,8 +16,8 @@ let set sim name v = Interp.set_input sim name v
 let fifo_params = { Fifo.data_width = 8; depth = 4 }
 
 let make_fifo () =
-  let sim = Interp.create (Fifo.create fifo_params) in
-  Interp.reset sim;
+  let sim = Engine.create (Fifo.create fifo_params) in
+  Engine.reset sim;
   set sim "push" (b1 false);
   set sim "pop" (b1 false);
   set sim "wdata" (bi ~w:8 0);
@@ -26,37 +26,37 @@ let make_fifo () =
 let push sim v =
   set sim "push" (b1 true);
   set sim "wdata" (bi ~w:8 v);
-  Interp.step sim;
+  Engine.step sim;
   set sim "push" (b1 false)
 
 let pop sim =
-  let v = Interp.peek_int sim "rdata" in
+  let v = Engine.peek_int sim "rdata" in
   set sim "pop" (b1 true);
-  Interp.step sim;
+  Engine.step sim;
   set sim "pop" (b1 false);
   v
 
 let test_fifo_order () =
   let sim = make_fifo () in
-  Alcotest.(check int) "empty at reset" 1 (Interp.peek_int sim "empty");
+  Alcotest.(check int) "empty at reset" 1 (Engine.peek_int sim "empty");
   push sim 11;
   push sim 22;
   push sim 33;
-  Alcotest.(check int) "count" 3 (Interp.peek_int sim "count");
+  Alcotest.(check int) "count" 3 (Engine.peek_int sim "count");
   Alcotest.(check int) "fifo order 1" 11 (pop sim);
   Alcotest.(check int) "fifo order 2" 22 (pop sim);
   push sim 44;
   Alcotest.(check int) "fifo order 3" 33 (pop sim);
   Alcotest.(check int) "fifo order 4" 44 (pop sim);
-  Alcotest.(check int) "empty again" 1 (Interp.peek_int sim "empty")
+  Alcotest.(check int) "empty again" 1 (Engine.peek_int sim "empty")
 
 let test_fifo_full () =
   let sim = make_fifo () in
   List.iter (push sim) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "full" 1 (Interp.peek_int sim "full");
+  Alcotest.(check int) "full" 1 (Engine.peek_int sim "full");
   (* Push when full is ignored. *)
   push sim 99;
-  Alcotest.(check int) "count capped" 4 (Interp.peek_int sim "count");
+  Alcotest.(check int) "count capped" 4 (Engine.peek_int sim "count");
   Alcotest.(check int) "head intact" 1 (pop sim);
   Alcotest.(check int) "then 2" 2 (pop sim);
   Alcotest.(check int) "then 3" 3 (pop sim);
@@ -65,8 +65,8 @@ let test_fifo_full () =
 let test_fifo_pop_empty () =
   let sim = make_fifo () in
   ignore (pop sim);
-  Alcotest.(check int) "still empty" 1 (Interp.peek_int sim "empty");
-  Alcotest.(check int) "count 0" 0 (Interp.peek_int sim "count")
+  Alcotest.(check int) "still empty" 1 (Engine.peek_int sim "empty");
+  Alcotest.(check int) "count 0" 0 (Engine.peek_int sim "count")
 
 let test_fifo_simultaneous () =
   let sim = make_fifo () in
@@ -75,10 +75,10 @@ let test_fifo_simultaneous () =
   set sim "push" (b1 true);
   set sim "pop" (b1 true);
   set sim "wdata" (bi ~w:8 6);
-  Interp.step sim;
+  Engine.step sim;
   set sim "push" (b1 false);
   set sim "pop" (b1 false);
-  Alcotest.(check int) "count stays 1" 1 (Interp.peek_int sim "count");
+  Alcotest.(check int) "count stays 1" 1 (Engine.peek_int sim "count");
   Alcotest.(check int) "new head" 6 (pop sim)
 
 (* Property: FIFO behaviour matches a reference queue over random ops. *)
@@ -96,7 +96,7 @@ let prop_fifo_model =
             let was_full = Queue.length q >= 4 in
             push sim v;
             if not was_full then Queue.add v q;
-            Interp.peek_int sim "count" = Queue.length q
+            Engine.peek_int sim "count" = Queue.length q
           end
           else begin
             let expected = if Queue.is_empty q then None else Some (Queue.peek q) in
@@ -106,7 +106,7 @@ let prop_fifo_model =
                 ignore (Queue.pop q);
                 got = e
             | None -> true)
-            && Interp.peek_int sim "count" = Queue.length q
+            && Engine.peek_int sim "count" = Queue.length q
           end)
         ops)
 
@@ -115,95 +115,95 @@ let prop_fifo_model =
 (* ------------------------------------------------------------------ *)
 
 let make_hs init_op =
-  let sim = Interp.create (Hs_regs.create { Hs_regs.init_op }) in
-  Interp.reset sim;
+  let sim = Engine.create (Hs_regs.create { Hs_regs.init_op }) in
+  Engine.reset sim;
   List.iter (fun n -> set sim n (b1 false)) [ "op_set"; "op_clr"; "rv_set"; "rv_clr" ];
-  Interp.settle sim;
+  Engine.settle sim;
   sim
 
 let pulse sim name =
   set sim name (b1 true);
-  Interp.step sim;
+  Engine.step sim;
   set sim name (b1 false)
 
 let test_hs_regs_protocol () =
   (* Paper Example 3 sequencing: sender sets DONE_OP, receiver clears it,
      receiver sets DONE_RV, sender clears it. *)
   let sim = make_hs false in
-  Alcotest.(check int) "op starts 0" 0 (Interp.peek_int sim "op_q");
+  Alcotest.(check int) "op starts 0" 0 (Engine.peek_int sim "op_q");
   pulse sim "op_set";
-  Alcotest.(check int) "op set" 1 (Interp.peek_int sim "op_q");
+  Alcotest.(check int) "op set" 1 (Engine.peek_int sim "op_q");
   pulse sim "op_clr";
-  Alcotest.(check int) "op cleared" 0 (Interp.peek_int sim "op_q");
+  Alcotest.(check int) "op cleared" 0 (Engine.peek_int sim "op_q");
   pulse sim "rv_set";
-  Alcotest.(check int) "rv set" 1 (Interp.peek_int sim "rv_q");
+  Alcotest.(check int) "rv set" 1 (Engine.peek_int sim "rv_q");
   pulse sim "rv_clr";
-  Alcotest.(check int) "rv cleared" 0 (Interp.peek_int sim "rv_q")
+  Alcotest.(check int) "rv cleared" 0 (Engine.peek_int sim "rv_q")
 
 let test_hs_regs_bfba_init () =
   (* Paper Example 4: BFBA initialises DONE_OP=1, DONE_RV=0. *)
   let sim = make_hs true in
-  Alcotest.(check int) "op init 1" 1 (Interp.peek_int sim "op_q");
-  Alcotest.(check int) "rv init 0" 0 (Interp.peek_int sim "rv_q")
+  Alcotest.(check int) "op init 1" 1 (Engine.peek_int sim "op_q");
+  Alcotest.(check int) "rv init 0" 0 (Engine.peek_int sim "rv_q")
 
 let test_hs_regs_set_clr_conflict () =
   let sim = make_hs false in
   pulse sim "op_set";
   set sim "op_set" (b1 true);
   set sim "op_clr" (b1 true);
-  Interp.step sim;
+  Engine.step sim;
   Alcotest.(check int) "simultaneous set+clr holds" 1
-    (Interp.peek_int sim "op_q")
+    (Engine.peek_int sim "op_q")
 
 (* ------------------------------------------------------------------ *)
 (* Arbiters                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let make_arbiter policy n =
-  let sim = Interp.create (Arbiter.create { Arbiter.policy; masters = n }) in
-  Interp.reset sim;
+  let sim = Engine.create (Arbiter.create { Arbiter.policy; masters = n }) in
+  Engine.reset sim;
   set sim "req" (bi ~w:n 0);
-  Interp.settle sim;
+  Engine.settle sim;
   sim
 
 let test_arbiter_priority () =
   let sim = make_arbiter Arbiter.Priority 4 in
   set sim "req" (bi ~w:4 0b1010);
-  Interp.settle sim;
+  Engine.settle sim;
   Alcotest.(check int) "lowest index wins" 0b0010
-    (Interp.peek_int sim "grant");
-  Alcotest.(check int) "grant id" 1 (Interp.peek_int sim "grant_id");
-  Alcotest.(check int) "busy" 1 (Interp.peek_int sim "busy");
+    (Engine.peek_int sim "grant");
+  Alcotest.(check int) "grant id" 1 (Engine.peek_int sim "grant_id");
+  Alcotest.(check int) "busy" 1 (Engine.peek_int sim "busy");
   set sim "req" (bi ~w:4 0);
-  Interp.settle sim;
-  Alcotest.(check int) "idle" 0 (Interp.peek_int sim "busy")
+  Engine.settle sim;
+  Alcotest.(check int) "idle" 0 (Engine.peek_int sim "busy")
 
 let test_arbiter_hold () =
   (* A granted master keeps the bus even when a higher-priority request
      arrives (bus locking). *)
   let sim = make_arbiter Arbiter.Priority 4 in
   set sim "req" (bi ~w:4 0b1000);
-  Interp.step sim;
-  Alcotest.(check int) "3 granted" 0b1000 (Interp.peek_int sim "grant");
+  Engine.step sim;
+  Alcotest.(check int) "3 granted" 0b1000 (Engine.peek_int sim "grant");
   set sim "req" (bi ~w:4 0b1001);
-  Interp.settle sim;
-  Alcotest.(check int) "3 still granted" 0b1000 (Interp.peek_int sim "grant");
+  Engine.settle sim;
+  Alcotest.(check int) "3 still granted" 0b1000 (Engine.peek_int sim "grant");
   set sim "req" (bi ~w:4 0b0001);
-  Interp.step sim;
-  Interp.settle sim;
-  Alcotest.(check int) "0 after release" 0b0001 (Interp.peek_int sim "grant")
+  Engine.step sim;
+  Engine.settle sim;
+  Alcotest.(check int) "0 after release" 0b0001 (Engine.peek_int sim "grant")
 
 let test_arbiter_round_robin () =
   let sim = make_arbiter Arbiter.Round_robin 4 in
   (* All request; winners should rotate as each releases. *)
-  let winner () = Interp.peek_int sim "grant_id" in
+  let winner () = Engine.peek_int sim "grant_id" in
   set sim "req" (bi ~w:4 0b1111);
-  Interp.step sim;
+  Engine.step sim;
   let w1 = winner () in
   (* Release the winner; keep the others. *)
   set sim "req" (bi ~w:4 (0b1111 land lnot (1 lsl w1)));
-  Interp.step sim;
-  Interp.settle sim;
+  Engine.step sim;
+  Engine.settle sim;
   let w2 = winner () in
   Alcotest.(check bool) "different winner" true (w1 <> w2);
   Alcotest.(check int) "rotates to next" ((w1 + 1) mod 4) w2
@@ -213,19 +213,19 @@ let test_arbiter_fcfs_order () =
   (* Master 2 requests first, then master 0; FCFS must serve 2 first even
      though 0 has numeric priority. *)
   set sim "req" (bi ~w:4 0b0100);
-  Interp.step sim;
+  Engine.step sim;
   set sim "req" (bi ~w:4 0b0101);
-  Interp.step sim;
-  Interp.settle sim;
-  Alcotest.(check int) "first-come wins" 2 (Interp.peek_int sim "grant_id");
-  Alcotest.(check int) "grant onehot" 0b0100 (Interp.peek_int sim "grant");
+  Engine.step sim;
+  Engine.settle sim;
+  Alcotest.(check int) "first-come wins" 2 (Engine.peek_int sim "grant_id");
+  Alcotest.(check int) "grant onehot" 0b0100 (Engine.peek_int sim "grant");
   (* Master 2 releases; 0 is next in queue order. *)
   set sim "req" (bi ~w:4 0b0001);
-  Interp.step sim;
-  Interp.step sim;
-  Interp.settle sim;
+  Engine.step sim;
+  Engine.step sim;
+  Engine.settle sim;
   Alcotest.(check int) "then the second comer" 0b0001
-    (Interp.peek_int sim "grant")
+    (Engine.peek_int sim "grant")
 
 let prop_arbiter_onehot =
   (* Safety: grant is always one-hot or zero, for every policy, over random
@@ -240,9 +240,9 @@ let prop_arbiter_onehot =
       List.for_all
         (fun r ->
           set sim "req" (bi ~w:4 r);
-          Interp.step sim;
-          Interp.settle sim;
-          let g = Interp.peek_int sim "grant" in
+          Engine.step sim;
+          Engine.settle sim;
+          let g = Engine.peek_int sim "grant" in
           onehot_or_zero g && g land r = g)
         reqs)
 
@@ -256,8 +256,8 @@ let prop_arbiter_work_conserving =
       List.for_all
         (fun r ->
           set sim "req" (bi ~w:4 r);
-          Interp.settle sim;
-          Interp.peek_int sim "busy" = 1)
+          Engine.settle sim;
+          Engine.peek_int sim "busy" = 1)
         reqs)
 
 (* ------------------------------------------------------------------ *)
@@ -266,28 +266,28 @@ let prop_arbiter_work_conserving =
 
 let test_sram_rw () =
   let p = { Sram.kind = Sram.Sram; addr_width = 4; data_width = 8 } in
-  let sim = Interp.create (Sram.create p) in
-  Interp.reset sim;
+  let sim = Engine.create (Sram.create p) in
+  Engine.reset sim;
   (* Idle: all control high (active-low). *)
   set sim "csb" (b1 true);
   set sim "web" (b1 true);
   set sim "reb" (b1 true);
   set sim "addr" (bi ~w:4 7);
   set sim "wdata" (bi ~w:8 0xAB);
-  Interp.step sim;
+  Engine.step sim;
   (* Write. *)
   set sim "csb" (b1 false);
   set sim "web" (b1 false);
-  Interp.step sim;
+  Engine.step sim;
   set sim "web" (b1 true);
   (* Read. *)
   set sim "reb" (b1 false);
-  Interp.settle sim;
-  Alcotest.(check int) "read back" 0xAB (Interp.peek_int sim "rdata");
+  Engine.settle sim;
+  Alcotest.(check int) "read back" 0xAB (Engine.peek_int sim "rdata");
   (* Deselected: bus reads zero. *)
   set sim "csb" (b1 true);
-  Interp.settle sim;
-  Alcotest.(check int) "deselected" 0 (Interp.peek_int sim "rdata")
+  Engine.settle sim;
+  Alcotest.(check int) "deselected" 0 (Engine.peek_int sim "rdata")
 
 (* An MBI wired to an SRAM, driven through the bus-slave interface. *)
 let mbi_sram_system () =
@@ -330,25 +330,25 @@ let mbi_sram_system () =
   finish b
 
 let test_mbi_sram_transaction () =
-  let sim = Interp.create (mbi_sram_system ()) in
-  Interp.reset sim;
+  let sim = Engine.create (mbi_sram_system ()) in
+  Engine.reset sim;
   (* Write 0x5A to address 3. *)
   set sim "sel" (b1 true);
   set sim "rnw" (b1 false);
   set sim "addr" (bi ~w:16 3);
   set sim "wdata" (bi ~w:16 0x5A);
-  Interp.step sim;
-  Alcotest.(check int) "ack after latency" 1 (Interp.peek_int sim "ack");
+  Engine.step sim;
+  Alcotest.(check int) "ack after latency" 1 (Engine.peek_int sim "ack");
   set sim "sel" (b1 false);
-  Interp.step sim;
+  Engine.step sim;
   (* Read it back. *)
   set sim "sel" (b1 true);
   set sim "rnw" (b1 true);
-  Interp.settle sim;
+  Engine.settle sim;
   Alcotest.(check int) "read data (zero-extended)" 0x5A
-    (Interp.peek_int sim "rdata");
-  Interp.step sim;
-  Alcotest.(check int) "read ack" 1 (Interp.peek_int sim "ack")
+    (Engine.peek_int sim "rdata");
+  Engine.step sim;
+  Alcotest.(check int) "read ack" 1 (Engine.peek_int sim "ack")
 
 (* ------------------------------------------------------------------ *)
 (* CBI: full transaction against a one-slave bus model                *)
@@ -356,8 +356,8 @@ let test_mbi_sram_transaction () =
 
 let test_cbi_transaction () =
   let p = { Cbi.pe = Cbi.Mpc755; addr_width = 8; data_width = 8 } in
-  let sim = Interp.create (Cbi.create p) in
-  Interp.reset sim;
+  let sim = Engine.create (Cbi.create p) in
+  Engine.reset sim;
   set sim "cpu_req" (b1 false);
   set sim "cpu_rnw" (b1 true);
   set sim "cpu_addr" (bi ~w:8 0x42);
@@ -365,38 +365,38 @@ let test_cbi_transaction () =
   set sim "bus_gnt" (b1 false);
   set sim "bus_rdata" (bi ~w:8 0);
   set sim "bus_ack" (b1 false);
-  Interp.settle sim;
-  Alcotest.(check int) "idle: no bus req" 0 (Interp.peek_int sim "bus_req");
+  Engine.settle sim;
+  Alcotest.(check int) "idle: no bus req" 0 (Engine.peek_int sim "bus_req");
   (* CPU raises a read request. *)
   set sim "cpu_req" (b1 true);
-  Interp.step sim;
+  Engine.step sim;
   set sim "cpu_req" (b1 false);
-  Interp.settle sim;
-  Alcotest.(check int) "bus requested" 1 (Interp.peek_int sim "bus_req");
-  Alcotest.(check int) "no sel before grant" 0 (Interp.peek_int sim "bus_sel");
+  Engine.settle sim;
+  Alcotest.(check int) "bus requested" 1 (Engine.peek_int sim "bus_req");
+  Alcotest.(check int) "no sel before grant" 0 (Engine.peek_int sim "bus_sel");
   (* Two cycles of arbitration delay. *)
-  Interp.step sim;
-  Interp.step sim;
-  Alcotest.(check int) "still requesting" 1 (Interp.peek_int sim "bus_req");
+  Engine.step sim;
+  Engine.step sim;
+  Alcotest.(check int) "still requesting" 1 (Engine.peek_int sim "bus_req");
   (* Grant arrives. *)
   set sim "bus_gnt" (b1 true);
-  Interp.step sim;
-  Interp.settle sim;
-  Alcotest.(check int) "transfer phase" 1 (Interp.peek_int sim "bus_sel");
-  Alcotest.(check int) "address driven" 0x42 (Interp.peek_int sim "bus_addr");
-  Alcotest.(check int) "rnw driven" 1 (Interp.peek_int sim "bus_rnw");
+  Engine.step sim;
+  Engine.settle sim;
+  Alcotest.(check int) "transfer phase" 1 (Engine.peek_int sim "bus_sel");
+  Alcotest.(check int) "address driven" 0x42 (Engine.peek_int sim "bus_addr");
+  Alcotest.(check int) "rnw driven" 1 (Engine.peek_int sim "bus_rnw");
   (* Slave acks with data. *)
   set sim "bus_rdata" (bi ~w:8 0x99);
   set sim "bus_ack" (b1 true);
-  Interp.step sim;
+  Engine.step sim;
   set sim "bus_ack" (b1 false);
   set sim "bus_gnt" (b1 false);
-  Interp.settle sim;
-  Alcotest.(check int) "cpu ack pulsed" 1 (Interp.peek_int sim "cpu_ack");
+  Engine.settle sim;
+  Alcotest.(check int) "cpu ack pulsed" 1 (Engine.peek_int sim "cpu_ack");
   Alcotest.(check int) "read data delivered" 0x99
-    (Interp.peek_int sim "cpu_rdata");
-  Interp.step sim;
-  Alcotest.(check int) "back to idle" 0 (Interp.peek_int sim "bus_req")
+    (Engine.peek_int sim "cpu_rdata");
+  Engine.step sim;
+  Alcotest.(check int) "back to idle" 0 (Engine.peek_int sim "bus_req")
 
 (* ------------------------------------------------------------------ *)
 (* Bus bridge                                                         *)
@@ -406,8 +406,8 @@ let test_bb_gating () =
   (* The bridge is a registered crossing: requests appear on the far side
      one cycle later, and only while enabled. *)
   let p = { Bb.bb_type = Bb.Splitba; addr_width = 8; data_width = 8 } in
-  let sim = Interp.create (Bb.create p) in
-  Interp.reset sim;
+  let sim = Engine.create (Bb.create p) in
+  Engine.reset sim;
   set sim "enable" (b1 false);
   set sim "a_sel" (b1 true);
   set sim "a_rnw" (b1 false);
@@ -415,31 +415,31 @@ let test_bb_gating () =
   set sim "a_wdata" (bi ~w:8 0x77);
   set sim "b_rdata" (bi ~w:8 0);
   set sim "b_ack" (b1 false);
-  Interp.step sim;
-  Interp.step sim;
-  Alcotest.(check int) "disabled: no b_sel" 0 (Interp.peek_int sim "b_sel");
+  Engine.step sim;
+  Engine.step sim;
+  Alcotest.(check int) "disabled: no b_sel" 0 (Engine.peek_int sim "b_sel");
   set sim "enable" (b1 true);
-  Interp.step sim;
-  Alcotest.(check int) "enabled: sel crosses" 1 (Interp.peek_int sim "b_sel");
+  Engine.step sim;
+  Alcotest.(check int) "enabled: sel crosses" 1 (Engine.peek_int sim "b_sel");
   Alcotest.(check int) "enabled: addr crosses" 0x10
-    (Interp.peek_int sim "b_addr");
+    (Engine.peek_int sim "b_addr");
   Alcotest.(check int) "write data crosses" 0x77
-    (Interp.peek_int sim "b_wdata");
+    (Engine.peek_int sim "b_wdata");
   (* Far-side slave answers. *)
   set sim "b_rdata" (bi ~w:8 0x33);
   set sim "b_ack" (b1 true);
-  Interp.step sim;
-  Alcotest.(check int) "data returns" 0x33 (Interp.peek_int sim "a_rdata");
-  Alcotest.(check int) "ack returns" 1 (Interp.peek_int sim "a_ack");
+  Engine.step sim;
+  Alcotest.(check int) "data returns" 0x33 (Engine.peek_int sim "a_rdata");
+  Alcotest.(check int) "ack returns" 1 (Engine.peek_int sim "a_ack");
   (* The forwarded select drops after the ack, so the slave is not
      re-selected while the master holds its request. *)
-  Alcotest.(check int) "sel dropped after ack" 0 (Interp.peek_int sim "b_sel");
+  Alcotest.(check int) "sel dropped after ack" 0 (Engine.peek_int sim "b_sel");
   (* Master drops; bridge returns to idle. *)
   set sim "a_sel" (b1 false);
   set sim "b_ack" (b1 false);
-  Interp.step sim;
-  Interp.step sim;
-  Alcotest.(check int) "idle again" 0 (Interp.peek_int sim "b_sel")
+  Engine.step sim;
+  Engine.step sim;
+  Alcotest.(check int) "idle again" 0 (Engine.peek_int sim "b_sel")
 
 (* ------------------------------------------------------------------ *)
 (* Bi-FIFO block                                                      *)
@@ -447,8 +447,8 @@ let test_bb_gating () =
 
 let make_bififo () =
   let p = { Bififo.data_width = 8; depth = 8 } in
-  let sim = Interp.create (Bififo.create p) in
-  Interp.reset sim;
+  let sim = Engine.create (Bififo.create p) in
+  Engine.reset sim;
   List.iter
     (fun n -> set sim n (b1 false))
     [ "a_push"; "b_push"; "a_pop"; "b_pop"; "a_thr_we"; "b_thr_we" ];
@@ -456,7 +456,7 @@ let make_bififo () =
   set sim "b_wdata" (bi ~w:8 0);
   set sim "a_thr" (bi ~w:4 0);
   set sim "b_thr" (bi ~w:4 0);
-  Interp.settle sim;
+  Engine.settle sim;
   sim
 
 let test_bififo_threshold_irq () =
@@ -465,27 +465,27 @@ let test_bififo_threshold_irq () =
   let sim = make_bififo () in
   set sim "a_thr" (bi ~w:4 3);
   set sim "a_thr_we" (b1 true);
-  Interp.step sim;
+  Engine.step sim;
   set sim "a_thr_we" (b1 false);
-  Alcotest.(check int) "no irq yet" 0 (Interp.peek_int sim "irq_b");
+  Alcotest.(check int) "no irq yet" 0 (Engine.peek_int sim "irq_b");
   for i = 1 to 3 do
     set sim "a_push" (b1 true);
     set sim "a_wdata" (bi ~w:8 (i * 10));
-    Interp.step sim
+    Engine.step sim
   done;
   set sim "a_push" (b1 false);
-  Interp.settle sim;
-  Alcotest.(check int) "irq at threshold" 1 (Interp.peek_int sim "irq_b");
+  Engine.settle sim;
+  Alcotest.(check int) "irq at threshold" 1 (Engine.peek_int sim "irq_b");
   (* Receiver pops all words: irq drops. *)
-  Alcotest.(check int) "head" 10 (Interp.peek_int sim "b_rdata");
+  Alcotest.(check int) "head" 10 (Engine.peek_int sim "b_rdata");
   for _ = 1 to 3 do
     set sim "b_pop" (b1 true);
-    Interp.step sim
+    Engine.step sim
   done;
   set sim "b_pop" (b1 false);
-  Interp.settle sim;
-  Alcotest.(check int) "irq cleared" 0 (Interp.peek_int sim "irq_b");
-  Alcotest.(check int) "drained" 1 (Interp.peek_int sim "b_empty")
+  Engine.settle sim;
+  Alcotest.(check int) "irq cleared" 0 (Engine.peek_int sim "irq_b");
+  Alcotest.(check int) "drained" 1 (Engine.peek_int sim "b_empty")
 
 let test_bififo_bidirectional () =
   let sim = make_bififo () in
@@ -494,12 +494,12 @@ let test_bififo_bidirectional () =
   set sim "a_wdata" (bi ~w:8 0xAA);
   set sim "b_push" (b1 true);
   set sim "b_wdata" (bi ~w:8 0xBB);
-  Interp.step sim;
+  Engine.step sim;
   set sim "a_push" (b1 false);
   set sim "b_push" (b1 false);
-  Interp.settle sim;
-  Alcotest.(check int) "b sees a's word" 0xAA (Interp.peek_int sim "b_rdata");
-  Alcotest.(check int) "a sees b's word" 0xBB (Interp.peek_int sim "a_rdata")
+  Engine.settle sim;
+  Alcotest.(check int) "b sees a's word" 0xAA (Engine.peek_int sim "b_rdata");
+  Alcotest.(check int) "a sees b's word" 0xBB (Engine.peek_int sim "a_rdata")
 
 (* ------------------------------------------------------------------ *)
 (* GBI / ABI / SB pass-through                                        *)
@@ -507,8 +507,8 @@ let test_bififo_bidirectional () =
 
 let test_gbi_pipeline () =
   let p = { Gbi.bus_type = Gbi.Gbi_gbaviii; addr_width = 8; data_width = 8 } in
-  let sim = Interp.create (Gbi.create p) in
-  Interp.reset sim;
+  let sim = Engine.create (Gbi.create p) in
+  Engine.reset sim;
   set sim "en" (b1 true);
   set sim "i_sel" (b1 true);
   set sim "i_rnw" (b1 true);
@@ -516,49 +516,49 @@ let test_gbi_pipeline () =
   set sim "i_wdata" (bi ~w:8 0);
   set sim "o_rdata" (bi ~w:8 0);
   set sim "o_ack" (b1 false);
-  Interp.settle sim;
-  Alcotest.(check int) "request not yet out" 0 (Interp.peek_int sim "o_sel");
-  Interp.step sim;
+  Engine.settle sim;
+  Alcotest.(check int) "request not yet out" 0 (Engine.peek_int sim "o_sel");
+  Engine.step sim;
   Alcotest.(check int) "request out after a cycle" 1
-    (Interp.peek_int sim "o_sel");
-  Alcotest.(check int) "address piped" 0x21 (Interp.peek_int sim "o_addr");
+    (Engine.peek_int sim "o_sel");
+  Alcotest.(check int) "address piped" 0x21 (Engine.peek_int sim "o_addr");
   set sim "o_rdata" (bi ~w:8 0x66);
   set sim "o_ack" (b1 true);
-  Interp.settle sim;
-  Alcotest.(check int) "ack passes inward" 1 (Interp.peek_int sim "i_ack");
+  Engine.settle sim;
+  Alcotest.(check int) "ack passes inward" 1 (Engine.peek_int sim "i_ack");
   Alcotest.(check int) "data passes inward" 0x66
-    (Interp.peek_int sim "i_rdata");
+    (Engine.peek_int sim "i_rdata");
   set sim "en" (b1 false);
-  Interp.settle sim;
-  Alcotest.(check int) "disabled blocks ack" 0 (Interp.peek_int sim "i_ack")
+  Engine.settle sim;
+  Alcotest.(check int) "disabled blocks ack" 0 (Engine.peek_int sim "i_ack")
 
 let test_abi_registers () =
-  let sim = Interp.create (Abi.create { Abi.masters = 4 }) in
-  Interp.reset sim;
+  let sim = Engine.create (Abi.create { Abi.masters = 4 }) in
+  Engine.reset sim;
   set sim "bus_req" (bi ~w:4 0b0110);
   set sim "arb_grant" (bi ~w:4 0b0010);
-  Interp.settle sim;
+  Engine.settle sim;
   Alcotest.(check int) "registered: zero before edge" 0
-    (Interp.peek_int sim "arb_req");
-  Interp.step sim;
-  Alcotest.(check int) "req after edge" 0b0110 (Interp.peek_int sim "arb_req");
-  Alcotest.(check int) "gnt after edge" 0b0010 (Interp.peek_int sim "bus_gnt")
+    (Engine.peek_int sim "arb_req");
+  Engine.step sim;
+  Alcotest.(check int) "req after edge" 0b0110 (Engine.peek_int sim "arb_req");
+  Alcotest.(check int) "gnt after edge" 0b0010 (Engine.peek_int sim "bus_gnt")
 
 let test_sb_passthrough () =
   let p = { Sb.bus_type = Sb.Sb_gbaviii; addr_width = 8; data_width = 16 } in
-  let sim = Interp.create (Sb.create p) in
-  Interp.reset sim;
+  let sim = Engine.create (Sb.create p) in
+  Engine.reset sim;
   set sim "addr_in" (bi ~w:8 0x7F);
   set sim "wdata_in" (bi ~w:16 0xBEEF);
   set sim "rdata_in" (bi ~w:16 0xCAFE);
   set sim "sel_in" (b1 true);
   set sim "rnw_in" (b1 false);
   set sim "ack_in" (b1 true);
-  Interp.settle sim;
-  Alcotest.(check int) "addr through" 0x7F (Interp.peek_int sim "addr_out");
-  Alcotest.(check int) "wdata through" 0xBEEF (Interp.peek_int sim "wdata_out");
-  Alcotest.(check int) "rdata through" 0xCAFE (Interp.peek_int sim "rdata_out");
-  Alcotest.(check int) "ack through" 1 (Interp.peek_int sim "ack_out")
+  Engine.settle sim;
+  Alcotest.(check int) "addr through" 0x7F (Engine.peek_int sim "addr_out");
+  Alcotest.(check int) "wdata through" 0xBEEF (Engine.peek_int sim "wdata_out");
+  Alcotest.(check int) "rdata through" 0xCAFE (Engine.peek_int sim "rdata_out");
+  Alcotest.(check int) "ack through" 1 (Engine.peek_int sim "ack_out")
 
 (* ------------------------------------------------------------------ *)
 (* Busmux / Busjoin / slave adapters                                  *)
@@ -572,8 +572,8 @@ let test_busmux_decode () =
       regions = [ { Busmux.base = 0; size = 16 }; { Busmux.base = 64; size = 16 } ];
     }
   in
-  let sim = Interp.create (Busmux.create p) in
-  Interp.reset sim;
+  let sim = Engine.create (Busmux.create p) in
+  Engine.reset sim;
   set sim "m_sel" (b1 true);
   set sim "m_rnw" (b1 true);
   set sim "m_addr" (bi ~w:8 5);
@@ -582,19 +582,19 @@ let test_busmux_decode () =
   set sim "s0_ack" (b1 true);
   set sim "s1_rdata" (bi ~w:8 0x22);
   set sim "s1_ack" (b1 true);
-  Interp.settle sim;
-  Alcotest.(check int) "region 0 hit" 1 (Interp.peek_int sim "s0_sel");
-  Alcotest.(check int) "region 1 miss" 0 (Interp.peek_int sim "s1_sel");
+  Engine.settle sim;
+  Alcotest.(check int) "region 0 hit" 1 (Engine.peek_int sim "s0_sel");
+  Alcotest.(check int) "region 1 miss" 0 (Engine.peek_int sim "s1_sel");
   Alcotest.(check int) "rdata from region 0" 0x11
-    (Interp.peek_int sim "m_rdata");
+    (Engine.peek_int sim "m_rdata");
   set sim "m_addr" (bi ~w:8 70);
-  Interp.settle sim;
-  Alcotest.(check int) "region 1 hit" 1 (Interp.peek_int sim "s1_sel");
+  Engine.settle sim;
+  Alcotest.(check int) "region 1 hit" 1 (Engine.peek_int sim "s1_sel");
   Alcotest.(check int) "rdata from region 1" 0x22
-    (Interp.peek_int sim "m_rdata");
+    (Engine.peek_int sim "m_rdata");
   set sim "m_addr" (bi ~w:8 200);
-  Interp.settle sim;
-  Alcotest.(check int) "hole: no ack" 0 (Interp.peek_int sim "m_ack");
+  Engine.settle sim;
+  Alcotest.(check int) "hole: no ack" 0 (Engine.peek_int sim "m_ack");
   Alcotest.check_raises "overlap rejected"
     (Invalid_argument "Busmux: regions overlap") (fun () ->
       ignore
@@ -617,8 +617,8 @@ let test_busmux_decode () =
 
 let test_busjoin_grant_routing () =
   let p = { Busjoin.masters = 2; addr_width = 8; data_width = 8 } in
-  let sim = Interp.create (Busjoin.create p) in
-  Interp.reset sim;
+  let sim = Engine.create (Busjoin.create p) in
+  Engine.reset sim;
   set sim "m0_req" (b1 true);
   set sim "m1_req" (b1 true);
   set sim "m0_sel" (b1 true);
@@ -632,18 +632,18 @@ let test_busjoin_grant_routing () =
   set sim "s_rdata" (bi ~w:8 0x55);
   set sim "s_ack" (b1 true);
   set sim "gnt" (bi ~w:2 0b01);
-  Interp.settle sim;
-  Alcotest.(check int) "req reflects sels" 0b11 (Interp.peek_int sim "req");
+  Engine.settle sim;
+  Alcotest.(check int) "req reflects sels" 0b11 (Engine.peek_int sim "req");
   Alcotest.(check int) "winner's address forwarded" 0x10
-    (Interp.peek_int sim "s_addr");
-  Alcotest.(check int) "winner acked" 1 (Interp.peek_int sim "m0_ack");
-  Alcotest.(check int) "loser not acked" 0 (Interp.peek_int sim "m1_ack");
+    (Engine.peek_int sim "s_addr");
+  Alcotest.(check int) "winner acked" 1 (Engine.peek_int sim "m0_ack");
+  Alcotest.(check int) "loser not acked" 0 (Engine.peek_int sim "m1_ack");
   set sim "gnt" (bi ~w:2 0b10);
-  Interp.settle sim;
+  Engine.settle sim;
   Alcotest.(check int) "other master's address" 0x20
-    (Interp.peek_int sim "s_addr");
+    (Engine.peek_int sim "s_addr");
   Alcotest.(check int) "write data forwarded" 0x99
-    (Interp.peek_int sim "s_wdata")
+    (Engine.peek_int sim "s_wdata")
 
 let test_hs_slave_both_sides () =
   (* hs_slave + hs_regs wired together: side A writes DONE_OP=1; side B
@@ -691,8 +691,8 @@ let test_hs_slave_both_sides () =
           assign bld "rvq" r
       | _ -> assert false)
   | _ -> assert false);
-  let sim = Interp.create (finish bld) in
-  Interp.reset sim;
+  let sim = Engine.create (finish bld) in
+  Engine.reset sim;
   List.iter (fun n -> set sim n (b1 false)) [ "a_sel"; "b_sel" ];
   set sim "a_rnw" (b1 false);
   set sim "a_addr" (bi ~w:1 0);
@@ -702,19 +702,19 @@ let test_hs_slave_both_sides () =
   set sim "b_wdata" (bi ~w:8 0);
   (* A writes DONE_OP := 1. *)
   set sim "a_sel" (b1 true);
-  Interp.step sim;
+  Engine.step sim;
   set sim "a_sel" (b1 false);
   (* B reads DONE_OP = 1. *)
   set sim "b_sel" (b1 true);
-  Interp.settle sim;
-  Alcotest.(check int) "B sees DONE_OP" 1 (Interp.peek_int sim "b_rdata");
+  Engine.settle sim;
+  Alcotest.(check int) "B sees DONE_OP" 1 (Engine.peek_int sim "b_rdata");
   (* B clears it by writing 0. *)
   set sim "b_rnw" (b1 false);
   set sim "b_wdata" (bi ~w:8 0);
-  Interp.step sim;
+  Engine.step sim;
   set sim "b_rnw" (b1 true);
-  Interp.settle sim;
-  Alcotest.(check int) "cleared" 0 (Interp.peek_int sim "b_rdata")
+  Engine.settle sim;
+  Alcotest.(check int) "cleared" 0 (Engine.peek_int sim "b_rdata")
 
 let test_fifo_slave_roundtrip () =
   (* fifo_slave + a plain FIFO: sender sets threshold, pushes words over
@@ -776,8 +776,8 @@ let test_fifo_slave_roundtrip () =
           assign bld "irq_out" irq
       | _ -> assert false)
   | _ -> assert false);
-  let sim = Interp.create (finish bld) in
-  Interp.reset sim;
+  let sim = Engine.create (finish bld) in
+  Engine.reset sim;
   List.iter (fun n -> set sim n (b1 false)) [ "s_sel"; "r_sel" ];
   set sim "r_wdata" (bi ~w:8 0);
   (* Sender sets threshold = 2 (bus write to offset 1). *)
@@ -785,43 +785,43 @@ let test_fifo_slave_roundtrip () =
   set sim "s_rnw" (b1 false);
   set sim "s_addr" (bi ~w:2 1);
   set sim "s_wdata" (bi ~w:8 2);
-  Interp.step sim;
+  Engine.step sim;
   (* Sender pushes two words (bus writes to offset 0). *)
   set sim "s_addr" (bi ~w:2 0);
   set sim "s_wdata" (bi ~w:8 0xA1);
-  Interp.step sim;
+  Engine.step sim;
   set sim "s_wdata" (bi ~w:8 0xB2);
-  Interp.step sim;
+  Engine.step sim;
   set sim "s_sel" (b1 false);
-  Interp.settle sim;
+  Engine.settle sim;
   Alcotest.(check int) "irq raised at threshold" 1
-    (Interp.peek_int sim "irq_out");
+    (Engine.peek_int sim "irq_out");
   (* Receiver reads status then pops both words. *)
   set sim "r_sel" (b1 true);
   set sim "r_rnw" (b1 true);
   set sim "r_addr" (bi ~w:2 2);
-  Interp.settle sim;
+  Engine.settle sim;
   Alcotest.(check int) "status: irq bit" 1
-    (Interp.peek_int sim "r_rdata" land 1);
+    (Engine.peek_int sim "r_rdata" land 1);
   set sim "r_addr" (bi ~w:2 0);
-  Interp.settle sim;
-  Alcotest.(check int) "pop 1" 0xA1 (Interp.peek_int sim "r_rdata");
-  Interp.step sim;
-  Interp.settle sim;
-  Alcotest.(check int) "pop 2" 0xB2 (Interp.peek_int sim "r_rdata");
-  Interp.step sim;
+  Engine.settle sim;
+  Alcotest.(check int) "pop 1" 0xA1 (Engine.peek_int sim "r_rdata");
+  Engine.step sim;
+  Engine.settle sim;
+  Alcotest.(check int) "pop 2" 0xB2 (Engine.peek_int sim "r_rdata");
+  Engine.step sim;
   set sim "r_sel" (b1 false);
-  Interp.settle sim;
+  Engine.settle sim;
   Alcotest.(check int) "irq gone after drain" 0
-    (Interp.peek_int sim "irq_out")
+    (Engine.peek_int sim "irq_out")
 
 (* ------------------------------------------------------------------ *)
 (* DCT accelerator / DPRAM                                            *)
 (* ------------------------------------------------------------------ *)
 
 let dct_run samples =
-  let sim = Interp.create (Dct_ip.create { Dct_ip.data_width = 16 }) in
-  Interp.reset sim;
+  let sim = Engine.create (Dct_ip.create { Dct_ip.data_width = 16 }) in
+  Engine.reset sim;
   set sim "sel" (b1 false);
   set sim "rnw" (b1 false);
   set sim "addr" (bi ~w:5 0);
@@ -831,16 +831,16 @@ let dct_run samples =
     set sim "rnw" (b1 false);
     set sim "addr" (bi ~w:5 addr);
     set sim "wdata" (bi ~w:16 (v land 0xFFFF));
-    Interp.step sim;
+    Engine.step sim;
     set sim "sel" (b1 false)
   in
   let read addr =
     set sim "sel" (b1 true);
     set sim "rnw" (b1 true);
     set sim "addr" (bi ~w:5 addr);
-    Interp.settle sim;
-    let v = Interp.peek sim "rdata" in
-    Interp.step sim;
+    Engine.settle sim;
+    let v = Engine.peek sim "rdata" in
+    Engine.step sim;
     set sim "sel" (b1 false);
     v
   in
@@ -993,8 +993,8 @@ let test_rom_distinct_images_distinct_names () =
 
 let test_dpram_ports () =
   let p = { Dpram.addr_width = 4; data_width = 8 } in
-  let sim = Interp.create (Dpram.create p) in
-  Interp.reset sim;
+  let sim = Engine.create (Dpram.create p) in
+  Engine.reset sim;
   List.iter
     (fun x ->
       set sim (x ^ "_csb") (b1 true);
@@ -1012,7 +1012,7 @@ let test_dpram_ports () =
   set sim "b_web" (b1 false);
   set sim "b_addr" (bi ~w:4 7);
   set sim "b_wdata" (bi ~w:8 0x22);
-  Interp.step sim;
+  Engine.step sim;
   (* Cross-read: B reads A's word and vice versa. *)
   set sim "a_web" (b1 true);
   set sim "b_web" (b1 true);
@@ -1020,14 +1020,14 @@ let test_dpram_ports () =
   set sim "b_reb" (b1 false);
   set sim "a_addr" (bi ~w:4 7);
   set sim "b_addr" (bi ~w:4 3);
-  Interp.settle sim;
-  Alcotest.(check int) "a reads b's word" 0x22 (Interp.peek_int sim "a_rdata");
-  Alcotest.(check int) "b reads a's word" 0x11 (Interp.peek_int sim "b_rdata")
+  Engine.settle sim;
+  Alcotest.(check int) "a reads b's word" 0x22 (Engine.peek_int sim "a_rdata");
+  Alcotest.(check int) "b reads a's word" 0x11 (Engine.peek_int sim "b_rdata")
 
 let test_dpram_conflict () =
   let p = { Dpram.addr_width = 4; data_width = 8 } in
-  let sim = Interp.create (Dpram.create p) in
-  Interp.reset sim;
+  let sim = Engine.create (Dpram.create p) in
+  Engine.reset sim;
   List.iter
     (fun x ->
       set sim (x ^ "_csb") (b1 false);
@@ -1038,13 +1038,13 @@ let test_dpram_conflict () =
     [ "a"; "b" ];
   set sim "a_wdata" (bi ~w:8 0xAA);
   set sim "b_wdata" (bi ~w:8 0xBB);
-  Interp.step sim;
+  Engine.step sim;
   set sim "a_web" (b1 true);
   set sim "b_web" (b1 true);
   set sim "a_reb" (b1 false);
-  Interp.settle sim;
+  Engine.settle sim;
   Alcotest.(check int) "port A wins the conflict" 0xAA
-    (Interp.peek_int sim "a_rdata")
+    (Engine.peek_int sim "a_rdata")
 
 (* ------------------------------------------------------------------ *)
 (* Catalog                                                            *)
@@ -1055,8 +1055,8 @@ let test_dpram_conflict () =
 (* ------------------------------------------------------------------ *)
 
 let make_watchdog timeout =
-  let sim = Interp.create (Watchdog.create { Watchdog.timeout }) in
-  Interp.reset sim;
+  let sim = Engine.create (Watchdog.create { Watchdog.timeout }) in
+  Engine.reset sim;
   set sim "req" (b1 false);
   set sim "ack" (b1 false);
   sim
@@ -1065,43 +1065,43 @@ let test_watchdog_times_out () =
   let sim = make_watchdog 3 in
   set sim "req" (b1 true);
   (* Below the limit: quiet. *)
-  Interp.step sim;
-  Interp.step sim;
-  Alcotest.(check int) "not fired yet" 0 (Interp.peek_int sim "timeout");
+  Engine.step sim;
+  Engine.step sim;
+  Alcotest.(check int) "not fired yet" 0 (Engine.peek_int sim "timeout");
   Alcotest.(check int) "no release yet" 0
-    (Interp.peek_int sim "force_release");
+    (Engine.peek_int sim "force_release");
   (* The limit: a one-cycle strobe plus a held release... *)
-  Interp.step sim;
-  Alcotest.(check int) "strobe fires" 1 (Interp.peek_int sim "timeout");
+  Engine.step sim;
+  Alcotest.(check int) "strobe fires" 1 (Engine.peek_int sim "timeout");
   Alcotest.(check int) "release asserted" 1
-    (Interp.peek_int sim "force_release");
-  Interp.step sim;
+    (Engine.peek_int sim "force_release");
+  Engine.step sim;
   Alcotest.(check int) "strobe is one cycle" 0
-    (Interp.peek_int sim "timeout");
+    (Engine.peek_int sim "timeout");
   Alcotest.(check int) "release holds" 1
-    (Interp.peek_int sim "force_release");
+    (Engine.peek_int sim "force_release");
   (* ...until the wedged transaction is finally answered. *)
   set sim "ack" (b1 true);
-  Interp.step sim;
+  Engine.step sim;
   Alcotest.(check int) "release clears on ack" 0
-    (Interp.peek_int sim "force_release")
+    (Engine.peek_int sim "force_release")
 
 let test_watchdog_ack_restarts_count () =
   let sim = make_watchdog 3 in
   set sim "req" (b1 true);
-  Interp.step sim;
-  Interp.step sim;
+  Engine.step sim;
+  Engine.step sim;
   (* An answer just before the limit restarts the count. *)
   set sim "ack" (b1 true);
-  Interp.step sim;
+  Engine.step sim;
   set sim "ack" (b1 false);
-  Interp.step sim;
-  Interp.step sim;
+  Engine.step sim;
+  Engine.step sim;
   Alcotest.(check int) "no premature timeout" 0
-    (Interp.peek_int sim "timeout");
-  Interp.step sim;
+    (Engine.peek_int sim "timeout");
+  Engine.step sim;
   Alcotest.(check int) "fires a full period after the ack" 1
-    (Interp.peek_int sim "timeout")
+    (Engine.peek_int sim "timeout")
 
 let test_watchdog_validates () =
   match Watchdog.create { Watchdog.timeout = 0 } with
@@ -1110,40 +1110,40 @@ let test_watchdog_validates () =
 
 let test_parity_gen_chk () =
   let gen =
-    Interp.create
+    Engine.create
       (Parity.create { Parity.data_width = 8; role = Parity.Generator })
   in
   let chk =
-    Interp.create
+    Engine.create
       (Parity.create { Parity.data_width = 8; role = Parity.Checker })
   in
-  Interp.reset gen;
-  Interp.reset chk;
+  Engine.reset gen;
+  Engine.reset chk;
   List.iter
     (fun v ->
       set gen "data" (bi ~w:8 v);
-      Interp.step gen;
-      let p = Interp.peek_int gen "parity" in
+      Engine.step gen;
+      let p = Engine.peek_int gen "parity" in
       (* Matching parity: clean. *)
       set chk "data" (bi ~w:8 v);
       set chk "parity" (bi ~w:1 p);
-      Interp.step chk;
+      Engine.step chk;
       Alcotest.(check int)
         (Printf.sprintf "0x%02x clean" v)
-        0 (Interp.peek_int chk "error");
+        0 (Engine.peek_int chk "error");
       (* A corrupted data bit: flagged. *)
       set chk "data" (bi ~w:8 (v lxor 0x10));
-      Interp.step chk;
+      Engine.step chk;
       Alcotest.(check int)
         (Printf.sprintf "0x%02x corrupt data" v)
-        1 (Interp.peek_int chk "error");
+        1 (Engine.peek_int chk "error");
       (* A corrupted parity line: also flagged. *)
       set chk "data" (bi ~w:8 v);
       set chk "parity" (bi ~w:1 (p lxor 1));
-      Interp.step chk;
+      Engine.step chk;
       Alcotest.(check int)
         (Printf.sprintf "0x%02x corrupt parity" v)
-        1 (Interp.peek_int chk "error"))
+        1 (Engine.peek_int chk "error"))
     [ 0x00; 0x01; 0xFF; 0xA5; 0x3C ]
 
 let test_parity_validates () =

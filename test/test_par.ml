@@ -55,7 +55,7 @@ let test_splitmix_nonneg () =
 (* ------------------------------------------------------------------ *)
 
 let test_case_seed_collisions () =
-  (* Options.sample and Interp.random_campaign both mask their seed to
+  (* Options.sample and Flat.random_campaign both mask their seed to
      30 bits.  The old LCG derivation made case k+1's option stream a
      one-step offset of case k's campaign stream; the splitmix streams
      must keep all three roles of all cases distinct after masking. *)

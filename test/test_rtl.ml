@@ -237,7 +237,7 @@ let test_expr_vars () =
     "renamed" [ "x_c"; "x_a"; "x_b" ] (vars renamed)
 
 (* ------------------------------------------------------------------ *)
-(* Circuit + Interp: an 8-bit wrapping counter with enable            *)
+(* Circuit + Engine: an 8-bit wrapping counter with enable            *)
 (* ------------------------------------------------------------------ *)
 
 let counter_circuit () =
@@ -251,17 +251,17 @@ let counter_circuit () =
   finish b
 
 let test_counter_interp () =
-  let sim = Interp.create (counter_circuit ()) in
-  Interp.reset sim;
-  Interp.set_input sim "enable" (Bits.one 1);
-  Interp.run sim 5;
-  Alcotest.(check int) "counted to 5" 5 (Interp.peek_int sim "count");
-  Interp.set_input sim "enable" (Bits.zero 1);
-  Interp.run sim 3;
-  Alcotest.(check int) "held" 5 (Interp.peek_int sim "count");
-  Interp.set_input sim "enable" (Bits.one 1);
-  Interp.run sim 251;
-  Alcotest.(check int) "wrapped" 0 (Interp.peek_int sim "count")
+  let sim = Engine.create (counter_circuit ()) in
+  Engine.reset sim;
+  Engine.set_input sim "enable" (Bits.one 1);
+  Engine.run sim 5;
+  Alcotest.(check int) "counted to 5" 5 (Engine.peek_int sim "count");
+  Engine.set_input sim "enable" (Bits.zero 1);
+  Engine.run sim 3;
+  Alcotest.(check int) "held" 5 (Engine.peek_int sim "count");
+  Engine.set_input sim "enable" (Bits.one 1);
+  Engine.run sim 251;
+  Alcotest.(check int) "wrapped" 0 (Engine.peek_int sim "count")
 
 let test_counter_verilog () =
   let v = Verilog.of_circuit (counter_circuit ()) in
@@ -302,17 +302,17 @@ let test_hierarchy () =
   in
   assign b "total" Expr.(c1 +: c2);
   let top = finish b in
-  let sim = Interp.create top in
-  Interp.reset sim;
-  Interp.set_input sim "en" (Bits.zero 1);
-  Interp.run sim 4;
+  let sim = Engine.create top in
+  Engine.reset sim;
+  Engine.set_input sim "en" (Bits.zero 1);
+  Engine.run sim 4;
   (* c1 disabled (0), c2 free-running (4). *)
-  Alcotest.(check int) "total" 4 (Interp.peek_int sim "total");
-  Interp.set_input sim "en" (Bits.one 1);
-  Interp.run sim 3;
-  Alcotest.(check int) "total after enable" 10 (Interp.peek_int sim "total");
+  Alcotest.(check int) "total" 4 (Engine.peek_int sim "total");
+  Engine.set_input sim "en" (Bits.one 1);
+  Engine.run sim 3;
+  Alcotest.(check int) "total after enable" 10 (Engine.peek_int sim "total");
   (* Flat signal paths are visible. *)
-  Alcotest.(check int) "flat path" 3 (Interp.peek_int sim "c1$q")
+  Alcotest.(check int) "flat path" 3 (Engine.peek_int sim "c1$q")
 
 let test_memory_interp () =
   let open Circuit.Builder in
@@ -330,22 +330,22 @@ let test_memory_interp () =
   (match reads with
   | [ q ] -> assign b "rdata" q
   | _ -> assert false);
-  let sim = Interp.create (finish b) in
-  Interp.reset sim;
-  Interp.set_input sim "we" (Bits.one 1);
-  Interp.set_input sim "waddr" (Bits.of_int ~width:4 3);
-  Interp.set_input sim "wdata" (Bits.of_int ~width:8 0x5A);
-  Interp.step sim;
-  Interp.set_input sim "we" (Bits.zero 1);
-  Interp.set_input sim "raddr" (Bits.of_int ~width:4 3);
-  Interp.settle sim;
-  Alcotest.(check int) "read back" 0x5A (Interp.peek_int sim "rdata");
-  Interp.set_input sim "raddr" (Bits.of_int ~width:4 5);
-  Interp.settle sim;
-  Alcotest.(check int) "other word zero" 0 (Interp.peek_int sim "rdata");
-  Interp.poke_mem sim "ram" 5 (Bits.of_int ~width:8 7);
-  Interp.settle sim;
-  Alcotest.(check int) "poked" 7 (Interp.peek_int sim "rdata")
+  let sim = Engine.create (finish b) in
+  Engine.reset sim;
+  Engine.set_input sim "we" (Bits.one 1);
+  Engine.set_input sim "waddr" (Bits.of_int ~width:4 3);
+  Engine.set_input sim "wdata" (Bits.of_int ~width:8 0x5A);
+  Engine.step sim;
+  Engine.set_input sim "we" (Bits.zero 1);
+  Engine.set_input sim "raddr" (Bits.of_int ~width:4 3);
+  Engine.settle sim;
+  Alcotest.(check int) "read back" 0x5A (Engine.peek_int sim "rdata");
+  Engine.set_input sim "raddr" (Bits.of_int ~width:4 5);
+  Engine.settle sim;
+  Alcotest.(check int) "other word zero" 0 (Engine.peek_int sim "rdata");
+  Engine.poke_mem sim "ram" 5 (Bits.of_int ~width:8 7);
+  Engine.settle sim;
+  Alcotest.(check int) "poked" 7 (Engine.peek_int sim "rdata")
 
 let test_memory_backdoor () =
   (* peek_mem / poke_mem inspect and preload flattened memories,
@@ -375,20 +375,20 @@ let test_memory_backdoor () =
     | _ -> assert false);
     finish b
   in
-  let sim = Interp.create top in
-  Interp.reset sim;
-  Interp.poke_mem sim "u$store" 5 (Bits.of_int ~width:8 0xAB);
+  let sim = Engine.create top in
+  Engine.reset sim;
+  Engine.poke_mem sim "u$store" 5 (Bits.of_int ~width:8 0xAB);
   Alcotest.(check int) "peek_mem sees the poke" 0xAB
-    (Bits.to_int_trunc (Interp.peek_mem sim "u$store" 5));
-  Interp.set_input sim "a" (Bits.of_int ~width:3 5);
-  Interp.settle sim;
+    (Bits.to_int_trunc (Engine.peek_mem sim "u$store" 5));
+  Engine.set_input sim "a" (Bits.of_int ~width:3 5);
+  Engine.settle sim;
   Alcotest.(check int) "hardware reads the poke" 0xAB
-    (Interp.peek_int sim "o");
-  (match Interp.peek_mem sim "nonexistent" 0 with
+    (Engine.peek_int sim "o");
+  (match Engine.peek_mem sim "nonexistent" 0 with
   | exception Not_found -> ()
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown memory accepted");
-  match Interp.peek_mem sim "u$store" 99 with
+  match Engine.peek_mem sim "u$store" 99 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out-of-range address accepted"
 
@@ -428,7 +428,7 @@ let test_comb_loop_detected () =
   output b "o" 1;
   assign b "o" w1;
   let c = finish b in
-  (match Interp.create c with
+  (match Engine.create c with
   | exception Invalid_argument msg ->
       Alcotest.(check bool) "names the loop" true
         (String.length msg > 0
@@ -482,9 +482,9 @@ let test_signed_helpers () =
      has "$signed")
 
 let test_vcd_trace () =
-  let sim = Interp.create (counter_circuit ()) in
-  Interp.reset sim;
-  Interp.set_input sim "enable" (Bits.one 1);
+  let sim = Engine.create (counter_circuit ()) in
+  Engine.reset sim;
+  Engine.set_input sim "enable" (Bits.one 1);
   let vcd = Vcd.trace_to_string sim ~signals:[ "count"; "enable" ] ~cycles:4 in
   let has sub =
     let n = String.length vcd and m = String.length sub in
@@ -888,16 +888,16 @@ let test_opt_circuit_equivalence () =
   (* The optimized counter behaves identically cycle by cycle. *)
   let c = counter_circuit () in
   let o = Opt.circuit c in
-  let s1 = Interp.create c and s2 = Interp.create o in
-  Interp.reset s1;
-  Interp.reset s2;
+  let s1 = Engine.create c and s2 = Engine.create o in
+  Engine.reset s1;
+  Engine.reset s2;
   for i = 0 to 40 do
     let en = i land 3 <> 0 in
-    Interp.set_input s1 "enable" (Bits.of_bool en);
-    Interp.set_input s2 "enable" (Bits.of_bool en);
-    Interp.step s1;
-    Interp.step s2;
-    if Interp.peek_int s1 "count" <> Interp.peek_int s2 "count" then
+    Engine.set_input s1 "enable" (Bits.of_bool en);
+    Engine.set_input s2 "enable" (Bits.of_bool en);
+    Engine.step s1;
+    Engine.step s2;
+    if Engine.peek_int s1 "count" <> Engine.peek_int s2 "count" then
       Alcotest.failf "diverged at step %d" i
   done;
   (* And it never increases the estimated area. *)
@@ -917,15 +917,15 @@ let prop_accumulator_model =
       let s = reg b "s" 8 () in
       set_next b "s" Expr.(s +: d);
       assign b "sum" s;
-      let sim = Interp.create (finish b) in
-      Interp.reset sim;
+      let sim = Engine.create (finish b) in
+      Engine.reset sim;
       let model = ref 0 in
       List.for_all
         (fun x ->
-          Interp.set_input sim "d" (Bits.of_int ~width:8 x);
-          Interp.step sim;
+          Engine.set_input sim "d" (Bits.of_int ~width:8 x);
+          Engine.step sim;
           model := (!model + x) land 0xFF;
-          Interp.peek_int sim "sum" = !model)
+          Engine.peek_int sim "sum" = !model)
         inputs)
 
 (* ------------------------------------------------------------------ *)
@@ -1031,7 +1031,7 @@ let test_duplicate_signal_instance_path () =
   | [ e ] -> assign b "o" Expr.(e &: w)
   | _ -> assert false);
   let top = finish b in
-  match Interp.create top with
+  match Engine.create top with
   | exception Invalid_argument msg ->
       let has sub =
         let n = String.length msg and m = String.length sub in
@@ -1060,7 +1060,7 @@ let test_comb_loop_has_path () =
   output b "o" 1;
   assign b "o" w1;
   let c = finish b in
-  match Interp.create c with
+  match Engine.create c with
   | exception Invalid_argument msg ->
       let has sub =
         let n = String.length msg and m = String.length sub in
@@ -1073,56 +1073,41 @@ let test_comb_loop_has_path () =
   | _ -> Alcotest.fail "loop not detected"
 
 (* ------------------------------------------------------------------ *)
-(* Differential: slot-compiled and tape-compiled engines vs the        *)
-(* reference engine on the generated bus architectures                 *)
+(* Differential: the tape-compiled engine vs the reference engine on   *)
+(* the generated bus architectures                                     *)
 (* ------------------------------------------------------------------ *)
 
 let differential_cycles = 40
 
-(* Three-way lockstep: drive identical random inputs into all three
-   engines and compare every flat signal (and finally every memory
-   word) after each cycle.  [prepare] installs fault campaigns. *)
-let differential ?(prepare = fun _ _ _ -> ()) name top =
-  let fast = Interp.create top in
+(* Lockstep: drive identical random inputs into both engines and
+   compare every flat signal (and finally every memory word) after
+   each cycle.  [prepare] installs fault campaigns. *)
+let differential ?(prepare = fun _ _ -> ()) name top =
   let slow = Interp_ref.create top in
   let tape = Interp_tape.create top in
-  Interp.reset fast;
   Interp_ref.reset slow;
   Interp_tape.reset tape;
-  prepare fast slow tape;
+  prepare slow tape;
   let inputs = Circuit.inputs top in
-  let sigs = Interp.signal_names fast in
+  let sigs = Interp_ref.signal_names slow in
   Alcotest.(check (list string))
-    (name ^ ": same signal set") (Interp_ref.signal_names slow) sigs;
-  Alcotest.(check (list string))
-    (name ^ ": tape same signal set") (Interp_tape.signal_names tape) sigs;
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": same memory set")
-    (Interp_ref.memories slow) (Interp.memories fast);
+    (name ^ ": tape same signal set") sigs (Interp_tape.signal_names tape);
   Alcotest.(check (list (pair string int)))
     (name ^ ": tape same memory set")
-    (Interp_tape.memories tape) (Interp.memories fast);
+    (Interp_ref.memories slow) (Interp_tape.memories tape);
   let st = Random.State.make [| 0x5EED; String.length name |] in
   for cycle = 1 to differential_cycles do
     List.iter
       (fun (p : Circuit.port) ->
         let v = Bits.init p.Circuit.port_width (fun _ -> Random.State.bool st) in
-        Interp.set_input fast p.Circuit.port_name v;
         Interp_ref.set_input slow p.Circuit.port_name v;
         Interp_tape.set_input tape p.Circuit.port_name v)
       inputs;
-    Interp.step fast;
     Interp_ref.step slow;
     Interp_tape.step tape;
     List.iter
       (fun s ->
         let b = Interp_ref.peek slow s in
-        let a = Interp.peek fast s in
-        if not (Bits.equal a b) then
-          Alcotest.failf "%s: cycle %d: signal %s diverged (slot %s vs ref %s)"
-            name cycle s
-            (Bits.to_verilog_literal a)
-            (Bits.to_verilog_literal b);
         let c = Interp_tape.peek tape s in
         if not (Bits.equal c b) then
           Alcotest.failf "%s: cycle %d: signal %s diverged (tape %s vs ref %s)"
@@ -1135,12 +1120,10 @@ let differential ?(prepare = fun _ _ _ -> ()) name top =
     (fun (m, depth) ->
       for a = 0 to depth - 1 do
         let r = Interp_ref.peek_mem slow m a in
-        if not (Bits.equal (Interp.peek_mem fast m a) r) then
-          Alcotest.failf "%s: memory %s[%d] diverged (slot vs ref)" name m a;
         if not (Bits.equal (Interp_tape.peek_mem tape m a) r) then
           Alcotest.failf "%s: memory %s[%d] diverged (tape vs ref)" name m a
       done)
-    (Interp.memories fast)
+    (Interp_ref.memories slow)
 
 let test_differential_counter () =
   differential "counter8" (counter_circuit ())
@@ -1156,18 +1139,17 @@ let test_differential_gbavi () = differential "gbavi" (generated_top Bussyn.Gene
 let test_differential_hybrid () = differential "hybrid" (generated_top Bussyn.Generate.Hybrid)
 let test_differential_splitba () = differential "splitba" (generated_top Bussyn.Generate.Splitba)
 
-(* Full three-way matrix: every architecture x protect x faults.  The
-   faulted cells replay a deterministic campaign drawn from the design
-   itself (identical stream on all three engines). *)
+(* Full matrix: every architecture x protect x faults.  The faulted
+   cells replay a deterministic campaign drawn from the design itself. *)
 let all_archs =
   Bussyn.Generate.
     [ Bfba; Gbavi; Gbavii; Gbaviii; Hybrid; Splitba; Ggba; Ccba ]
 
-let campaign_prepare seed fast slow tape =
+let campaign_prepare seed top slow tape =
+  let signals, _, _, _, _ = Flat.flatten top in
   let campaign =
-    Interp.random_campaign fast ~seed ~n:12 ~horizon:differential_cycles
+    Flat.random_campaign signals ~seed ~n:12 ~horizon:differential_cycles
   in
-  Interp.inject fast campaign;
   Interp_ref.inject slow campaign;
   Interp_tape.inject tape campaign
 
@@ -1181,7 +1163,7 @@ let matrix_case arch protect faulted =
   let run () =
     let top = generated_top ~protect arch in
     if faulted then
-      differential ~prepare:(campaign_prepare 1301) name top
+      differential ~prepare:(campaign_prepare 1301 top) name top
     else differential name top
   in
   Alcotest.test_case name `Slow run
@@ -1202,19 +1184,19 @@ let matrix_cases =
 
 (* Drive the counter for [n] cycles and record "count" after each. *)
 let counter_samples ?(n = 10) sim =
-  Interp.set_input sim "enable" (Bits.one 1);
+  Engine.set_input sim "enable" (Bits.one 1);
   Array.init n (fun _ ->
-      Interp.step sim;
-      Interp.peek_int sim "count")
+      Engine.step sim;
+      Engine.peek_int sim "count")
 
 let test_inject_flip_and_clear () =
-  let sim = Interp.create (counter_circuit ()) in
-  Interp.reset sim;
+  let sim = Engine.create (counter_circuit ()) in
+  Engine.reset sim;
   let golden = counter_samples sim in
   (* A whole-run flip of count's LSB perturbs exactly that bit. *)
-  Interp.reset sim;
-  Interp.inject sim
-    [ { Interp.inj_signal = "count"; inj_fault = Interp.Flip 0;
+  Engine.reset sim;
+  Engine.inject sim
+    [ { Flat.inj_signal = "count"; inj_fault = Flat.Flip 0;
         inj_start = 0; inj_cycles = 10 } ];
   let flipped = counter_samples sim in
   Array.iteri
@@ -1224,16 +1206,16 @@ let test_inject_flip_and_clear () =
         (golden.(i) lxor 1) v)
     flipped;
   (* clear_injections + reset restores bit-identical behaviour. *)
-  Interp.clear_injections sim;
-  Interp.reset sim;
+  Engine.clear_injections sim;
+  Engine.reset sim;
   Alcotest.(check (array int)) "clean after clear" golden
     (counter_samples sim)
 
 let test_inject_stuck_window () =
-  let sim = Interp.create (counter_circuit ()) in
-  Interp.reset sim;
-  Interp.inject sim
-    [ { Interp.inj_signal = "count"; inj_fault = Interp.Stuck_at_1;
+  let sim = Engine.create (counter_circuit ()) in
+  Engine.reset sim;
+  Engine.inject sim
+    [ { Flat.inj_signal = "count"; inj_fault = Flat.Stuck_at_1;
         inj_start = 3; inj_cycles = 2 } ];
   let samples = counter_samples sim in
   (* The counter itself never reaches 255 in 10 cycles, so all-ones
@@ -1243,61 +1225,99 @@ let test_inject_stuck_window () =
   Alcotest.(check int) "last cycle is healthy again" 10 samples.(9)
 
 let test_inject_validation () =
-  let sim = Interp.create (counter_circuit ()) in
+  let sim = Engine.create (counter_circuit ()) in
   let bad name inj =
-    match Interp.inject sim [ inj ] with
+    match Engine.inject sim [ inj ] with
     | exception Invalid_argument _ -> ()
     | () -> Alcotest.failf "%s accepted" name
   in
   bad "unknown signal"
-    { Interp.inj_signal = "nonsense"; inj_fault = Interp.Stuck_at_0;
+    { Flat.inj_signal = "nonsense"; inj_fault = Flat.Stuck_at_0;
       inj_start = 0; inj_cycles = 1 };
   bad "negative start"
-    { Interp.inj_signal = "count"; inj_fault = Interp.Stuck_at_0;
+    { Flat.inj_signal = "count"; inj_fault = Flat.Stuck_at_0;
       inj_start = -1; inj_cycles = 1 };
   bad "zero duration"
-    { Interp.inj_signal = "count"; inj_fault = Interp.Stuck_at_0;
+    { Flat.inj_signal = "count"; inj_fault = Flat.Stuck_at_0;
       inj_start = 0; inj_cycles = 0 };
   bad "flip bit out of range"
-    { Interp.inj_signal = "count"; inj_fault = Interp.Flip 8;
+    { Flat.inj_signal = "count"; inj_fault = Flat.Flip 8;
       inj_start = 0; inj_cycles = 1 }
 
 let test_random_campaign_deterministic () =
-  let sim = Interp.create (generated_top Bussyn.Generate.Gbaviii) in
-  let a = Interp.random_campaign sim ~seed:11 ~n:16 ~horizon:40 in
-  let b = Interp.random_campaign sim ~seed:11 ~n:16 ~horizon:40 in
+  let sim = Engine.create (generated_top Bussyn.Generate.Gbaviii) in
+  let a = Engine.random_campaign sim ~seed:11 ~n:16 ~horizon:40 in
+  let b = Engine.random_campaign sim ~seed:11 ~n:16 ~horizon:40 in
   Alcotest.(check int) "sixteen injections" 16 (List.length a);
   Alcotest.(check bool) "same seed, same campaign" true (a = b);
-  let c = Interp.random_campaign sim ~seed:12 ~n:16 ~horizon:40 in
+  let c = Engine.random_campaign sim ~seed:12 ~n:16 ~horizon:40 in
   Alcotest.(check bool) "different seed, different campaign" true (a <> c);
   (* Every drawn injection is installable as-is. *)
-  Interp.inject sim a;
+  Engine.inject sim a;
   List.iter
-    (fun (i : Interp.injection) ->
+    (fun (i : Flat.injection) ->
       Alcotest.(check bool) "start within horizon" true
-        (i.Interp.inj_start >= 0 && i.Interp.inj_start < 40);
+        (i.Flat.inj_start >= 0 && i.Flat.inj_start < 40);
       Alcotest.(check bool) "duration 1-4" true
-        (i.Interp.inj_cycles >= 1 && i.Interp.inj_cycles <= 4))
+        (i.Flat.inj_cycles >= 1 && i.Flat.inj_cycles <= 4))
     a
 
+(* The campaign stream is part of every fault report's bytes (inject,
+   fuzz campaigns, soak, explore), so pin it: for this design and seed
+   the drawn campaign is the literal below, whether it comes from the
+   flattened circuit or from either engine. *)
+let test_random_campaign_pinned () =
+  let top = generated_top Bussyn.Generate.Gbaviii in
+  let show =
+    List.map (fun (i : Flat.injection) ->
+        Printf.sprintf "%s %s %d %d" i.Flat.inj_signal
+          (match i.Flat.inj_fault with
+          | Flat.Stuck_at_0 -> "stuck0"
+          | Flat.Stuck_at_1 -> "stuck1"
+          | Flat.Flip b -> Printf.sprintf "flip%d" b)
+          i.Flat.inj_start i.Flat.inj_cycles)
+  in
+  let pinned =
+    [
+      "GMEM$MEM$we flip0 39 3";
+      "BAN_0$w_lb_sel flip0 38 2";
+      "SB_0$rdata_out stuck1 26 2";
+      "BAN_1$cpu_ack stuck0 30 2";
+      "w_sb2_rnw_a stuck1 34 2";
+      "BAN_2$CBI$cpu_rnw flip0 13 1";
+      "BAN_1$cpu_rdata flip1 36 4";
+      "BAN_2$MBI$csb stuck1 0 4";
+    ]
+  in
+  let signals, _, _, _, _ = Flat.flatten top in
+  Alcotest.(check (list string))
+    "flattened circuit draws the pinned stream" pinned
+    (show (Flat.random_campaign signals ~seed:11 ~n:8 ~horizon:40));
+  List.iter
+    (fun kind ->
+      let sim = Engine.create ~kind top in
+      Alcotest.(check (list string))
+        (Engine.kind_to_string kind ^ " draws the pinned stream")
+        pinned
+        (show (Engine.random_campaign sim ~seed:11 ~n:8 ~horizon:40)))
+    Engine.all_kinds
+
 let test_current_cycle () =
-  let sim = Interp.create (counter_circuit ()) in
-  Interp.reset sim;
-  Alcotest.(check int) "fresh" 0 (Interp.current_cycle sim);
-  Interp.set_input sim "enable" (Bits.zero 1);
-  Interp.run sim 7;
-  Alcotest.(check int) "counts steps" 7 (Interp.current_cycle sim);
-  Interp.reset sim;
-  Alcotest.(check int) "reset restarts" 0 (Interp.current_cycle sim)
+  let sim = Engine.create (counter_circuit ()) in
+  Engine.reset sim;
+  Alcotest.(check int) "fresh" 0 (Engine.current_cycle sim);
+  Engine.set_input sim "enable" (Bits.zero 1);
+  Engine.run sim 7;
+  Alcotest.(check int) "counts steps" 7 (Engine.current_cycle sim);
+  Engine.reset sim;
+  Alcotest.(check int) "reset restarts" 0 (Engine.current_cycle sim)
 
 (* Both engines under the same campaign must stay in lockstep: the
    faulty differential extends the bit-exactness guarantee to runs
    with injections active. *)
 let test_differential_faulty () =
-  differential
-    ~prepare:(campaign_prepare 77)
-    "gbaviii+faults"
-    (generated_top Bussyn.Generate.Gbaviii)
+  let top = generated_top Bussyn.Generate.Gbaviii in
+  differential ~prepare:(campaign_prepare 77 top) "gbaviii+faults" top
 
 (* ------------------------------------------------------------------ *)
 (* Idle-stretch batching: observers must fire at identical cycles with *)
@@ -1339,17 +1359,17 @@ let test_idle_batching_observers () =
     in
     burst 10; idle 200; burst 10; idle 200
   in
-  (* Per-step slot engine: the unbatched truth. *)
-  let slot = Interp.create top in
-  Interp.reset slot;
-  let slot_trace = ref [] in
-  let slot_readers = List.map (fun o -> (o, Interp.reader slot o)) outs in
-  Interp.on_cycle slot (fun c ->
+  (* Per-step reference engine: the unbatched truth. *)
+  let sim_ref = Interp_ref.create top in
+  Interp_ref.reset sim_ref;
+  let ref_trace = ref [] in
+  let ref_readers = List.map (fun o -> (o, Interp_ref.reader sim_ref o)) outs in
+  Interp_ref.on_cycle sim_ref (fun c ->
       List.iter
-        (fun (o, r) -> slot_trace := (c, o, r ()) :: !slot_trace)
-        slot_readers);
-  drive (Interp.set_input slot) (fun () -> Interp.step slot)
-    (fun n -> Interp.run slot n);
+        (fun (o, r) -> ref_trace := (c, o, r ()) :: !ref_trace)
+        ref_readers);
+  drive (Interp_ref.set_input sim_ref) (fun () -> Interp_ref.step sim_ref)
+    (fun n -> Interp_ref.run sim_ref n);
   (* Batched tape engine. *)
   let tape = Interp_tape.create top in
   Interp_tape.reset tape;
@@ -1362,42 +1382,45 @@ let test_idle_batching_observers () =
   drive (Interp_tape.set_input tape) (fun () -> Interp_tape.step tape)
     (fun n -> Interp_tape.run tape n);
   Alcotest.(check int)
-    "same cycle count" (Interp.current_cycle slot)
+    "same cycle count" (Interp_ref.current_cycle sim_ref)
     (Interp_tape.current_cycle tape);
-  let slot_trace = List.rev !slot_trace and tape_trace = List.rev !tape_trace in
+  let ref_trace = List.rev !ref_trace and tape_trace = List.rev !tape_trace in
   Alcotest.(check int)
-    "same number of observer firings" (List.length slot_trace)
+    "same number of observer firings" (List.length ref_trace)
     (List.length tape_trace);
   List.iter2
     (fun (c1, o1, v1) (c2, o2, v2) ->
       if c1 <> c2 || o1 <> o2 || not (Bits.equal v1 v2) then
         Alcotest.failf
-          "observer trace diverged: slot (%d, %s, %s) vs tape (%d, %s, %s)" c1
+          "observer trace diverged: ref (%d, %s, %s) vs tape (%d, %s, %s)" c1
           o1
           (Bits.to_verilog_literal v1)
           c2 o2
           (Bits.to_verilog_literal v2))
-    slot_trace tape_trace;
+    ref_trace tape_trace;
   (* Final states bit-identical. *)
   List.iter
     (fun s ->
-      if not (Bits.equal (Interp.peek slot s) (Interp_tape.peek tape s)) then
+      if not (Bits.equal (Interp_ref.peek sim_ref s) (Interp_tape.peek tape s))
+      then
         Alcotest.failf "final state diverged on %s" s)
-    (Interp.signal_names slot);
+    (Interp_ref.signal_names sim_ref);
   List.iter
     (fun (m, depth) ->
       for a = 0 to depth - 1 do
         if
           not
-            (Bits.equal (Interp.peek_mem slot m a) (Interp_tape.peek_mem tape m a))
+            (Bits.equal
+               (Interp_ref.peek_mem sim_ref m a)
+               (Interp_tape.peek_mem tape m a))
         then Alcotest.failf "final memory %s[%d] diverged" m a
       done)
-    (Interp.memories slot)
+    (Interp_ref.memories sim_ref)
 
 (* An observer that perturbs the simulation mid-batch (re-driving an
    input at a scheduled cycle) must break the batch at exactly that
    cycle: the tape engine's subsequent behaviour must match a per-step
-   slot engine doing the same thing. *)
+   reference engine doing the same thing. *)
 let test_idle_batching_observer_perturbs () =
   let top = counter_circuit () in
   let run_engine set step_n peek on_cycle current_cycle =
@@ -1411,16 +1434,16 @@ let test_idle_batching_observer_perturbs () =
     ignore (current_cycle ());
     List.rev !trace
   in
-  let slot = Interp.create top in
-  Interp.reset slot;
-  let slot_trace =
-    run_engine (Interp.set_input slot)
+  let sim_ref = Interp_ref.create top in
+  Interp_ref.reset sim_ref;
+  let ref_trace =
+    run_engine (Interp_ref.set_input sim_ref)
       (fun n ->
         for _ = 1 to n do
-          Interp.step slot
+          Interp_ref.step sim_ref
         done)
-      (Interp.peek_int slot) (Interp.on_cycle slot)
-      (fun () -> Interp.current_cycle slot)
+      (Interp_ref.peek_int sim_ref) (Interp_ref.on_cycle sim_ref)
+      (fun () -> Interp_ref.current_cycle sim_ref)
   in
   let tape = Interp_tape.create top in
   Interp_tape.reset tape;
@@ -1431,9 +1454,10 @@ let test_idle_batching_observer_perturbs () =
       (fun () -> Interp_tape.current_cycle tape)
   in
   Alcotest.(check (list (pair int int)))
-    "perturbing observer: identical traces" slot_trace tape_trace;
+    "perturbing observer: identical traces" ref_trace tape_trace;
   Alcotest.(check int)
-    "perturbing observer: same final count" (Interp.peek_int slot "count")
+    "perturbing observer: same final count"
+    (Interp_ref.peek_int sim_ref "count")
     (Interp_tape.peek_int tape "count")
 
 let qcheck_cases =
@@ -1528,6 +1552,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_inject_validation;
           Alcotest.test_case "campaign deterministic" `Quick
             test_random_campaign_deterministic;
+          Alcotest.test_case "campaign stream pinned" `Quick
+            test_random_campaign_pinned;
           Alcotest.test_case "current cycle" `Quick test_current_cycle;
         ] );
       ("properties", qcheck_cases);

@@ -463,6 +463,16 @@ let test_malformed_then_serves () =
   send sv {|{"id":"g","kind":"generate","params":{"arch":"martian"}}|};
   check_error ~what:"bad params" ~id:(Some "g") ~code:"bad-request"
     (recv_exn sv);
+  (* An engine the daemon does not have (here the removed [slot]) is a
+     bad request whose one-line error names the engines it does have. *)
+  send sv
+    {|{"id":"v","kind":"verify","params":{"arch":"bfba","engine":"slot"}}|};
+  let line = recv_exn sv in
+  check_error ~what:"removed engine" ~id:(Some "v") ~code:"bad-request" line;
+  Alcotest.(check (option string))
+    "removed engine: error names tape and ref"
+    (Some "unknown engine \"slot\" (expected tape or ref)")
+    (reply_field line "error");
   (* After all that abuse the connection still serves real work. *)
   send sv {|{"id":"ok","kind":"sleep","params":{"ms":5}}|};
   let line = recv_exn sv in

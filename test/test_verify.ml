@@ -42,8 +42,8 @@ let bfba_options =
 
 let fifo_empty_fault =
   {
-    Interp.inj_signal = "BAN_0$BIF$fifo_a2b$empty";
-    inj_fault = Interp.Stuck_at_1;
+    Flat.inj_signal = "BAN_0$BIF$fifo_a2b$empty";
+    inj_fault = Flat.Stuck_at_1;
     inj_start = 50;
     inj_cycles = 2000;
   }
@@ -104,8 +104,8 @@ let test_monitors_flag_unflagged_fault () =
   Engine.inject sim
     [
       {
-        Interp.inj_signal = "BAN_0$BIF$fifo_a2b$empty";
-        inj_fault = Interp.Stuck_at_1;
+        Flat.inj_signal = "BAN_0$BIF$fifo_a2b$empty";
+        inj_fault = Flat.Stuck_at_1;
         inj_start = 100;
         inj_cycles = 10_000;
       };
@@ -233,8 +233,8 @@ let test_replay_unknown_signal () =
       ~faults:
         [
           {
-            Interp.inj_signal = "BAN_9$NOPE$does_not_exist";
-            inj_fault = Interp.Stuck_at_1;
+            Flat.inj_signal = "BAN_9$NOPE$does_not_exist";
+            inj_fault = Flat.Stuck_at_1;
             inj_start = 10;
             inj_cycles = 100;
           };
