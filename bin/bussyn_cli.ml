@@ -696,9 +696,7 @@ let inject_cmd =
   let run arch pes seed n cycles protect jobs deadline retries worker_mem_mb
       worker_cpu_s engine =
     let module I = Busgen_rtl.Flat in
-    let module E = Busgen_rtl.Engine in
-    let module C = Busgen_rtl.Circuit in
-    let module B = Busgen_rtl.Bits in
+    let module Check = Busgen_verify.Check in
     let kind = engine_of_string engine in
     let policy =
       Sv.policy
@@ -706,110 +704,48 @@ let inject_cmd =
         ~retries:(parse_job_retries retries) ()
     in
     let workers = worker_config ~worker_mem_mb ~worker_cpu_s in
-    (* Classification verdicts cross the worker-process boundary as two
-       booleans; the codec is lossless, so every -j prints the same
-       bytes. *)
+    (* Verdicts cross the worker-process boundary as two booleans; the
+       codec is lossless, so every -j prints the same bytes. *)
     let backend =
       worker_backend workers
-        ~encode:(fun (corrupt, flagged) ->
+        ~encode:(fun (v : Check.verdict) ->
           let w = Bio.writer () in
-          Bio.w_bool w corrupt;
-          Bio.w_bool w flagged;
+          Bio.w_bool w v.Check.corrupted;
+          Bio.w_bool w v.Check.flagged;
           Bio.contents w)
         ~decode:(fun s ->
           let r = Bio.reader s in
-          let corrupt = Bio.r_bool r in
+          let corrupted = Bio.r_bool r in
           let flagged = Bio.r_bool r in
-          (corrupt, flagged))
+          { Check.corrupted; flagged })
     in
     install_interrupt_handlers ();
     let config =
       { (Bussyn.Archs.small_config ~n_pes:pes) with Bussyn.Archs.protect }
     in
     let r = G.generate arch config in
-    let top = r.G.generated.Bussyn.Archs.top in
-    let inputs = C.inputs top in
-    let outputs =
-      List.map (fun (p : C.port) -> p.C.port_name) (C.outputs top)
+    let c =
+      Check.campaign ~engine:kind r.G.generated.Bussyn.Archs.top ~seed ~n
+        ~cycles
     in
-    let sim = E.create ~kind top in
-    let contains hay needle =
-      let n = String.length hay and m = String.length needle in
-      let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
-      go 0
-    in
-    (* The protection strobes exported by the boundary modules (they
-       dangle into nc_ wires at the system level but remain observable
-       flat signals). *)
-    let watch =
-      List.filter
-        (fun s ->
-          contains s "parity_error" || contains s "bus_timeout"
-          || contains s "par_err" || contains s "wd_to")
-        (E.signal_names sim)
-    in
-    let observed = outputs @ watch in
-    let n_out = List.length outputs in
-    (* Deterministic input stimulus, shared by the golden and every
-       faulty run. *)
-    let lcg = ref ((seed lxor 0x5EED) land 0x3FFFFFFF) in
-    let next () =
-      lcg := ((!lcg * 1664525) + 1013904223) land 0x3FFFFFFF;
-      !lcg
-    in
-    let schedule =
-      Array.init cycles (fun _ ->
-          List.map
-            (fun (p : C.port) ->
-              ( p.C.port_name,
-                B.init p.C.port_width (fun _ -> next () land 1 = 1) ))
-            inputs)
-    in
-    let run_once sim =
-      E.reset sim;
-      Array.map
-        (fun ins ->
-          List.iter (fun (nm, v) -> E.set_input sim nm v) ins;
-          E.step sim;
-          List.map (fun s -> E.peek sim s) observed)
-        schedule
-    in
-    let golden = run_once sim in
-    let campaign =
-      Array.of_list (E.random_campaign sim ~seed ~n ~horizon:cycles)
-    in
+    let campaign = Array.of_list (Check.injections c) in
     let fault_name = function
       | I.Stuck_at_0 -> "stuck-at-0"
       | I.Stuck_at_1 -> "stuck-at-1"
       | I.Flip b -> Printf.sprintf "flip bit %d" b
     in
-    (* One job per injection of the seed x arch cell: each worker runs
-       the shared stimulus schedule against its own engine instance and
-       classifies the outcome against the golden trace.  The quadrant a
-       fault lands in depends only on (circuit, schedule, injection),
-       so the merged-in-order results are identical for every -j.
-       Supervision keeps the campaign draining past a hung or crashing
-       injection run: that row prints as NOT CLASSIFIED and the exit
-       code flips to 3 (partial). *)
+    (* One job per injection: workers fork after the golden run, so
+       each classifies on its own copy of the campaign's engine.  The
+       quadrant a fault lands in depends only on (circuit, schedule,
+       injection), so the merged-in-order results are identical for
+       every -j.  Supervision keeps the campaign draining past a hung
+       or crashing injection run: that row prints as NOT CLASSIFIED
+       and the exit code flips to 3 (partial). *)
     match
       Sv.run ~policy ~backend ~jobs
         ~on_progress:(Sv.progress_line ~label:"inject" ())
         ~should_stop (Array.length campaign)
-        (fun idx ->
-          let inj = campaign.(idx) in
-          let sim = E.create ~kind top in
-          E.inject sim [ inj ];
-          let faulty = run_once sim in
-          let corrupt = ref false and flagged = ref false in
-          Array.iteri
-            (fun cy vals ->
-              List.iteri
-                (fun i f ->
-                  if not (B.equal f (List.nth golden.(cy) i)) then
-                    if i < n_out then corrupt := true else flagged := true)
-                vals)
-            faulty;
-          (!corrupt, !flagged))
+        (fun idx -> Check.classify c campaign.(idx))
     with
     | exception Sv.Interrupted ->
         prerr_endline "inject: interrupted";
@@ -825,14 +761,14 @@ let inject_cmd =
             let inj : I.injection = campaign.(idx) in
             let verdict =
               match outcome with
-              | Sv.Ok (corrupt, flagged) ->
+              | Sv.Ok { Check.corrupted; flagged } ->
                   incr
-                    (match (corrupt, flagged) with
+                    (match (corrupted, flagged) with
                     | true, true -> detected_corrupt
                     | true, false -> silent_corrupt
                     | false, true -> detected_masked
                     | false, false -> masked);
-                  (match (corrupt, flagged) with
+                  (match (corrupted, flagged) with
                   | true, true -> "corrupted outputs, flagged"
                   | true, false -> "corrupted outputs, NOT flagged"
                   | false, true -> "masked, flagged"
@@ -856,7 +792,7 @@ let inject_cmd =
         if !casualties > 0 then
           Printf.printf "  NOT CLASSIFIED:       %d (sweep casualties)\n"
             !casualties;
-        if watch = [] then
+        if not (Check.protected c) then
           print_endline
             "  (no protection signals in this design; use --protect to add \
              watchdog/parity hardware)";
@@ -1076,31 +1012,21 @@ let verify_cmd =
     let cfg =
       { (Bussyn.Archs.small_config ~n_pes:pes) with Bussyn.Archs.protect }
     in
-    let r = G.generate arch cfg in
-    let tb =
-      Busgen_rtl.Testbench.create ~engine r.G.generated.Bussyn.Archs.top
-    in
-    let mon =
-      V.Pack.attach (Busgen_rtl.Testbench.engine tb)
-        r.G.generated.Bussyn.Archs.top
-    in
-    let stats =
-      V.Traffic.drive tb ~arch ~config:cfg ~seed:42 ~min_cycles:cycles
-    in
-    let violations = V.Prop.violations mon in
+    let r = V.Check.verify ~engine (G.generate arch cfg) ~cycles in
+    let stats = r.V.Check.vr_stats and violations = r.V.Check.vr_violations in
     if json then
       Printf.bprintf b
         "{\"arch\": \"%s\", \"cycles\": %d, \"transactions\": %d, \
          \"properties\": %d, \"mismatches\": %d, \"violations\": %d}\n"
         (G.arch_name arch) stats.V.Traffic.cycles stats.V.Traffic.transactions
-        (V.Prop.property_count mon) stats.V.Traffic.mismatches
+        r.V.Check.vr_properties stats.V.Traffic.mismatches
         (List.length violations)
     else begin
       Printf.bprintf b
         "%-8s %6d cycles, %5d transactions, %3d properties armed: %s\n"
         (G.arch_name arch) stats.V.Traffic.cycles stats.V.Traffic.transactions
-        (V.Prop.property_count mon)
-        (if violations = [] && stats.V.Traffic.mismatches = 0 then "clean"
+        r.V.Check.vr_properties
+        (if V.Check.clean r then "clean"
          else
            Printf.sprintf "%d violation(s), %d mismatch(es)"
              (List.length violations) stats.V.Traffic.mismatches);
@@ -1110,7 +1036,7 @@ let verify_cmd =
             (Format.asprintf "  %a@." V.Prop.pp_violation v))
         violations
     end;
-    (violations = [] && stats.V.Traffic.mismatches = 0, Buffer.contents b)
+    (V.Check.clean r, Buffer.contents b)
   in
   let run arch pes cycles protect fuzz budget first_case replay corpus json
       jobs deadline retries worker_mem_mb worker_cpu_s sweep_ckpt sweep_every
@@ -1745,14 +1671,6 @@ let serve_cmd =
              design hash).  Hit/miss/eviction counters are in the \
              $(i,stats) reply.")
   in
-  let tape_cache_arg =
-    Arg.(
-      value & opt string "8"
-      & info [ "tape-cache" ] ~docv:"N"
-          ~doc:
-            "Bounded LRU cap on memoized compiled simulation engines \
-             (keyed by design hash and engine kind).")
-  in
   let debug_kinds_arg =
     Arg.(
       value & flag
@@ -1806,7 +1724,7 @@ let serve_cmd =
              min)
   in
   let run stdio socket journal no_journal queue_depth inflight max_frame_kb
-      circuit_cache tape_cache debug_kinds ping send dump_journal dump_replies
+      circuit_cache debug_kinds ping send dump_journal dump_replies
       jobs deadline retries worker_mem_mb worker_cpu_s =
     if ping then (
       match Server.ping ~socket with
@@ -1850,7 +1768,6 @@ let serve_cmd =
                 ~debug_kinds
                 ~circuit_cap:
                   (parse_count ~flag:"--circuit-cache" ~min:1 circuit_cache)
-                ~tape_cap:(parse_count ~flag:"--tape-cache" ~min:1 tape_cache)
                 (if stdio then Server.Stdio else Server.Socket socket)
             in
             Server.run cfg
@@ -1860,17 +1777,17 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run BusSyn as a persistent daemon: newline-delimited JSON \
-          requests (generate, simulate, verify, fuzz, inject, health, \
-          drain) over a Unix socket or stdio, with a write-ahead journaled \
-          queue (SIGKILL-safe exactly-once execution), supervised worker \
-          processes, bounded-queue backpressure and graceful drain on \
-          SIGTERM.")
+          requests (generate, simulate, verify, fuzz, inject, explore, \
+          health, stats, drain) over a Unix socket or stdio, with a \
+          write-ahead journaled queue (SIGKILL-safe exactly-once \
+          execution), supervised worker processes, bounded-queue \
+          backpressure and graceful drain on SIGTERM.")
     Term.(
       const run $ stdio_arg $ socket_arg $ journal_arg $ no_journal_arg
       $ queue_depth_arg $ inflight_arg $ max_frame_arg $ circuit_cache_arg
-      $ tape_cache_arg $ debug_kinds_arg $ ping_arg $ send_arg
-      $ dump_journal_arg $ dump_replies_arg $ jobs_arg $ deadline_arg
-      $ retries_arg $ worker_mem_arg $ worker_cpu_arg)
+      $ debug_kinds_arg $ ping_arg $ send_arg $ dump_journal_arg
+      $ dump_replies_arg $ jobs_arg $ deadline_arg $ retries_arg
+      $ worker_mem_arg $ worker_cpu_arg)
 
 let () =
   let doc =

@@ -1,9 +1,7 @@
 module G = Bussyn.Generate
 module A = Bussyn.Archs
-module C = Busgen_rtl.Circuit
 module E = Busgen_rtl.Engine
 module Tb = Busgen_rtl.Testbench
-module B = Busgen_rtl.Bits
 module Traffic = Busgen_verify.Traffic
 module Sv = Busgen_par.Supervise
 module Sweep = Busgen_ckpt.Sweep
@@ -77,40 +75,18 @@ type score = {
 (* Scoring                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let contains hay needle =
-  let n = String.length hay and m = String.length needle in
-  let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
-  go 0
-
-(* The same detection taps the serve `inject` job watches: protection
-   flags raised by PARITY_CHK and WATCHDOG instances. *)
-let watch_signals sim =
-  List.filter
-    (fun s ->
-      contains s "parity_error" || contains s "bus_timeout"
-      || contains s "par_err" || contains s "wd_to")
-    (E.signal_names sim)
-
 let score ?(engine = E.default_kind) ?(generate = G.generate) (p : Profile.t)
     c =
   let config = config_of p c in
   let r = generate c.ca_arch config in
   let top = r.G.generated.A.top in
   let sim = E.create ~kind:engine top in
-  let inputs = C.inputs top in
-  (* One engine, many runs: reset + zero inputs restores the
-     [Testbench.create] starting state without recompiling. *)
+  (* One engine, many runs: each run restarts it instead of
+     recompiling. *)
   let fresh_tb injs =
-    E.clear_injections sim;
-    E.clear_observers sim;
-    E.reset sim;
-    List.iter
-      (fun (pt : C.port) ->
-        E.set_input sim pt.C.port_name (B.zero pt.C.port_width))
-      inputs;
-    E.settle sim;
+    let tb = Tb.restart sim top in
     if injs <> [] then E.inject sim injs;
-    Tb.of_engine sim
+    tb
   in
   let drive_traffic tb =
     let tr = Traffic.create tb ~arch:c.ca_arch ~config ~seed:p.Profile.seed in
@@ -136,7 +112,7 @@ let score ?(engine = E.default_kind) ?(generate = G.generate) (p : Profile.t)
         E.random_campaign sim ~seed:p.Profile.fault_seed ~n:p.Profile.faults
           ~horizon
       in
-      let watch = watch_signals sim in
+      let watch = Busgen_verify.Check.protection_taps sim in
       let survived = ref 0 and det = ref 0 in
       List.iter
         (fun inj ->

@@ -1,5 +1,4 @@
 type t = {
-  circuit : Circuit.t option;
   sim : Engine.t;
   widths : (string, int) Hashtbl.t; (* input ports *)
   mutable cycle_count : int;
@@ -16,18 +15,22 @@ let input_widths circuit =
     (Circuit.inputs circuit);
   widths
 
-let create ?engine circuit =
-  let sim = Engine.create ?kind:engine circuit in
+let restart sim circuit =
+  Engine.clear_observers sim;
+  Engine.clear_injections sim;
   Engine.reset sim;
   let widths = input_widths circuit in
   Hashtbl.iter
     (fun name width -> Engine.set_input sim name (Bits.zero width))
     widths;
   Engine.settle sim;
-  { circuit = Some circuit; sim; widths; cycle_count = 0 }
+  { sim; widths; cycle_count = 0 }
+
+let create ?engine circuit =
+  restart (Engine.create ?kind:engine circuit) circuit
 
 let of_engine sim =
-  { circuit = None; sim; widths = Hashtbl.create 0; cycle_count = 0 }
+  { sim; widths = Hashtbl.create 0; cycle_count = 0 }
 
 let engine t = t.sim
 

@@ -14,8 +14,14 @@ exception Mismatch of string
 (** Raised by {!expect}, naming signal, got and want. *)
 
 val create : ?engine:Engine.kind -> Circuit.t -> t
-(** Build the engine (default {!Engine.default_kind}), reset it, and
-    drive every input to zero. *)
+(** Build the engine (default {!Engine.default_kind}) and {!restart}
+    it. *)
+
+val restart : Engine.t -> Circuit.t -> t
+(** Bring an engine built for the circuit back to the state {!create}
+    leaves a fresh one in: observers and injections cleared, registers
+    and memories reset, every input driven to zero, settled.  Lets one
+    compiled engine serve many runs. *)
 
 val of_engine : Engine.t -> t
 (** Wrap an existing simulation (inputs are left as they are). *)

@@ -1,44 +1,21 @@
 module Lru = Busgen_cache.Lru
 module G = Bussyn.Generate
-module E = Busgen_rtl.Engine
-module C = Busgen_rtl.Circuit
-module B = Busgen_rtl.Bits
 module Io = Busgen_binio.Io
 
-type snap = { sn_circuits : Lru.stats; sn_tapes : Lru.stats }
+type snap = { sn_circuits : Lru.stats; sn_catalog : Lru.stats }
 
-let circuits : (string, G.t) Lru.t ref = ref (Lru.create ~cap:64 ())
-let tapes : (string, E.t) Lru.t ref = ref (Lru.create ~cap:8 ())
-
-let configure ?circuit_cap ?tape_cap () =
-  Option.iter (fun cap -> Lru.resize !circuits ~cap) circuit_cap;
-  Option.iter (fun cap -> Lru.resize !tapes ~cap) tape_cap
+let circuits : (string, G.t) Lru.t = Lru.create ~cap:64 ()
+let set_circuit_cap cap = Lru.resize circuits ~cap
 
 let circuit arch config =
   let key = G.design_hash arch config in
-  Lru.find_or_add !circuits key (fun () -> G.generate arch config)
-
-(* Checkout: make a cached (possibly dirty) engine indistinguishable
-   from the one Testbench.create would build fresh — same observer set
-   (none), same injections (none), same register/memory state (reset),
-   same input values (zero), settled. *)
-let checkout e top =
-  E.clear_observers e;
-  E.clear_injections e;
-  E.reset e;
-  List.iter
-    (fun (p : C.port) -> E.set_input e p.C.port_name (B.zero p.C.port_width))
-    (C.inputs top);
-  E.settle e;
-  e
-
-let engine ~kind ~hash ~top =
-  let key = hash ^ ":" ^ E.kind_to_string kind in
-  let e = Lru.find_or_add !tapes key (fun () -> E.create ~kind top) in
-  checkout e top
+  Lru.find_or_add circuits key (fun () -> G.generate arch config)
 
 let snapshot () =
-  { sn_circuits = Lru.stats !circuits; sn_tapes = Lru.stats !tapes }
+  {
+    sn_circuits = Lru.stats circuits;
+    sn_catalog = Busgen_modlib.Catalog.cache_stats ();
+  }
 
 let map2 f (a : Lru.stats) (b : Lru.stats) : Lru.stats =
   {
@@ -51,19 +28,19 @@ let map2 f (a : Lru.stats) (b : Lru.stats) : Lru.stats =
 let sub after before =
   {
     sn_circuits = map2 ( - ) after.sn_circuits before.sn_circuits;
-    sn_tapes = map2 ( - ) after.sn_tapes before.sn_tapes;
+    sn_catalog = map2 ( - ) after.sn_catalog before.sn_catalog;
   }
 
 let add a b =
   {
     sn_circuits = map2 ( + ) a.sn_circuits b.sn_circuits;
-    sn_tapes = map2 ( + ) a.sn_tapes b.sn_tapes;
+    sn_catalog = map2 ( + ) a.sn_catalog b.sn_catalog;
   }
 
 let zero_stats : Lru.stats =
   { Lru.st_size = 0; st_cap = 0; st_hits = 0; st_misses = 0; st_evictions = 0 }
 
-let zero = { sn_circuits = zero_stats; sn_tapes = zero_stats }
+let zero = { sn_circuits = zero_stats; sn_catalog = zero_stats }
 
 let encode_stats w (s : Lru.stats) =
   Io.w_int w s.Lru.st_size;
@@ -82,9 +59,9 @@ let decode_stats r =
 
 let encode w s =
   encode_stats w s.sn_circuits;
-  encode_stats w s.sn_tapes
+  encode_stats w s.sn_catalog
 
 let decode r =
   let sn_circuits = decode_stats r in
-  let sn_tapes = decode_stats r in
-  { sn_circuits; sn_tapes }
+  let sn_catalog = decode_stats r in
+  { sn_circuits; sn_catalog }

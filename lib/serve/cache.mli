@@ -1,47 +1,33 @@
-(** The daemon's design-keyed memo caches (two {!Busgen_cache.Lru}
-    instances):
+(** The daemon's design-keyed circuit memo and the counters its [stats]
+    reply reports.
 
-    - {b circuits}: [design_hash -> Generate.t] — the generated system
-      with its metrics.  Lives in the supervising parent (warmed at
-      admission) and is inherited copy-on-write by forked procpool
-      workers, so a batch's workers start hot.
-    - {b tapes}: [design_hash:engine-kind -> Engine.t] — compiled
-      evaluation engines, rebuilt per worker (engines are mutable
-      simulation state and never cross the fork back).  {!engine}
-      hands out a checked-out engine restored to the exact state a
-      fresh [Testbench.create] would produce (observers and injections
-      cleared, registers and memories reset, inputs zeroed, settled) —
-      the chaos byte-identity test leans on this equivalence.
+    {b circuits} is a {!Busgen_cache.Lru} from [design_hash] to
+    [Generate.t], the generated system with its metrics.  It lives in
+    the supervising parent, which warms it at admission, and forked
+    procpool workers inherit it copy-on-write, so a batch's workers
+    start hot.  Simulation engines are not cached: each job builds its
+    own.
 
-    Hit/miss/eviction counters travel from worker children back to the
-    parent as {!snap} deltas piggybacked on each job result, so the
-    [stats] reply aggregates the whole fleet. *)
+    A {!snap} holds the circuit counters and the module library's
+    ({!Busgen_modlib.Catalog.cache_stats}).  Workers send their
+    counters back to the parent as {!snap} deltas piggybacked on each
+    job result, so the [stats] reply aggregates the whole fleet. *)
 
 type snap = {
   sn_circuits : Busgen_cache.Lru.stats;
-  sn_tapes : Busgen_cache.Lru.stats;
+  sn_catalog : Busgen_cache.Lru.stats;
 }
 
-val configure : ?circuit_cap:int -> ?tape_cap:int -> unit -> unit
-(** Rebound the caches (defaults 64 circuits, 8 tapes).  Raises
-    [Invalid_argument] on caps [< 1]. *)
+val set_circuit_cap : int -> unit
+(** Rebound the circuit memo (default 64).  Raises [Invalid_argument]
+    on caps [< 1]. *)
 
 val circuit : Bussyn.Generate.arch -> Bussyn.Archs.config -> Bussyn.Generate.t
 (** Memoized {!Bussyn.Generate.generate}, keyed by
     {!Bussyn.Generate.design_hash}. *)
 
-val engine :
-  kind:Busgen_rtl.Engine.kind ->
-  hash:string ->
-  top:Busgen_rtl.Circuit.t ->
-  Busgen_rtl.Engine.t
-(** Memoized compiled engine for [top], keyed by [hash ^ kind]; checked
-    out as described above.  The caller owns it until the next
-    {!engine} call for the same key (the daemon's executors are
-    strictly sequential within a worker). *)
-
 val snapshot : unit -> snap
-(** Current counters of this process's caches. *)
+(** Current counters of this process. *)
 
 val sub : snap -> snap -> snap
 (** [sub after before]: counter-wise difference (sizes/caps kept from

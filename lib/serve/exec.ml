@@ -4,10 +4,8 @@
 module G = Bussyn.Generate
 module A = Bussyn.Archs
 module E = Busgen_rtl.Engine
-module C = Busgen_rtl.Circuit
-module B = Busgen_rtl.Bits
 module Tb = Busgen_rtl.Testbench
-module V_pack = Busgen_verify.Pack
+module V_check = Busgen_verify.Check
 module V_prop = Busgen_verify.Prop
 module V_traffic = Busgen_verify.Traffic
 module V_fuzz = Busgen_verify.Fuzz
@@ -310,30 +308,23 @@ let simulate_result arch workload max_cycles =
       ]
 
 let verify_result arch config cycles kind =
-  let r = Cache.circuit arch config in
-  let top = r.G.generated.A.top in
-  let hash = G.design_hash arch config in
-  let e = Cache.engine ~kind ~hash ~top in
-  let tb = Tb.of_engine e in
-  let mon = V_pack.attach e top in
-  let stats = V_traffic.drive tb ~arch ~config ~seed:42 ~min_cycles:cycles in
-  let violations = V_prop.violations mon in
-  (* Leave the engine observer-free for its next checkout. *)
-  E.clear_observers e;
+  let r = V_check.verify ~engine:kind (Cache.circuit arch config) ~cycles in
+  let stats = r.V_check.vr_stats in
   Json.Obj
     [
       ("kind", Json.String "verify");
       ("arch", Json.String (G.arch_name arch));
       ("cycles", Json.Int stats.V_traffic.cycles);
       ("transactions", Json.Int stats.V_traffic.transactions);
-      ("properties", Json.Int (V_prop.property_count mon));
+      ("properties", Json.Int r.V_check.vr_properties);
       ("mismatches", Json.Int stats.V_traffic.mismatches);
-      ("violations", Json.Int (List.length violations));
+      ("violations", Json.Int (List.length r.V_check.vr_violations));
       ( "violation_names",
         Json.List
-          (List.map (fun v -> Json.String v.V_prop.v_prop) violations) );
-      ( "clean",
-        Json.Bool (violations = [] && stats.V_traffic.mismatches = 0) );
+          (List.map
+             (fun v -> Json.String v.V_prop.v_prop)
+             r.V_check.vr_violations) );
+      ("clean", Json.Bool (V_check.clean r));
     ]
 
 let fuzz_result seed budget cycles first_case =
@@ -369,91 +360,30 @@ let fuzz_result seed budget cycles first_case =
       ("casualties", Json.Int (List.length report.V_fuzz.f_casualties));
     ]
 
-(* The CLI inject campaign, run serially against one checked-out
-   engine: golden run first, then each injection against the same
-   stimulus schedule, classified into the protection quadrants. *)
+(* The CLI's inject campaign, classified serially on one engine. *)
 let inject_result arch config seed n cycles kind =
   let r = Cache.circuit arch config in
-  let top = r.G.generated.A.top in
-  let hash = G.design_hash arch config in
-  let sim = Cache.engine ~kind ~hash ~top in
-  let inputs = C.inputs top in
-  let outputs = List.map (fun (p : C.port) -> p.C.port_name) (C.outputs top) in
-  let contains hay needle =
-    let n = String.length hay and m = String.length needle in
-    let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
-    go 0
+  let c =
+    V_check.campaign ~engine:kind r.G.generated.A.top ~seed ~n ~cycles
   in
-  let watch =
-    List.filter
-      (fun s ->
-        contains s "parity_error" || contains s "bus_timeout"
-        || contains s "par_err" || contains s "wd_to")
-      (E.signal_names sim)
+  let verdicts = List.map (V_check.classify c) (V_check.injections c) in
+  let count corrupted flagged =
+    Json.Int
+      (List.length
+         (List.filter (( = ) { V_check.corrupted; flagged }) verdicts))
   in
-  let observed = outputs @ watch in
-  let n_out = List.length outputs in
-  let lcg = ref ((seed lxor 0x5EED) land 0x3FFFFFFF) in
-  let next () =
-    lcg := ((!lcg * 1664525) + 1013904223) land 0x3FFFFFFF;
-    !lcg
-  in
-  let schedule =
-    Array.init cycles (fun _ ->
-        List.map
-          (fun (p : C.port) ->
-            (p.C.port_name, B.init p.C.port_width (fun _ -> next () land 1 = 1)))
-          inputs)
-  in
-  let run_once () =
-    E.reset sim;
-    Array.map
-      (fun ins ->
-        List.iter (fun (nm, v) -> E.set_input sim nm v) ins;
-        E.step sim;
-        List.map (fun s -> E.peek sim s) observed)
-      schedule
-  in
-  let golden = run_once () in
-  let campaign = E.random_campaign sim ~seed ~n ~horizon:cycles in
-  let detected_corrupt = ref 0
-  and silent_corrupt = ref 0
-  and detected_masked = ref 0
-  and masked = ref 0 in
-  List.iter
-    (fun inj ->
-      E.clear_injections sim;
-      E.inject sim [ inj ];
-      let faulty = run_once () in
-      let corrupt = ref false and flagged = ref false in
-      Array.iteri
-        (fun cy vals ->
-          List.iteri
-            (fun i f ->
-              if not (B.equal f (List.nth golden.(cy) i)) then
-                if i < n_out then corrupt := true else flagged := true)
-            vals)
-        faulty;
-      incr
-        (match (!corrupt, !flagged) with
-        | true, true -> detected_corrupt
-        | true, false -> silent_corrupt
-        | false, true -> detected_masked
-        | false, false -> masked))
-    campaign;
-  E.clear_injections sim;
   Json.Obj
     [
       ("kind", Json.String "inject");
       ("arch", Json.String (G.arch_name arch));
       ("seed", Json.Int seed);
-      ("n", Json.Int (List.length campaign));
+      ("n", Json.Int (List.length verdicts));
       ("cycles", Json.Int cycles);
-      ("protected", Json.Bool (watch <> []));
-      ("corrupted_flagged", Json.Int !detected_corrupt);
-      ("corrupted_unflagged", Json.Int !silent_corrupt);
-      ("masked_flagged", Json.Int !detected_masked);
-      ("masked", Json.Int !masked);
+      ("protected", Json.Bool (V_check.protected c));
+      ("corrupted_flagged", count true true);
+      ("corrupted_unflagged", count true false);
+      ("masked_flagged", count false true);
+      ("masked", count false false);
     ]
 
 (* Serial exploration against the memoizing circuit cache: jobs = 1

@@ -22,7 +22,8 @@
     [--debug-kinds]. *)
 
 val job_kinds : string list
-(** The serviceable kinds: generate, simulate, verify, fuzz, inject. *)
+(** The serviceable kinds: generate, simulate, verify, fuzz, inject,
+    explore. *)
 
 val debug_kinds : string list
 (** sleep, spin, crash, fail. *)

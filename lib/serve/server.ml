@@ -23,7 +23,6 @@ type config = {
   cf_max_frame : int;
   cf_debug_kinds : bool;
   cf_circuit_cap : int;
-  cf_tape_cap : int;
   cf_journal_max_bytes : int;
   cf_log : string -> unit;
 }
@@ -33,7 +32,7 @@ let config ?(journal = Some "serve-journal") ?(queue_depth = 256)
     ?(policy = Sv.policy ~deadline:30. ~retries:1 ())
     ?(jobs = Sv.default_jobs ()) ?(limits = Procpool.config ())
     ?(max_frame = 1024 * 1024)
-    ?(debug_kinds = false) ?(circuit_cap = 64) ?(tape_cap = 8)
+    ?(debug_kinds = false) ?(circuit_cap = 64)
     ?(journal_max_bytes = 256 * 1024 * 1024)
     ?(log = fun m -> Printf.eprintf "%s\n%!" m) transport =
   if queue_depth < 1 then invalid_arg "serve: queue depth must be positive";
@@ -54,7 +53,6 @@ let config ?(journal = Some "serve-journal") ?(queue_depth = 256)
     cf_max_frame = max_frame;
     cf_debug_kinds = debug_kinds;
     cf_circuit_cap = circuit_cap;
-    cf_tape_cap = tape_cap;
     cf_journal_max_bytes = journal_max_bytes;
     cf_log = log;
   }
@@ -274,8 +272,7 @@ let stats_result st =
         Json.Obj
           [
             ("circuits", stats_of agg.Cache.sn_circuits);
-            ("tapes", stats_of agg.Cache.sn_tapes);
-            ("catalog", stats_of (Busgen_modlib.Catalog.cache_stats ()));
+            ("catalog", stats_of agg.Cache.sn_catalog);
           ] );
       ( "journal",
         match st.journal with
@@ -758,7 +755,7 @@ let shutdown st ~code =
 
 let run cfg =
   Intr.install ();
-  Cache.configure ~circuit_cap:cfg.cf_circuit_cap ~tape_cap:cfg.cf_tape_cap ();
+  Cache.set_circuit_cap cfg.cf_circuit_cap;
   let st = create_state cfg in
   (match cfg.cf_transport with
   | Socket path -> cfg.cf_log (Printf.sprintf "[serve] listening on %s" path)

@@ -47,7 +47,6 @@ type config = {
   cf_max_frame : int;  (** request-line byte cap *)
   cf_debug_kinds : bool;
   cf_circuit_cap : int;
-  cf_tape_cap : int;
   cf_journal_max_bytes : int;  (** auto-compaction threshold *)
   cf_log : string -> unit;
 }
@@ -62,7 +61,6 @@ val config :
   ?max_frame:int ->
   ?debug_kinds:bool ->
   ?circuit_cap:int ->
-  ?tape_cap:int ->
   ?journal_max_bytes:int ->
   ?log:(string -> unit) ->
   transport ->
@@ -70,7 +68,7 @@ val config :
 (** Defaults: journal [Some "serve-journal"], queue depth 256, client
     in-flight 64, default supervise policy with a 30 s deadline and
     1 retry, jobs = available cores, 1 MiB frames, debug kinds off,
-    64-circuit / 8-tape caches, 256 MiB compaction threshold, log to
+    a 64-circuit cache, 256 MiB compaction threshold, log to
     stderr.  Raises [Invalid_argument] on non-positive bounds. *)
 
 val run : config -> int

@@ -634,6 +634,107 @@ let test_explore_request () =
     (reply "too-big");
   Alcotest.(check int) "clean exit" 0 (finish sv)
 
+(* Run the CLI and return its stdout; it must exit 0. *)
+let cli_stdout args =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin w
+      (Lazy.force devnull)
+  in
+  Unix.close w;
+  let ic = Unix.in_channel_of_descr r in
+  let out = In_channel.input_all ic in
+  close_in ic;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> out
+  | _ -> Alcotest.failf "bussyn_cli %s failed" (String.concat " " args)
+
+let cli_quadrants args =
+  let lines = String.split_on_char '\n' (cli_stdout ("inject" :: args)) in
+  List.map
+    (fun label ->
+      let prefix = "  " ^ label in
+      match List.find_opt (String.starts_with ~prefix) lines with
+      | Some l ->
+          int_of_string
+            (String.trim
+               (String.sub l (String.length prefix)
+                  (String.length l - String.length prefix)))
+      | None -> Alcotest.failf "no %S line in the CLI summary" label)
+    [
+      "corrupted + flagged:"; "corrupted, unflagged:"; "masked but flagged:";
+      "fully masked:";
+    ]
+
+(* Serve's inject reply and the CLI's inject summary come from the same
+   campaign code, so equal arguments give equal quadrant counts.  The
+   two requests together land in all four quadrants. *)
+let test_inject_matches_cli () =
+  let sv = start ~args:[ "--no-journal" ] () in
+  send_many sv
+    [
+      {|{"id":"ccba","kind":"inject","params":{"arch":"ccba","pes":2,"protect":true,"seed":1,"n":16,"cycles":120}}|};
+      {|{"id":"gbavi","kind":"inject","params":{"arch":"gbavi","pes":2,"protect":true,"seed":1,"n":16,"cycles":120,"engine":"ref"}}|};
+    ];
+  let replies = Hashtbl.create 2 in
+  for _ = 1 to 2 do
+    let line = recv_exn sv in
+    Hashtbl.replace replies (Option.get (reply_field line "id")) line
+  done;
+  Alcotest.(check int) "clean exit" 0 (finish sv);
+  let serve_quadrants id =
+    let result =
+      Option.get (Json.member "result" (parse_reply (Hashtbl.find replies id)))
+    in
+    List.map
+      (fun key ->
+        Option.get (Option.bind (Json.member key result) Json.get_int))
+      [ "corrupted_flagged"; "corrupted_unflagged"; "masked_flagged"; "masked" ]
+  in
+  let args =
+    [ "-p"; "2"; "--protect"; "--seed"; "1"; "-n"; "16"; "--cycles"; "120" ]
+  in
+  let ccba = cli_quadrants ("-a" :: "ccba" :: args) in
+  let gbavi = cli_quadrants ("-a" :: "gbavi" :: "--engine" :: "ref" :: args) in
+  Alcotest.(check (list int)) "ccba on tape" ccba (serve_quadrants "ccba");
+  Alcotest.(check (list int)) "gbavi on ref" gbavi (serve_quadrants "gbavi");
+  Alcotest.(check (list bool))
+    "all four quadrants covered" [ true; true; true; true ]
+    (List.map2 (fun a b -> a + b > 0) ccba gbavi)
+
+(* Module-library lookups made inside a worker reach the parent's
+   [stats] reply: exploring a second architecture generates it in the
+   worker, so the catalog must report more lookups. *)
+let catalog_lookups archs =
+  let sv = start ~args:[ "--no-journal"; "--jobs"; "1" ] () in
+  send sv
+    (Printf.sprintf
+       {|{"id":"x","kind":"explore","params":{"profile":"seed = 3\ntransactions = 20\narchs = %s\n"}}|}
+       archs);
+  Alcotest.(check (option string)) "explore served" (Some "x")
+    (reply_field (recv_exn sv) "id");
+  send sv {|{"id":"s","kind":"stats"}|};
+  let result = Option.get (Json.member "result" (parse_reply (recv_exn sv))) in
+  Alcotest.(check int) "clean exit" 0 (finish sv);
+  let cache =
+    match Json.member "cache" result with
+    | Some (Json.Obj fields) -> fields
+    | _ -> Alcotest.fail "stats reply without a cache object"
+  in
+  Alcotest.(check (list string)) "cache holds circuits and catalog"
+    [ "circuits"; "catalog" ] (List.map fst cache);
+  let count key =
+    Option.get
+      (Option.bind (Json.member key (List.assoc "catalog" cache)) Json.get_int)
+  in
+  count "hits" + count "misses"
+
+let test_stats_count_worker_catalog () =
+  let one = catalog_lookups "bfba" and two = catalog_lookups "bfba, gbavi" in
+  Alcotest.(check bool)
+    (Printf.sprintf "two archs look up more modules (%d vs %d)" two one)
+    true (two > one)
+
 (* ------------------------------------------------------------------ *)
 (* Journal-driven daemon behavior                                      *)
 (* ------------------------------------------------------------------ *)
@@ -815,6 +916,10 @@ let () =
           Alcotest.test_case "queue deadline shed" `Quick test_deadline_shed;
           Alcotest.test_case "drain request" `Quick test_drain_request;
           Alcotest.test_case "explore request" `Quick test_explore_request;
+          Alcotest.test_case "inject matches the CLI" `Quick
+            test_inject_matches_cli;
+          Alcotest.test_case "stats count worker catalog lookups" `Quick
+            test_stats_count_worker_catalog;
         ] );
       ( "chaos",
         [

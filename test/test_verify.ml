@@ -302,6 +302,59 @@ let test_corpus_replay () =
             (Fuzz.outcome_class res.Fuzz.r_outcome))
     files
 
+(* ------------------------------------------------------------------ *)
+(* Testbench.restart leaves an engine as Testbench.create builds one   *)
+(* ------------------------------------------------------------------ *)
+
+let same_state (a : Flat.state) (b : Flat.state) =
+  a.Flat.st_cycle = b.Flat.st_cycle
+  && Array.for_all2
+       (fun (n, v) (n', v') -> n = n' && Bits.equal v v')
+       a.Flat.st_values b.Flat.st_values
+  && Array.for_all2
+       (fun (n, ws) (n', ws') -> n = n' && Array.for_all2 Bits.equal ws ws')
+       a.Flat.st_mems b.Flat.st_mems
+
+(* A dirty first run (faults installed, an observer counting cycles),
+   then [restart] and a clean run: the clean run must match the same
+   traffic on a fresh [create] exactly, and the old observer must stay
+   silent. *)
+let test_restart_matches_create (name, arch, build) () =
+  let config = { small with Archs.protect = true } in
+  let top = (build config).Archs.top in
+  let session tb =
+    let tr = Traffic.create tb ~arch ~config ~seed:9 in
+    for _ = 1 to 40 do
+      Traffic.step tr
+    done;
+    ( Traffic.stats tr ~cycles:(Testbench.cycles tb),
+      Traffic.export_state tr,
+      Engine.export_state (Testbench.engine tb) )
+  in
+  List.iter
+    (fun kind ->
+      let what = name ^ "/" ^ Engine.kind_to_string kind in
+      let tb = Testbench.create ~engine:kind top in
+      let sim = Testbench.engine tb in
+      let fired = ref 0 in
+      Engine.on_cycle sim (fun _ -> incr fired);
+      Engine.inject sim (Engine.random_campaign sim ~seed:5 ~n:12 ~horizon:200);
+      (try ignore (session tb)
+       with Testbench.Timeout _ | Testbench.Mismatch _ -> ());
+      Alcotest.(check bool) (what ^ ": observer ran") true (!fired > 0);
+      let fired_before = !fired in
+      let stats, traffic, state = session (Testbench.restart sim top) in
+      Alcotest.(check int) (what ^ ": old observer silent") fired_before !fired;
+      let stats', traffic', state' =
+        session (Testbench.create ~engine:kind top)
+      in
+      Alcotest.(check bool) (what ^ ": traffic stats") true (stats = stats');
+      Alcotest.(check bool) (what ^ ": traffic state") true
+        (traffic = traffic');
+      Alcotest.(check bool) (what ^ ": engine state") true
+        (same_state state state'))
+    Engine.all_kinds
+
 let () =
   Alcotest.run "verify"
     [
@@ -309,6 +362,11 @@ let () =
         List.map
           (fun ((name, _, _) as b) ->
             Alcotest.test_case name `Slow (test_pack_fault_free b))
+          builders );
+      ( "testbench restart matches create",
+        List.map
+          (fun ((name, _, _) as b) ->
+            Alcotest.test_case name `Quick (test_restart_matches_create b))
           builders );
       ( "fault detection",
         [
