@@ -19,25 +19,26 @@ type flat_mem = {
   fm_reads : (string * Expr.t) list;
 }
 
+(* The instance that declared a flat signal, as the duplicate-signal
+   error names it: the instance path (innermost first) and its module. *)
+let instance_path (path, (c : Circuit.t)) =
+  match path with
+  | [] -> Printf.sprintf "<top> (%s)" (Circuit.name c)
+  | _ ->
+      Printf.sprintf "%s (%s)" (String.concat "." (List.rev path))
+        (Circuit.name c)
+
 (* Every signal of every instance becomes [prefix ^ signal]; instance
    boundaries become alias assignments. *)
 let flatten (top : Circuit.t) =
-  let widths = Hashtbl.create 256 in
-  (* flat name -> instance path that declared it, for error reporting *)
+  (* flat name -> the declaring instance, formatted only on a collision *)
   let origins = Hashtbl.create 256 in
   let decls = ref [] in (* (flat name, width), reversed declaration order *)
   let assigns = ref [] in
   let regs = ref [] in
   let mems = ref [] in
   let rec go prefix path (c : Circuit.t) =
-    let path_str () =
-      match path with
-      | [] -> Printf.sprintf "<top> (%s)" (Circuit.name c)
-      | _ ->
-          Printf.sprintf "%s (%s)"
-            (String.concat "." (List.rev path))
-            (Circuit.name c)
-    in
+    let origin = (path, c) in
     let add_width name w =
       (match Hashtbl.find_opt origins name with
       | Some first ->
@@ -45,9 +46,8 @@ let flatten (top : Circuit.t) =
             (Printf.sprintf
                "Flat: duplicate flat signal %s: first declared in instance \
                 %s, collides with a declaration in instance %s"
-               name first (path_str ()))
-      | None -> Hashtbl.add origins name (path_str ()));
-      Hashtbl.add widths name w;
+               name (instance_path first) (instance_path origin))
+      | None -> Hashtbl.add origins name origin);
       decls := (name, w) :: !decls
     in
     let ren n = prefix ^ n in
@@ -114,6 +114,20 @@ let flatten (top : Circuit.t) =
     (Circuit.inputs top);
   ( List.rev !decls, top_inputs, List.rev !assigns, List.rev !regs,
     List.rev !mems )
+
+(* The combinational graph over flat names: one node per assignment
+   target and per memory read port (memory words are state, so a read
+   port depends only on its address). *)
+let levelize assigns mems =
+  let graph =
+    List.map (fun (tgt, e) -> (tgt, Expr.vars e)) assigns
+    @ List.concat_map
+        (fun m -> List.map (fun (rd, a) -> (rd, Expr.vars a)) m.fm_reads)
+        mems
+  in
+  try Depth.levelize graph
+  with Depth.Combinational_cycle cycle ->
+    invalid_arg ("Flat: combinational loop: " ^ String.concat " -> " cycle)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)

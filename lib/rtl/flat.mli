@@ -37,6 +37,19 @@ val flatten :
     @raise Invalid_argument if two declarations flatten to the same name
     (the message names both instance paths). *)
 
+val levelize :
+  (string * Expr.t) list -> flat_mem list -> (string * int) list
+(** [levelize assigns mems] orders the combinational graph of a
+    flattened design: one node per assignment target and per memory
+    read port, each depending on the variables of its expression (a
+    read port on its address).  The result is {!Depth.levelize}'s: every
+    node with its level, in evaluation order.  {!Interp_tape} schedules
+    from it and {!Lint} checks it, so both see the same graph.
+    @raise Invalid_argument on a combinational loop; the message names
+    the cycle in dependency order, closed once:
+    [combinational loop: a -> b -> a] means [a] reads [b] and [b]
+    reads [a]. *)
+
 (** {1 Fault injection}
 
     Deterministic, cycle-scheduled faults on named flat signals.  While

@@ -135,10 +135,17 @@ let schedule widths assigns (mems : flat_mem list) =
         match Hashtbl.find_opt state name with
         | Some 2 -> ()
         | Some 1 ->
-            let cycle = name :: List.rev (name :: path) in
+            (* [path] runs from the node that reads [name] back to the
+               root; its part up to [name], reversed, is the cycle in
+               dependency order. *)
+            let rec cycle acc = function
+              | [] -> acc
+              | n :: rest ->
+                  if n = name then n :: acc else cycle (n :: acc) rest
+            in
             invalid_arg
-              ("Interp_ref: combinational loop: " ^ String.concat " -> "
-                 (List.rev cycle))
+              ("Interp_ref: combinational loop: "
+              ^ String.concat " -> " (cycle [ name ] path))
         | Some _ | None ->
             Hashtbl.replace state name 1;
             List.iter (visit (name :: path)) deps;

@@ -35,7 +35,8 @@
 
    Flattening goes through {!Flat.flatten}, so the flat-name universe,
    slot numbering and {!Flat.state} snapshot layout are fixed there;
-   snapshots interchange freely with {!Interp_ref}. *)
+   snapshots interchange freely with {!Interp_ref}.  The schedule comes
+   from {!Flat.levelize}, the graph {!Lint} checks. *)
 
 let small_limit = 62
 
@@ -940,20 +941,7 @@ let create top =
         (fun (rd, a) -> Hashtbl.replace node_bodies rd (`Memread (mi, a)))
         m.fm_reads)
     fmems_arr;
-  let graph =
-    List.map (fun (tgt, e) -> (tgt, Expr.vars e)) assigns
-    @ List.concat_map
-        (fun (m : Flat.flat_mem) ->
-          List.map (fun (rd, a) -> (rd, Expr.vars a)) m.fm_reads)
-        fmems
-  in
-  let order =
-    try Depth.levelize graph
-    with Depth.Combinational_cycle cycle ->
-      invalid_arg
-        ("Interp_tape: combinational loop: " ^ String.concat " -> " cycle)
-  in
-  let nodes = Array.of_list order in
+  let nodes = Array.of_list (Flat.levelize assigns fmems) in
   let n_nodes = Array.length nodes in
   let node_slot = Array.make (max 1 n_nodes) 0 in
   let node_lo = Array.make (max 1 n_nodes) 0 in

@@ -55,6 +55,57 @@ let check_circuit (c : Circuit.t) =
     c.wires;
   (!errors, !warnings)
 
+(* The rules the tape compiler enforces, checked on the flat design
+   without compiling a tape, allocating memory words or settling:
+   flattening (no duplicate flat signals), one levelization of the
+   combinational graph (no loops), and one pass over the flat
+   expressions (every variable declared, every assignment and register
+   as wide as its target).  Raises with the first error found. *)
+let check_flat top =
+  let decls, _, assigns, regs, mems = Flat.flatten top in
+  ignore (Flat.levelize assigns mems);
+  let widths = Hashtbl.create (List.length decls) in
+  List.iter (fun (name, w) -> Hashtbl.add widths name w) decls;
+  let env name =
+    match Hashtbl.find_opt widths name with
+    | Some w -> w
+    | None -> invalid_arg ("unknown flat signal " ^ name)
+  in
+  let width what e =
+    try Expr.width ~env e
+    with Invalid_argument msg ->
+      invalid_arg (Printf.sprintf "Lint: %s: %s" what msg)
+  in
+  let expect what want e =
+    let w = width what e in
+    if w <> want then
+      invalid_arg
+        (Printf.sprintf
+           "Lint: %s: expression width %d does not match target width %d"
+           what w want)
+  in
+  List.iter (fun (tgt, e) -> expect tgt (width tgt (Expr.Var tgt)) e) assigns;
+  List.iter
+    (fun (r : Flat.flat_reg) ->
+      let w = env r.fr_name in
+      if Bits.width r.fr_init <> w then
+        invalid_arg
+          (Printf.sprintf
+             "Lint: register %s: init width %d does not match declared \
+              width %d"
+             r.fr_name (Bits.width r.fr_init) w);
+      expect ("next of " ^ r.fr_name) w r.fr_next)
+    regs;
+  List.iter
+    (fun (m : Flat.flat_mem) ->
+      let what = m.fm_name ^ " write" in
+      List.iter
+        (fun (w : Circuit.mem_write) ->
+          List.iter (fun e -> ignore (width what e)) [ w.we; w.waddr; w.wdata ])
+        m.fm_writes;
+      List.iter (fun (rd, a) -> ignore (width rd a)) m.fm_reads)
+    mems
+
 let check top =
   let errors = ref [] and warnings = ref [] in
   let collect c =
@@ -67,9 +118,7 @@ let check top =
      List.iter collect subs
    with Invalid_argument msg -> errors := msg :: !errors);
   collect top;
-  (* Combinational loop detection: rely on the engine's scheduler. *)
-  (try ignore (Engine.create top)
-   with Invalid_argument msg -> errors := msg :: !errors);
+  (try check_flat top with Invalid_argument msg -> errors := msg :: !errors);
   { errors = List.rev !errors; warnings = List.rev !warnings }
 
 let pp_report fmt r =

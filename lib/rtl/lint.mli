@@ -7,9 +7,22 @@ type report = {
 }
 
 val check : Circuit.t -> report
-(** Errors: combinational loops anywhere in the flattened hierarchy,
-    duplicate instance names, signals named [clk]/[rst] (reserved by the
-    Verilog emitter).  Warnings: wires that drive nothing (unread). *)
+(** Per module: duplicate instance names and signals named [clk]/[rst]
+    (reserved by the Verilog emitter) are errors; wires that drive
+    nothing (unread) are warnings.  Modules that share a name but differ
+    are an error ({!Circuit.sub_circuits}).
+
+    On the flattened hierarchy, the rules the tape engine's build
+    enforces, reported as one error (the first found): duplicate flat
+    signals ({!Flat.flatten}), combinational loops ({!Flat.levelize},
+    the graph the tape engine schedules from), unknown flat signals (a
+    variable of an assignment, register next or memory port that no
+    flat declaration names) and flat width mismatches (an assignment or
+    register next whose {!Expr.width} differs from its target's, a
+    register init of the wrong width, or an expression that fails
+    {!Expr.width}).  The check is structural: it builds no engine,
+    allocates no memory words and settles nothing, so its cost does not
+    grow with memory depth. *)
 
 val is_clean : report -> bool
 (** No errors (warnings allowed). *)

@@ -1438,6 +1438,37 @@ let test_scaling_grid () =
     [ Generate.Bfba; Generate.Gbavi; Generate.Gbavii; Generate.Gbaviii;
       Generate.Hybrid; Generate.Splitba ]
 
+let test_lint_table5 () =
+  (* Every Table V design at the paper's own sizes lints clean, and the
+     lint is structural: checking the 8-PE GBAVIII design, whose BANs
+     each hold a 2^20-word memory, allocates no memory words. *)
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun n_pes ->
+          if not (arch = Generate.Splitba && n_pes = 1) then begin
+            let g =
+              (Generate.generate arch (Archs.paper_config ~n_pes))
+                .Generate.generated
+            in
+            let report = Lint.check g.Archs.top in
+            if not (Lint.is_clean report) then
+              Alcotest.failf "%s %d PEs: %a" (Generate.arch_name arch) n_pes
+                Lint.pp_report report
+          end)
+        [ 1; 8; 16; 24 ])
+    [ Generate.Bfba; Generate.Gbavi; Generate.Gbavii; Generate.Gbaviii;
+      Generate.Hybrid; Generate.Splitba; Generate.Ggba; Generate.Ccba ];
+  let top =
+    (Generate.generate Generate.Gbaviii (Archs.paper_config ~n_pes:8))
+      .Generate.generated.Archs.top
+  in
+  let before = Gc.allocated_bytes () in
+  ignore (Lint.check top);
+  let mb = (Gc.allocated_bytes () -. before) /. 1048576. in
+  if mb >= 32. then
+    Alcotest.failf "linting the 8-PE GBAVIII design allocated %.1f MB" mb
+
 let test_write_output () =
   let dir = Filename.temp_file "bussyn" "" in
   Sys.remove dir;
@@ -1624,6 +1655,7 @@ let () =
           Alcotest.test_case "wire library roundtrip" `Quick
             test_wire_library_roundtrip;
           Alcotest.test_case "scaling grid" `Slow test_scaling_grid;
+          Alcotest.test_case "lint over table v" `Slow test_lint_table5;
           Alcotest.test_case "write output" `Quick test_write_output;
         ] );
     ]

@@ -1007,10 +1007,9 @@ let test_levelize () =
         (List.mem "p" cycle && List.mem "q" cycle)
   | _ -> Alcotest.fail "cycle not detected"
 
-let test_duplicate_signal_instance_path () =
-  (* A top-level wire named [u$q] collides with the flattened name of
-     signal [q] inside instance [u]; the error must name both instance
-     paths, not just the flat name. *)
+(* A top-level wire named [u$q] collides with the flattened name of
+   signal [q] inside instance [u]. *)
+let colliding_circuit () =
   let open Circuit.Builder in
   let sub =
     let b = create "leaf" in
@@ -1030,8 +1029,11 @@ let test_duplicate_signal_instance_path () =
    with
   | [ e ] -> assign b "o" Expr.(e &: w)
   | _ -> assert false);
-  let top = finish b in
-  match Engine.create top with
+  finish b
+
+let test_duplicate_signal_instance_path () =
+  (* The error must name both instance paths, not just the flat name. *)
+  match Engine.create (colliding_circuit ()) with
   | exception Invalid_argument msg ->
       let has sub =
         let n = String.length msg and m = String.length sub in
@@ -1046,9 +1048,7 @@ let test_duplicate_signal_instance_path () =
         (has "u (leaf)")
   | _ -> Alcotest.fail "duplicate flat signal accepted"
 
-let test_comb_loop_has_path () =
-  (* The loop diagnostic must list the signals on the cycle instead of
-     hanging in a fixed-point loop. *)
+let loop3_circuit () =
   let open Circuit.Builder in
   let b = create "looped3" in
   let w1 = wire b "w1" 1 in
@@ -1059,8 +1059,12 @@ let test_comb_loop_has_path () =
   assign b "w3" Expr.(~:w2);
   output b "o" 1;
   assign b "o" w1;
-  let c = finish b in
-  match Engine.create c with
+  finish b
+
+let test_comb_loop_has_path () =
+  (* The loop diagnostic must list the signals on the cycle instead of
+     hanging in a fixed-point loop. *)
+  match Engine.create (loop3_circuit ()) with
   | exception Invalid_argument msg ->
       let has sub =
         let n = String.length msg and m = String.length sub in
@@ -1071,6 +1075,170 @@ let test_comb_loop_has_path () =
       Alcotest.(check bool) "path arrows" true (has " -> ");
       Alcotest.(check bool) "path names w2" true (has "w2")
   | _ -> Alcotest.fail "loop not detected"
+
+(* ------------------------------------------------------------------ *)
+(* Lint against the engines: malformed circuits                        *)
+(* ------------------------------------------------------------------ *)
+
+let index_of s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let rec split_arrows s =
+  match index_of s " -> " with
+  | None -> [ s ]
+  | Some i ->
+      String.sub s 0 i
+      :: split_arrows (String.sub s (i + 4) (String.length s - i - 4))
+
+let buffer_circuit () =
+  let open Circuit.Builder in
+  let b = create "buffer" in
+  let a = input b "a" 1 in
+  output b "o" 1;
+  assign b "o" a;
+  finish b
+
+(* A 2-node loop that [readers] outputs read, so a depth-first search
+   can enter the cycle from outside it. *)
+let loop2_circuit ~readers =
+  let open Circuit.Builder in
+  let b = create "looped2" in
+  let w1 = wire b "w1" 1 in
+  let w2 = wire b "w2" 1 in
+  assign b "w1" Expr.(~:w2);
+  assign b "w2" Expr.(~:w1);
+  for i = 0 to readers - 1 do
+    let o = Printf.sprintf "o%d" i in
+    output b o 1;
+    assign b o w1
+  done;
+  finish b
+
+(* [w = ~uo] where [uo] is [w] passed through a buffer instance [u]. *)
+let instance_loop_circuit () =
+  let open Circuit.Builder in
+  let b = create "inst_loop" in
+  let w = wire b "w" 1 in
+  (match
+     instantiate b ~name:"u" (buffer_circuit ()) ~inputs:[ ("a", w) ]
+       ~outputs:[ ("o", "uo") ]
+   with
+  | [ uo ] -> assign b "w" Expr.(~:uo)
+  | _ -> assert false);
+  output b "o" 1;
+  assign b "o" w;
+  finish b
+
+(* A memory read port whose address is its own data. *)
+let memory_loop_circuit () =
+  let open Circuit.Builder in
+  let b = create "mem_loop" in
+  let a = wire b "a" 2 in
+  (match
+     memory b "m" ~data_width:2 ~depth:4 ~writes:[] ~reads:[ ("rd", a) ]
+   with
+  | [ rd ] ->
+      assign b "a" rd;
+      output b "o" 2;
+      assign b "o" rd
+  | _ -> assert false);
+  finish b
+
+(* [msg] names a closed cycle of [c]'s combinational graph: the first
+   node equals the last, no other node repeats, and in each [a -> b]
+   step [b] is a variable of [a]'s driver. *)
+let check_cycle c who msg =
+  let _, _, assigns, _, mems = Flat.flatten c in
+  let drivers = Hashtbl.create 16 in
+  List.iter (fun (t, e) -> Hashtbl.replace drivers t (Expr.vars e)) assigns;
+  List.iter
+    (fun (m : Flat.flat_mem) ->
+      List.iter
+        (fun (rd, a) -> Hashtbl.replace drivers rd (Expr.vars a))
+        m.fm_reads)
+    mems;
+  let marker = "combinational loop: " in
+  match index_of msg marker with
+  | None -> Alcotest.failf "%s names no loop: %s" who msg
+  | Some i ->
+      let from = i + String.length marker in
+      let nodes =
+        split_arrows (String.sub msg from (String.length msg - from))
+      in
+      let n = List.length nodes in
+      if n < 2 || List.hd nodes <> List.nth nodes (n - 1) then
+        Alcotest.failf "%s: cycle not closed: %s" who msg;
+      let open_part = List.filteri (fun k _ -> k < n - 1) nodes in
+      if List.length (List.sort_uniq compare open_part) <> n - 1 then
+        Alcotest.failf "%s: a node repeats inside the cycle: %s" who msg;
+      List.iteri
+        (fun k a ->
+          if k < n - 1 then begin
+            let b = List.nth nodes (k + 1) in
+            match Hashtbl.find_opt drivers a with
+            | Some vars when List.mem b vars -> ()
+            | _ -> Alcotest.failf "%s: %s does not read %s: %s" who a b msg
+          end)
+        nodes
+
+let test_lint_flags_engine_rejects () =
+  let control = buffer_circuit () in
+  ignore (Engine.create ~kind:Engine.Tape control);
+  Alcotest.(check bool) "lint accepts the control" true
+    (Lint.is_clean (Lint.check control));
+  let raw assigns = { control with Circuit.assigns } in
+  let loops =
+    [
+      ("2-node loop", loop2_circuit ~readers:20);
+      ("3-node loop", loop3_circuit ());
+      ("loop through an instance", instance_loop_circuit ());
+      ("loop through a memory read port", memory_loop_circuit ());
+    ]
+  in
+  let others =
+    [
+      ("duplicate flat signal", colliding_circuit ());
+      ( "raw record reading an undeclared signal",
+        raw [ { Circuit.target = "o"; expr = Expr.var "nope" } ] );
+      ( "raw record driving a 1-bit output with a 2-bit constant",
+        raw [ { Circuit.target = "o"; expr = Expr.const_int ~width:2 1 } ] );
+    ]
+  in
+  let lint_errors name c =
+    match (Lint.check c).Lint.errors with
+    | [] ->
+        Alcotest.failf "%s: the tape engine rejects it, lint calls it clean"
+          name
+    | errors -> errors
+  in
+  List.iter
+    (fun (name, c) ->
+      match Engine.create ~kind:Engine.Tape c with
+      | exception Invalid_argument _ -> ignore (lint_errors name c)
+      | _ -> Alcotest.failf "%s: the tape engine accepted it" name)
+    others;
+  List.iter
+    (fun (name, c) ->
+      (match Engine.create ~kind:Engine.Tape c with
+      | exception Invalid_argument msg -> check_cycle c (name ^ ", tape") msg
+      | _ -> Alcotest.failf "%s: the tape engine accepted it" name);
+      (match Engine.create ~kind:Engine.Ref c with
+      | exception Invalid_argument msg -> check_cycle c (name ^ ", ref") msg
+      | _ -> Alcotest.failf "%s: the ref engine accepted it" name);
+      match
+        List.filter
+          (fun e -> index_of e "combinational loop" <> None)
+          (lint_errors name c)
+      with
+      | [ msg ] -> check_cycle c (name ^ ", lint") msg
+      | _ -> Alcotest.failf "%s: lint reports no single loop" name)
+    loops
 
 (* ------------------------------------------------------------------ *)
 (* Differential: the tape-compiled engine vs the reference engine on   *)
@@ -1530,6 +1698,8 @@ let () =
           Alcotest.test_case "duplicate signal path" `Quick
             test_duplicate_signal_instance_path;
           Alcotest.test_case "comb loop path" `Quick test_comb_loop_has_path;
+          Alcotest.test_case "lint flags what the engines reject" `Quick
+            test_lint_flags_engine_rejects;
         ] );
       ( "differential",
         [
