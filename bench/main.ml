@@ -5,8 +5,11 @@
    authors' Seamless CVE testbed), but the orderings and rough factors
    should hold.
 
-   A Bechamel micro-benchmark per table measures one representative unit
-   of that table's computation (OLS estimate of time per run). *)
+   Four more sections time what the repeated, calibrated benchmark in
+   perfbench/ (BENCHMARK.json) does not measure yet: the bus fault
+   model, the property monitors, checkpointing, and the serve journal's
+   overhead.  Each writes BENCH_<section>.json at the working
+   directory.  Every other speed number comes from perfbench. *)
 
 open Busgen_apps
 module G = Bussyn.Generate
@@ -16,19 +19,22 @@ let line = String.make 78 '-'
 
 let header title = Printf.printf "\n%s\n%s\n%s\n" line title line
 
+let all_sections =
+  [ "table1"; "table2"; "table3"; "table4"; "table5"; "ablations"; "faults";
+    "monitors"; "soak"; "serve" ]
+
 (* Sections selected on the command line ([] = everything), e.g.
-   `dune exec bench/main.exe -- table5 procpool` for a CI smoke run.
-   `-j N` picks the worker count for the `par` section (default: every
-   core the runtime reports). *)
-let sections, par_jobs =
-  let rec go secs jobs = function
-    | [] -> (List.rev secs, jobs)
-    | "-j" :: n :: rest | "--jobs" :: n :: rest ->
-        go secs (int_of_string n) rest
-    | s :: rest -> go (s :: secs) jobs rest
-  in
-  go [] (Busgen_par.Supervise.default_jobs ())
-    (List.tl (Array.to_list Sys.argv))
+   `dune exec bench/main.exe -- table5 serve` for a CI smoke run.  An
+   unknown name is a user error: one line on stderr and exit 2, before
+   any section runs. *)
+let sections =
+  let args = List.tl (Array.to_list Sys.argv) in
+  match List.find_opt (fun s -> not (List.mem s all_sections)) args with
+  | Some s ->
+      Printf.eprintf "bench: unknown section %s (expected %s)\n" s
+        (String.concat ", " all_sections);
+      exit 2
+  | None -> args
 
 let want name = sections = [] || List.mem name sections
 
@@ -494,65 +500,8 @@ let ablation_depth () =
     \       pays for its many-master arbitration, while BFBA's\n\
     \       point-to-point FIFOs and GGBA's single hub keep paths short.\n"
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel: one Test.make per table                                   *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tables () =
-  header "Bechamel - time per representative table unit (OLS estimate)";
-  let open Bechamel in
-  let tests =
-    [
-      Test.make ~name:"table2:ofdm-fpa-gbaviii"
-        (Staged.stage (fun () -> ignore (Ofdm.run ~packets:4 G.Gbaviii Ofdm.Fpa)));
-      Test.make ~name:"table3:mpeg2-gbaviii"
-        (Staged.stage (fun () -> ignore (Mpeg2.run ~gops:4 G.Gbaviii)));
-      Test.make ~name:"table4:database-splitba"
-        (Staged.stage (fun () -> ignore (Database.run ~clients:12 G.Splitba)));
-      Test.make ~name:"table5:generate-hybrid-8pe"
-        (Staged.stage (fun () ->
-             match Bussyn.Preset.scaled ~arch:G.Hybrid ~n_pes:8 with
-             | Some opts -> ignore (G.from_options opts)
-             | None -> ()));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  List.iter
-    (fun test ->
-      let cfg =
-        Benchmark.cfg ~limit:50 ~quota:(Time.second 1.5) ~kde:None ()
-      in
-      let raw = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false
-          ~predictors:[| Measure.run |]
-      in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name est ->
-          match Analyze.OLS.estimates est with
-          | Some [ ns_per_run ] ->
-              Printf.printf "%-28s %12.3f ms/run\n%!" name (ns_per_run /. 1e6)
-          | Some _ | None -> Printf.printf "%-28s (no estimate)\n%!" name)
-        results)
-    tests
-
-(* OLS nanoseconds-per-run of a single Bechamel test. *)
-let ols_ns_per_run ?(quota = 1.0) test =
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg [ instance ] test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  Hashtbl.fold
-    (fun _name est acc ->
-      match Analyze.OLS.estimates est with
-      | Some [ ns_per_run ] -> Some ns_per_run
-      | Some _ | None -> acc)
-    results None
+(* The middle element of a non-empty sample. *)
+let median l = List.nth (List.sort compare l) (List.length l / 2)
 
 (* ------------------------------------------------------------------ *)
 (* Fault model: overhead of the armed-but-silent machinery, and the    *)
@@ -574,7 +523,6 @@ let fault_rows : fault_row list ref = ref []
 
 let bench_faults () =
   header "Fault model - OFDM/FPA on GBAVIII, disabled vs armed vs injecting";
-  let open Bechamel in
   let variants =
     [
       ("disabled", None);
@@ -583,12 +531,26 @@ let bench_faults () =
       ("rate-1e-1", Some (Busgen_sim.Machine.fault_config ~seed:1 ~rate:0.1 ()));
     ]
   in
+  let go faults = Ofdm.run ?faults ~packets:2 G.Gbaviii Ofdm.Fpa in
+  (* One untimed run per variant warms up and yields its counters.  The
+     timed runs then take turns, one run of each variant per round, so
+     the host's speed drift falls on every variant alike; a variant's
+     time is the median of its rounds. *)
+  let firsts = List.map (fun (_, faults) -> go faults) variants in
+  let times = Array.make (List.length variants) [] in
+  for _ = 1 to 15 do
+    List.iteri
+      (fun i (_, faults) ->
+        let t0 = Unix.gettimeofday () in
+        ignore (go faults);
+        times.(i) <- ((Unix.gettimeofday () -. t0) *. 1e9) :: times.(i))
+      variants
+  done;
   Printf.printf "%-14s %12s %10s %8s %8s %8s\n" "variant" "ns/run" "cycles"
     "faults" "retries" "unrec";
-  List.iter
-    (fun (nm, faults) ->
-      let go () = Ofdm.run ?faults ~packets:2 G.Gbaviii Ofdm.Fpa in
-      let r = go () in
+  List.iteri
+    (fun i ((nm, _), r) ->
+      let ns = median times.(i) in
       let s = r.Ofdm.stats in
       let errors, timeouts, retries, unrecovered =
         match s.Busgen_sim.Machine.reliability with
@@ -597,29 +559,21 @@ let bench_faults () =
             Busgen_sim.Machine.(
               (rel.r_errors, rel.r_timeouts, rel.r_retries, rel.r_unrecovered))
       in
-      let t =
-        Test.make ~name:("faults:" ^ nm)
-          (Staged.stage (fun () -> ignore (go ())))
-      in
-      match ols_ns_per_run t with
-      | Some ns ->
-          Printf.printf "%-14s %12.0f %10d %8d %8d %8d\n%!" nm ns
-            s.Busgen_sim.Machine.cycles (errors + timeouts) retries
-            unrecovered;
-          fault_rows :=
-            {
-              fr_name = nm;
-              fr_ns_per_run = ns;
-              fr_cycles = s.Busgen_sim.Machine.cycles;
-              fr_words = s.Busgen_sim.Machine.words_transferred;
-              fr_errors = errors;
-              fr_timeouts = timeouts;
-              fr_retries = retries;
-              fr_unrecovered = unrecovered;
-            }
-            :: !fault_rows
-      | None -> Printf.printf "%-14s (no estimate)\n%!" nm)
-    variants
+      Printf.printf "%-14s %12.0f %10d %8d %8d %8d\n%!" nm ns
+        s.Busgen_sim.Machine.cycles (errors + timeouts) retries unrecovered;
+      fault_rows :=
+        {
+          fr_name = nm;
+          fr_ns_per_run = ns;
+          fr_cycles = s.Busgen_sim.Machine.cycles;
+          fr_words = s.Busgen_sim.Machine.words_transferred;
+          fr_errors = errors;
+          fr_timeouts = timeouts;
+          fr_retries = retries;
+          fr_unrecovered = unrecovered;
+        }
+        :: !fault_rows)
+    (List.combine variants firsts)
 
 let write_faults_json path =
   if !fault_rows <> [] then begin
@@ -707,7 +661,6 @@ let bench_monitors () =
            drift between rounds cancels inside each adjacent pair *)
         ratios := (ta /. tb) :: !ratios
       done;
-      let median l = List.nth (List.sort compare l) (List.length l / 2) in
       let b = 1.0 /. median !bares in
       let a = b /. median !ratios in
       let props =
@@ -801,7 +754,6 @@ let bench_soak () =
         }
       in
       let path = Filename.concat dir (Printf.sprintf "bench_%s.bsck" nm) in
-      let median l = List.nth (List.sort compare l) (List.length l / 2) in
       let rounds = 9 in
       let saves =
         List.init rounds (fun _ ->
@@ -892,332 +844,7 @@ let write_soak_json path =
   end
 
 (* ------------------------------------------------------------------ *)
-(* par: worker-pool sweep scaling (BENCH_par.json)                     *)
-(* ------------------------------------------------------------------ *)
-
-type par_row = {
-  pr_jobs : int;
-  pr_wall_j1_s : float;
-  pr_wall_jn_s : float;
-  pr_speedup : float;
-  pr_identical : bool;
-}
-
-let par_row : par_row option ref = ref None
-
-let bench_par () =
-  header "Parallel sweep scaling (64-config fuzz budget, seed 2026)";
-  let module F = Busgen_verify.Fuzz in
-  let module Sweep = Busgen_ckpt.Sweep in
-  let seed = 2026 and budget = 64 and cycles = 400 in
-  (* The CLI's path: cases run on forked workers and return through the
-     sweep-checkpoint codec, at -j 1 as at -j N. *)
-  let backend = Sweep.fuzz_backend Busgen_par.Procpool.default_config in
-  let time jobs =
-    let t0 = Unix.gettimeofday () in
-    let report = F.run ~cycles ~jobs ~backend ~seed ~budget () in
-    (Unix.gettimeofday () -. t0, F.report_to_json report)
-  in
-  (* Warm once so neither timed run pays generator memo-table misses. *)
-  ignore (F.run ~cycles ~seed ~budget:2 ());
-  let jobs = max 1 par_jobs in
-  let wall1, json1 = time 1 in
-  let walln, jsonn = time jobs in
-  let identical = String.equal json1 jsonn in
-  let speedup = wall1 /. walln in
-  Printf.printf "cores detected %d, -j %d\n"
-    (Busgen_par.Supervise.default_jobs ())
-    jobs;
-  Printf.printf "  -j 1  %8.3f s\n  -j %-2d %8.3f s   speedup %.2fx\n" wall1
-    jobs walln speedup;
-  Printf.printf "  reports byte-identical: %s\n"
-    (if identical then "yes" else "NO");
-  if not identical then
-    print_string
-      "[bench] WARNING: -j N report differs from -j 1 — determinism \
-       contract broken\n";
-  if jobs >= 4 && speedup < 3.0 then
-    Printf.printf
-      "[bench] WARNING: speedup %.2fx below the 3x target for -j %d\n" speedup
-      jobs;
-  par_row :=
-    Some
-      {
-        pr_jobs = jobs;
-        pr_wall_j1_s = wall1;
-        pr_wall_jn_s = walln;
-        pr_speedup = speedup;
-        pr_identical = identical;
-      }
-
-let write_par_json path =
-  match !par_row with
-  | None -> ()
-  | Some r ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema\": \"busgen-par-bench/1\",\n\
-        \  \"cores_detected\": %d,\n\
-        \  \"jobs\": %d,\n\
-        \  \"fuzz_budget\": 64,\n\
-        \  \"wall_j1_s\": %.3f,\n\
-        \  \"wall_jn_s\": %.3f,\n\
-        \  \"speedup\": %.3f,\n\
-        \  \"byte_identical\": %b\n\
-         }\n"
-        (Busgen_par.Supervise.default_jobs ())
-        r.pr_jobs r.pr_wall_j1_s r.pr_wall_jn_s r.pr_speedup r.pr_identical;
-      close_out oc;
-      Printf.printf "\n[bench] wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* explore: design-space exploration throughput (BENCH_explore.json)   *)
-(* ------------------------------------------------------------------ *)
-
-type explore_row = {
-  xr_candidates : int;
-  xr_jobs : int;
-  xr_wall_j1_s : float;
-  xr_wall_jn_s : float;
-  xr_cands_per_s_j1 : float;
-  xr_cands_per_s_jn : float;
-  xr_ckpt_overhead_pct : float;
-  xr_identical : bool;
-}
-
-let explore_row : explore_row option ref = ref None
-
-let bench_explore () =
-  header "Design-space exploration (bussyn_cli explore)";
-  let module X = Busgen_explore.Explore in
-  let module Xp = Busgen_explore.Profile in
-  let module Sweep = Busgen_ckpt.Sweep in
-  let module Json = Busgen_json.Json in
-  let p =
-    match
-      Xp.parse
-        "seed = 42\n\
-         transactions = 25\n\
-         archs = bfba, gbavi, gbaviii, splitba, ggba, ccba\n\
-         widths = 16, 32\n\
-         depths = 4, 8\n\
-         arbs = priority\n"
-    with
-    | Ok p -> p
-    | Error e -> failwith ("bench explore profile: " ^ e)
-  in
-  let total = Xp.n_candidates p in
-  let front r = Json.to_string (X.front_json r) in
-  (* Warm the generator memo tables once. *)
-  ignore (X.run ~jobs:1 { p with Xp.transactions = 1 });
-  let time jobs =
-    let t0 = Unix.gettimeofday () in
-    let r = X.run ~jobs p in
-    (Unix.gettimeofday () -. t0, front r)
-  in
-  let jobs = max 1 par_jobs in
-  let wall1, f1 = time 1 in
-  let walln, fn = time jobs in
-  let identical = String.equal f1 fn in
-  (* Checkpoint overhead: same -j 1 sweep, noting and saving every 4
-     scores to a fresh on-disk checkpoint. *)
-  let ckpt_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "bussyn_bench_explore-%d" (Unix.getpid ()))
-  in
-  if Sys.file_exists ckpt_dir then
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat ckpt_dir f))
-      (Sys.readdir ckpt_dir);
-  let wall_ckpt =
-    let t0 = Unix.gettimeofday () in
-    match
-      Sweep.load ~every:4 ~dir:ckpt_dir
-        ~ident:(Printf.sprintf "explore/profile=%s" (Xp.hash p))
-        ~total ()
-    with
-    | Error e -> failwith ("bench explore ckpt: " ^ e)
-    | Ok t ->
-        let r =
-          X.run ~jobs:1 ~on_case:(fun i s -> Sweep.note t i (X.encode_score s))
-            p
-        in
-        Sweep.save t;
-        ignore (front r);
-        Unix.gettimeofday () -. t0
-  in
-  let overhead_pct = (wall_ckpt -. wall1) /. wall1 *. 100.0 in
-  Printf.printf "grid: %d candidates, %d transactions each\n" total
-    p.Xp.transactions;
-  Printf.printf "  -j 1  %8.3f s   %6.1f candidates/s\n" wall1
-    (float_of_int total /. wall1);
-  Printf.printf "  -j %-2d %8.3f s   %6.1f candidates/s   speedup %.2fx\n"
-    jobs walln
-    (float_of_int total /. walln)
-    (wall1 /. walln);
-  Printf.printf "  fronts byte-identical: %s\n"
-    (if identical then "yes" else "NO");
-  if not identical then
-    print_string
-      "[bench] WARNING: -j N front differs from -j 1 — determinism \
-       contract broken\n";
-  Printf.printf "  sweep-ckpt (every 4): %8.3f s   overhead %+.1f%%\n"
-    wall_ckpt overhead_pct;
-  explore_row :=
-    Some
-      {
-        xr_candidates = total;
-        xr_jobs = jobs;
-        xr_wall_j1_s = wall1;
-        xr_wall_jn_s = walln;
-        xr_cands_per_s_j1 = float_of_int total /. wall1;
-        xr_cands_per_s_jn = float_of_int total /. walln;
-        xr_ckpt_overhead_pct = overhead_pct;
-        xr_identical = identical;
-      }
-
-let write_explore_json path =
-  match !explore_row with
-  | None -> ()
-  | Some r ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema\": \"busgen-explore-bench/1\",\n\
-        \  \"candidates\": %d,\n\
-        \  \"jobs\": %d,\n\
-        \  \"wall_j1_s\": %.3f,\n\
-        \  \"wall_jn_s\": %.3f,\n\
-        \  \"candidates_per_s_j1\": %.1f,\n\
-        \  \"candidates_per_s_jn\": %.1f,\n\
-        \  \"ckpt_overhead_pct\": %.2f,\n\
-        \  \"byte_identical\": %b\n\
-         }\n"
-        r.xr_candidates r.xr_jobs r.xr_wall_j1_s r.xr_wall_jn_s
-        r.xr_cands_per_s_j1 r.xr_cands_per_s_jn r.xr_ckpt_overhead_pct
-        r.xr_identical;
-      close_out oc;
-      Printf.printf "\n[bench] wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* Worker-process cost: forked workers vs the in-process loop          *)
-(* (BENCH_procpool.json)                                               *)
-(* ------------------------------------------------------------------ *)
-
-type procpool_row = {
-  pp_jobs : int;
-  pp_perjob_us : float;
-  pp_inproc_j1_s : float;
-  pp_proc_j1_s : float;
-  pp_overhead_j1_pct : float;
-  pp_proc_jn_s : float;
-  pp_speedup_jn : float;
-}
-
-let procpool_row : procpool_row option ref = ref None
-
-let bench_procpool () =
-  header "Worker-process cost (forked workers vs the in-process -j 1 loop)";
-  let module Sv = Busgen_par.Supervise in
-  let module P = Busgen_par.Procpool in
-  let module Bio = Busgen_binio.Io in
-  let backend =
-    Sv.Processes
-      {
-        P.sp_config = P.default_config;
-        sp_encode =
-          (fun v ->
-            let w = Bio.writer () in
-            Bio.w_int w v;
-            Bio.contents w);
-        sp_decode = (fun s -> Bio.r_int (Bio.reader s));
-      }
-  in
-  let jobs = max 1 par_jobs in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    Unix.gettimeofday () -. t0
-  in
-  (* (1) Per-job protocol cost: 64 no-op jobs through one worker.  The
-     wall is almost purely fork + frame encode/decode + select. *)
-  let trivial_n = 64 in
-  let trivial_s =
-    time (fun () -> Sv.run ~backend ~jobs:1 trivial_n (fun i -> i))
-  in
-  let perjob_us = trivial_s /. float_of_int trivial_n *. 1e6 in
-  (* (2) Realistic jobs: 16 x ~100 ms wall-spins, where the worker cost
-     should amortize below the 10% target. *)
-  let heavy_n = 16 and job_ms = 100. in
-  let heavy _ =
-    let t0 = Unix.gettimeofday () in
-    let acc = ref 0 in
-    while (Unix.gettimeofday () -. t0) *. 1000. < job_ms do
-      acc := Sys.opaque_identity (!acc + 1)
-    done;
-    !acc
-  in
-  let inproc_j1_s = time (fun () -> Sv.run ~jobs:1 heavy_n heavy) in
-  let proc_j1_s = time (fun () -> Sv.run ~backend ~jobs:1 heavy_n heavy) in
-  let proc_jn_s = time (fun () -> Sv.run ~backend ~jobs heavy_n heavy) in
-  let overhead_j1_pct = (proc_j1_s -. inproc_j1_s) /. inproc_j1_s *. 100.0 in
-  let speedup_jn = inproc_j1_s /. proc_jn_s in
-  Printf.printf "cores detected %d, -j %d\n" (Sv.default_jobs ()) jobs;
-  Printf.printf "  protocol cost      %8.1f us/job (%d no-op jobs, 1 worker)\n"
-    perjob_us trivial_n;
-  Printf.printf "  %d x %.0f ms jobs:\n" heavy_n job_ms;
-  Printf.printf "    in-process -j 1 %8.3f s\n" inproc_j1_s;
-  Printf.printf "    proc -j 1       %8.3f s   overhead %+.2f%%\n" proc_j1_s
-    overhead_j1_pct;
-  Printf.printf "    proc -j %-2d      %8.3f s   speedup %.2fx\n" jobs proc_jn_s
-    speedup_jn;
-  if overhead_j1_pct > 10.0 then
-    Printf.printf
-      "[bench] WARNING: worker-process overhead %.2f%% above the 10%% target\n"
-      overhead_j1_pct;
-  procpool_row :=
-    Some
-      {
-        pp_jobs = jobs;
-        pp_perjob_us = perjob_us;
-        pp_inproc_j1_s = inproc_j1_s;
-        pp_proc_j1_s = proc_j1_s;
-        pp_overhead_j1_pct = overhead_j1_pct;
-        pp_proc_jn_s = proc_jn_s;
-        pp_speedup_jn = speedup_jn;
-      }
-
-let write_procpool_json path =
-  match !procpool_row with
-  | None -> ()
-  | Some r ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema\": \"busgen-procpool-bench/2\",\n\
-        \  \"cores_detected\": %d,\n\
-        \  \"jobs\": %d,\n\
-        \  \"trivial_jobs\": 64,\n\
-        \  \"protocol_perjob_us\": %.1f,\n\
-        \  \"heavy_jobs\": 16,\n\
-        \  \"heavy_job_ms\": 100,\n\
-        \  \"inproc_j1_s\": %.3f,\n\
-        \  \"proc_j1_s\": %.3f,\n\
-        \  \"overhead_j1_pct\": %.2f,\n\
-        \  \"proc_jn_s\": %.3f,\n\
-        \  \"speedup_jn\": %.3f,\n\
-        \  \"target_pct\": 10.0\n\
-         }\n"
-        (Busgen_par.Supervise.default_jobs ())
-        r.pp_jobs r.pp_perjob_us r.pp_inproc_j1_s r.pp_proc_j1_s
-        r.pp_overhead_j1_pct r.pp_proc_jn_s r.pp_speedup_jn;
-      close_out oc;
-      Printf.printf "\n[bench] wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* serve: daemon request throughput, latency, journaling overhead      *)
+(* serve: the journal's overhead on pipelined daemon throughput        *)
 (* (BENCH_serve.json)                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1226,9 +853,6 @@ type serve_row = {
   se_journal_reqs_per_s : float;
   se_nojournal_reqs_per_s : float;
   se_journal_overhead_pct : float;
-  se_serial_requests : int;
-  se_serial_p50_ms : float;
-  se_serial_p99_ms : float;
 }
 
 let serve_row : serve_row option ref = ref None
@@ -1248,14 +872,6 @@ let bench_serve () =
       print_string
         "  [bench] bussyn_cli.exe not built; skipping the serve section\n"
   | Some exe ->
-      let fresh_dir =
-        let n = ref 0 in
-        fun () ->
-          incr n;
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "bussyn_bench_serve-%d-%d" (Unix.getpid ()) !n)
-      in
       let start args =
         let r_in, w_in = Unix.pipe ~cloexec:true () in
         let r_out, w_out = Unix.pipe ~cloexec:true () in
@@ -1313,34 +929,22 @@ let bench_serve () =
         finish pid w_in r_out;
         float_of_int pipelined_jobs /. dt
       in
-      let journal_rps = pipelined [ "--journal"; fresh_dir () ] in
+      let journal =
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "bussyn_bench_serve-%d" (Unix.getpid ()))
+      in
+      let journal_rps = pipelined [ "--journal"; journal ] in
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat journal f))
+        (Sys.readdir journal);
+      Sys.rmdir journal;
       let nojournal_rps = pipelined [ "--no-journal" ] in
       let overhead_pct = (nojournal_rps -. journal_rps) /. journal_rps *. 100. in
-      (* Serial round trips for the latency distribution. *)
-      let serial_requests = 50 in
-      let pid, w_in, r_out =
-        start [ "--debug-kinds"; "--jobs"; "1"; "--journal"; fresh_dir () ]
-      in
-      let lat =
-        Array.init serial_requests (fun i ->
-            let t0 = Unix.gettimeofday () in
-            write_all w_in (req i);
-            read_lines r_out 1;
-            (Unix.gettimeofday () -. t0) *. 1000.)
-      in
-      finish pid w_in r_out;
-      Array.sort compare lat;
-      let pick q =
-        lat.(min (serial_requests - 1)
-               (int_of_float (ceil (q *. float_of_int serial_requests)) - 1))
-      in
-      let p50 = pick 0.50 and p99 = pick 0.99 in
       Printf.printf "  pipelined (%d sleep-0 jobs, -j 1):\n" pipelined_jobs;
       Printf.printf "    journaled    %8.1f req/s\n" journal_rps;
       Printf.printf "    no journal   %8.1f req/s   journaling overhead %+.2f%%\n"
         nojournal_rps overhead_pct;
-      Printf.printf "  serial round trips (%d): p50 %.2f ms, p99 %.2f ms\n"
-        serial_requests p50 p99;
       if overhead_pct > 5.0 then
         Printf.printf
           "[bench] WARNING: journaling overhead %.2f%% above the 5%% target\n"
@@ -1352,9 +956,6 @@ let bench_serve () =
             se_journal_reqs_per_s = journal_rps;
             se_nojournal_reqs_per_s = nojournal_rps;
             se_journal_overhead_pct = overhead_pct;
-            se_serial_requests = serial_requests;
-            se_serial_p50_ms = p50;
-            se_serial_p99_ms = p99;
           }
 
 let write_serve_json path =
@@ -1364,19 +965,15 @@ let write_serve_json path =
       let oc = open_out path in
       Printf.fprintf oc
         "{\n\
-        \  \"schema\": \"busgen-serve-bench/1\",\n\
+        \  \"schema\": \"busgen-serve-bench/2\",\n\
         \  \"pipelined_jobs\": %d,\n\
         \  \"journal_reqs_per_s\": %.1f,\n\
         \  \"nojournal_reqs_per_s\": %.1f,\n\
         \  \"journal_overhead_pct\": %.2f,\n\
-        \  \"serial_requests\": %d,\n\
-        \  \"serial_p50_ms\": %.2f,\n\
-        \  \"serial_p99_ms\": %.2f,\n\
         \  \"target_overhead_pct\": 5.0\n\
          }\n"
         r.se_pipelined_jobs r.se_journal_reqs_per_s r.se_nojournal_reqs_per_s
-        r.se_journal_overhead_pct r.se_serial_requests r.se_serial_p50_ms
-        r.se_serial_p99_ms;
+        r.se_journal_overhead_pct;
       close_out oc;
       Printf.printf "\n[bench] wrote %s\n" path
 
@@ -1406,19 +1003,12 @@ let () =
     ablation_area_by_module ();
     ablation_depth ()
   end;
-  if want "bechamel" then bechamel_tables ();
   if want "faults" then bench_faults ();
   if want "monitors" then bench_monitors ();
   if want "soak" then bench_soak ();
   if want "serve" then bench_serve ();
-  if want "procpool" then bench_procpool ();
-  if want "par" then bench_par ();
-  if want "explore" then bench_explore ();
   write_faults_json "BENCH_faults.json";
   write_monitors_json "BENCH_monitors.json";
   write_soak_json "BENCH_soak.json";
-  write_par_json "BENCH_par.json";
-  write_procpool_json "BENCH_procpool.json";
   write_serve_json "BENCH_serve.json";
-  write_explore_json "BENCH_explore.json";
   print_string "\nAll benchmarks complete.\n"

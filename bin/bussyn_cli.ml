@@ -481,13 +481,7 @@ let simulate_cmd =
       & info [ "ckpt-every" ] ~docv:"CYCLES"
           ~doc:"Mark cadence in simulated cycles (with --ckpt-dir).")
   in
-  let run arch app trace csv faults max_cycles ckpt_dir ckpt_every engine =
-    (* The workload simulator is transaction-level (no RTL evaluation),
-       so every engine gives the same answer; the flag is still
-       validated so scripts can pass a uniform --engine to all
-       interpreter-adjacent subcommands and get the same exit-2
-       contract for a typo. *)
-    let (_ : Busgen_rtl.Engine.kind) = engine_of_string engine in
+  let run arch app trace csv faults max_cycles ckpt_dir ckpt_every =
     let module M = Busgen_sim.Machine in
     let module K = Busgen_ckpt.Ckpt in
     let report stats =
@@ -660,7 +654,7 @@ let simulate_cmd =
              its performance.")
     Term.(
       const run $ arch_arg $ app_arg $ trace_arg $ csv_arg $ faults_arg
-      $ max_cycles_arg $ ckpt_dir_arg $ ckpt_every_arg $ engine_arg)
+      $ max_cycles_arg $ ckpt_dir_arg $ ckpt_every_arg)
 
 (* ------------------------------------------------------------------ *)
 (* inject                                                              *)

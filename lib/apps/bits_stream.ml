@@ -44,8 +44,6 @@ let get r ~bits =
   done;
   !v
 
-let bits_left r = r.src.len_bits - r.pos
-
 let to_bytes t = Bytes.sub t.buf 0 ((t.len_bits + 7) / 8)
 
 let of_bytes b =

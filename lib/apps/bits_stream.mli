@@ -20,8 +20,6 @@ val reader : t -> reader
 val get : reader -> bits:int -> int
 (** @raise Invalid_argument when reading past the end. *)
 
-val bits_left : reader -> int
-
 val to_bytes : t -> Bytes.t
 (** Padded with zero bits to a byte boundary. *)
 

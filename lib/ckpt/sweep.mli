@@ -49,9 +49,7 @@ val lookup : t -> int -> string option
 
 val note : t -> int -> string -> unit
 (** Record job [i] as completed with its payload; duplicate notes are
-    ignored.  May autosave (see {!load}); thread-safe — hooks running
-    under the supervisor's lock may call this concurrently with a
-    {!save} from the main domain.
+    ignored.  May autosave (see {!load}); thread-safe.
     @raise Invalid_argument if [i] is outside [\[0, total)].
     @raise Sys_error if an autosave fails. *)
 

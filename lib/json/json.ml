@@ -318,10 +318,3 @@ let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
 let get_string = function String s -> Some s | _ -> None
 let get_int = function Int i -> Some i | _ -> None
 let get_bool = function Bool b -> Some b | _ -> None
-
-let get_float = function
-  | Float f -> Some f
-  | Int i -> Some (float_of_int i)
-  | _ -> None
-
-let get_list = function List l -> Some l | _ -> None

@@ -11,8 +11,6 @@ type limits = {
   li_mem_bytes : int option;
 }
 
-let no_limits = { li_cpu_seconds = None; li_mem_bytes = None }
-
 type config = {
   pc_limits : limits;
   pc_recycle_after : int option;

@@ -36,8 +36,6 @@ type limits = {
           fail (typically surfacing as [Out_of_memory]). *)
 }
 
-val no_limits : limits
-
 type config = {
   pc_limits : limits;
   pc_recycle_after : int option;

@@ -93,11 +93,6 @@ let rec of_circuit ?(include_memories = false) (c : Circuit.t) =
     memory_bits = !mem_bits + acc.memory_bits;
   }
 
-let pp_breakdown fmt b =
-  Format.fprintf fmt
-    "gates=%d (comb=%d, regs=%d) register_bits=%d memory_bits=%d" (gates b)
-    b.gates_comb b.gates_regs b.register_bits b.memory_bits
-
 (* A module's own logic: its assigns/regs/memories plus the expression
    cost of the port connections it feeds into its direct instances.
    [of_circuit] charges those connection expressions to the parent, so

@@ -47,5 +47,3 @@ val by_module :
     [gates (of_circuit c)], so protection modules (WATCHDOG,
     PARITY_GEN/PARITY_CHK) and bridges are visible wherever they are
     instantiated.  Sorted heaviest first, ties by name. *)
-
-val pp_breakdown : Format.formatter -> breakdown -> unit

@@ -344,12 +344,3 @@ module Builder = struct
       t.instances;
     t
 end
-
-let pp_summary fmt t =
-  Format.fprintf fmt
-    "%s: %d in, %d out, %d wires, %d regs, %d memories, %d instances"
-    t.circ_name
-    (List.length (inputs t))
-    (List.length (outputs t))
-    (List.length t.wires) (List.length t.regs) (List.length t.memories)
-    (List.length t.instances)

@@ -134,6 +134,3 @@ module Builder : sig
       twice, an expression fails width checking, or an instance connection
       mismatches. *)
 end
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line summary: name, port/wire/reg/memory/instance counts. *)

@@ -112,7 +112,7 @@ let flatten (top : Circuit.t) =
 
 (* Topologically order combinational assignments; memory reads are
    additional combinational nodes (memory contents are state). *)
-let schedule widths assigns (mems : flat_mem list) =
+let schedule assigns (mems : flat_mem list) =
   let nodes = Hashtbl.create 256 in
   (* target -> dependency vars *)
   List.iter
@@ -124,7 +124,6 @@ let schedule widths assigns (mems : flat_mem list) =
         (fun (rd, a) -> Hashtbl.replace nodes rd (Expr.vars a, `Memread (m, a)))
         m.fm_reads)
     mems;
-  ignore widths;
   let state = Hashtbl.create 256 in
   (* 0 = unvisited, 1 = in progress, 2 = done *)
   let order = ref [] in
@@ -163,6 +162,42 @@ let schedule widths assigns (mems : flat_mem list) =
     !order
 
 type sched_node = [ `Assign of Expr.t | `Memread of flat_mem * Expr.t ]
+
+(* Every assignment and register must be exactly as wide as its target:
+   evaluation would otherwise store a value of the wrong width without
+   complaint.  Generated circuits pass this by construction
+   ([Circuit.Builder.finish]); a raw record need not. *)
+let check_widths widths assigns regs =
+  let env name =
+    match Hashtbl.find_opt widths name with
+    | Some w -> w
+    | None -> invalid_arg ("unknown signal " ^ name)
+  in
+  let width what e =
+    try Expr.width ~env e
+    with Invalid_argument msg ->
+      invalid_arg (Printf.sprintf "Interp_ref: %s: %s" what msg)
+  in
+  let expect what want e =
+    let w = width what e in
+    if w <> want then
+      invalid_arg
+        (Printf.sprintf
+           "Interp_ref: %s: expression width %d does not match target width %d"
+           what w want)
+  in
+  List.iter (fun (tgt, e) -> expect tgt (width tgt (Expr.Var tgt)) e) assigns;
+  List.iter
+    (fun r ->
+      let w = Hashtbl.find widths r.fr_name in
+      if Bits.width r.fr_init <> w then
+        invalid_arg
+          (Printf.sprintf
+             "Interp_ref: register %s: init width %d does not match declared \
+              width %d"
+             r.fr_name (Bits.width r.fr_init) w);
+      expect ("next of " ^ r.fr_name) w r.fr_next)
+    regs
 
 (* Fault injection over {!Flat.injection} descriptors, implemented
    independently against the string-keyed engine so differential tests
@@ -255,7 +290,8 @@ type t = sim
 
 let create top =
   let widths, top_inputs, assigns, regs, mems = flatten top in
-  let order = schedule widths assigns mems in
+  let order = schedule assigns mems in
+  check_widths widths assigns regs;
   let values = Hashtbl.create 256 in
   Hashtbl.iter (fun n w -> Hashtbl.replace values n (Bits.zero w)) widths;
   let arrays = Hashtbl.create 8 in

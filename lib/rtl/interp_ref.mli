@@ -14,7 +14,9 @@ type t
 
 val create : Circuit.t -> t
 (** Flatten and schedule the design.
-    @raise Invalid_argument on combinational loops. *)
+    @raise Invalid_argument on duplicate flat signals, combinational
+    loops, unknown signals, and any assignment, register next or
+    register init whose width differs from its target's. *)
 
 val reset : t -> unit
 val set_input : t -> string -> Bits.t -> unit

@@ -58,8 +58,6 @@ let settle t = Engine.settle t.sim
 
 let peek t name = Engine.peek_int t.sim name
 
-let peek_signed t name = Bits.to_signed_int_exn (Engine.peek t.sim name)
-
 let expect t name want =
   Engine.settle t.sim;
   let got = peek t name in

@@ -44,7 +44,6 @@ val settle : t -> unit
     clock. *)
 
 val peek : t -> string -> int
-val peek_signed : t -> string -> int
 
 val expect : t -> string -> int -> unit
 (** Settle, then compare a signal against the expected value.

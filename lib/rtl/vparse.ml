@@ -543,19 +543,6 @@ let parse_module src =
   | m -> Ok m
   | exception Parse_error msg -> Error msg
 
-let parse_design src =
-  match
-    let s = { toks = lex src } in
-    let rec go acc =
-      match current s with
-      | T_eof -> List.rev acc
-      | _ -> go (parse_module_stream s :: acc)
-    in
-    go []
-  with
-  | ms -> Ok ms
-  | exception Parse_error msg -> Error msg
-
 (* ------------------------------------------------------------------ *)
 (* Equivalence                                                         *)
 (* ------------------------------------------------------------------ *)

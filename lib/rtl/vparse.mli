@@ -36,9 +36,6 @@ val read_marker : mem:string -> addr:Expr.t -> Expr.t
 val parse_module : string -> (vmodule, string) result
 (** Parse one module.  The error carries a line/column hint. *)
 
-val parse_design : string -> (vmodule list, string) result
-(** Parse a concatenation of modules ({!Verilog.of_design} output). *)
-
 val matches_circuit : vmodule -> Circuit.t -> (unit, string list) result
 (** Structural equivalence with the circuit the emitter was given:
     same ports (plus [clk]/[rst] exactly when the circuit holds state),

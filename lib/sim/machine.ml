@@ -144,28 +144,6 @@ and txn_record = {
   tr_words : int;
 }
 
-let pp_stats fmt s =
-  Format.fprintf fmt "@[<v>cycles: %d@,txns: %d, words: %d, polls: %d@,"
-    s.cycles s.transactions s.words_transferred s.polls;
-  Array.iteri
-    (fun i busy ->
-      Format.fprintf fmt "pe%d: busy %d, wait %d@," i busy s.pe_wait.(i))
-    s.pe_busy;
-  List.iter
-    (fun (name, busy) -> Format.fprintf fmt "bus %s: busy %d@," name busy)
-    s.bus_busy;
-  (match s.reliability with
-  | None -> ()
-  | Some r ->
-      Format.fprintf fmt
-        "faults: %d errors, %d timeouts, %d retries, %d recovered, %d \
-         unrecovered@,"
-        r.r_errors r.r_timeouts r.r_retries r.r_recovered r.r_unrecovered;
-      if r.r_quarantined <> [] then
-        Format.fprintf fmt "quarantined PEs: %s@,"
-          (String.concat ", " (List.map string_of_int r.r_quarantined)));
-  Format.fprintf fmt "@]"
-
 exception Invalid_program of string
 exception Deadlock of string
 

@@ -131,8 +131,6 @@ and txn_record = {
   tr_words : int;
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-
 exception Invalid_program of string
 (** Raised when a program uses an operation the architecture cannot
     perform (e.g. [Loc_global] on BFBA), naming the PE and operation. *)

@@ -61,29 +61,3 @@ let repeat n body =
   next
 
 let generator f = f
-
-let pp_location fmt = function
-  | Loc_local -> Format.pp_print_string fmt "local"
-  | Loc_peer_mem k -> Format.fprintf fmt "peer%d" k
-  | Loc_global -> Format.pp_print_string fmt "global"
-
-let pp_flag fmt = function
-  | Hs_flag (k, name) -> Format.fprintf fmt "hs%d.%s" k name
-  | Var_flag name -> Format.fprintf fmt "var.%s" name
-
-let pp_op fmt = function
-  | Compute n -> Format.fprintf fmt "compute %d" n
-  | Read (l, n) -> Format.fprintf fmt "read %a x%d" pp_location l n
-  | Write (l, n) -> Format.fprintf fmt "write %a x%d" pp_location l n
-  | Set_flag (f, v) -> Format.fprintf fmt "set %a := %b" pp_flag f v
-  | Wait_flag (f, v) -> Format.fprintf fmt "wait %a = %b" pp_flag f v
-  | Lock_acquire l -> Format.fprintf fmt "lock %s" l
-  | Try_lock (l, _) -> Format.fprintf fmt "trylock %s" l
-  | Lock_release l -> Format.fprintf fmt "unlock %s" l
-  | Fifo_set_threshold (d, w) -> Format.fprintf fmt "fifo_thr ->%d %d" d w
-  | Fifo_push (d, w) -> Format.fprintf fmt "fifo_push ->%d x%d" d w
-  | Fifo_pop w -> Format.fprintf fmt "fifo_pop x%d" w
-  | Wait_fifo_irq -> Format.pp_print_string fmt "wait_irq"
-  | Mark l -> Format.fprintf fmt "mark %s" l
-  | Call _ -> Format.pp_print_string fmt "call"
-  | Halt -> Format.pp_print_string fmt "halt"

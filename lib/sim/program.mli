@@ -79,5 +79,3 @@ val repeat : int -> (int -> op list) -> t
     lazily. *)
 
 val generator : (unit -> op option) -> t
-
-val pp_op : Format.formatter -> op -> unit

@@ -87,8 +87,6 @@ let validate lib =
         (fun acc e -> match acc with Error _ -> acc | Ok () -> check_entry e)
         (Ok ()) lib
 
-let find_entry lib name = List.find_opt (fun e -> e.lib_name = name) lib
-
 let is_group w =
   match (w.end1.m_ref, w.end2.m_ref) with
   | Group (b1, m1), Group (b2, m2) -> b1 = b2 && m1 = m2

@@ -50,8 +50,6 @@ val validate : t -> (unit, string) result
 (** All wires valid; no duplicate wire names within an entry; no duplicate
     entry names. *)
 
-val find_entry : t -> string -> entry option
-
 val is_group : wire -> bool
 (** True when both endpoints use the same group pattern. *)
 

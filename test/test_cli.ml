@@ -105,9 +105,7 @@ let test_verify_replay_missing () =
     ~on_stderr:"verify:"
 
 (* Unknown --engine follows the same user-error contract on every
-   subcommand that accepts the flag, including transaction-level
-   `simulate` (which validates the value even though it never
-   evaluates RTL). *)
+   subcommand that accepts the flag. *)
 let test_engine_unknown () =
   check_user_error "inject --engine bogus"
     [ "inject"; "-a"; "bfba"; "-p"; "2"; "--engine"; "bogus" ]
@@ -118,9 +116,6 @@ let test_engine_unknown () =
   check_user_error "soak --engine bogus"
     [ "soak"; "-a"; "bfba"; "-p"; "2"; "--cycles"; "100"; "--ckpt-dir";
       in_tmp "soak_engine_bogus"; "--engine"; "bogus" ]
-    ~on_stderr:"unknown engine";
-  check_user_error "simulate --engine bogus"
-    [ "simulate"; "-a"; "bfba"; "-w"; "database"; "--engine"; "bogus" ]
     ~on_stderr:"unknown engine";
   (* So is the removed [slot] engine, and the one line names the
      engines that exist. *)
@@ -133,9 +128,6 @@ let test_engine_unknown () =
   check_user_error "soak --engine slot"
     [ "soak"; "-a"; "bfba"; "-p"; "2"; "--cycles"; "100"; "--ckpt-dir";
       in_tmp "soak_engine_slot"; "--engine"; "slot" ]
-    ~on_stderr:"expected tape or ref";
-  check_user_error "simulate --engine slot"
-    [ "simulate"; "-a"; "bfba"; "-w"; "database"; "--engine"; "slot" ]
     ~on_stderr:"expected tape or ref"
 
 (* The supervision and worker flags follow the same user-error

@@ -1193,6 +1193,10 @@ let test_lint_flags_engine_rejects () =
   Alcotest.(check bool) "lint accepts the control" true
     (Lint.is_clean (Lint.check control));
   let raw assigns = { control with Circuit.assigns } in
+  let raw_reg ~init ~next =
+    { control with
+      Circuit.regs = [ { Circuit.reg_name = "r"; reg_width = 1; init; next } ] }
+  in
   let loops =
     [
       ("2-node loop", loop2_circuit ~readers:20);
@@ -1208,6 +1212,10 @@ let test_lint_flags_engine_rejects () =
         raw [ { Circuit.target = "o"; expr = Expr.var "nope" } ] );
       ( "raw record driving a 1-bit output with a 2-bit constant",
         raw [ { Circuit.target = "o"; expr = Expr.const_int ~width:2 1 } ] );
+      ( "raw record with a 2-bit next for a 1-bit register",
+        raw_reg ~init:(Bits.zero 1) ~next:(Expr.const_int ~width:2 1) );
+      ( "raw record with a 2-bit init for a 1-bit register",
+        raw_reg ~init:(Bits.zero 2) ~next:(Expr.const_int ~width:1 1) );
     ]
   in
   let lint_errors name c =
@@ -1219,6 +1227,9 @@ let test_lint_flags_engine_rejects () =
   in
   List.iter
     (fun (name, c) ->
+      (match Engine.create ~kind:Engine.Ref c with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: the ref engine accepted it" name);
       match Engine.create ~kind:Engine.Tape c with
       | exception Invalid_argument _ -> ignore (lint_errors name c)
       | _ -> Alcotest.failf "%s: the tape engine accepted it" name)
