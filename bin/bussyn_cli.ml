@@ -103,14 +103,13 @@ let pes_arg =
 (* Counts are validated here, once for every subcommand: a value below
    1 is a user error (exit 2, one line on stderr), raised while cmdliner
    evaluates the term and before any work starts. *)
-let positive ~flag arg =
-  let check n =
-    if n < 1 then
-      failwith
-        (Printf.sprintf "invalid %s %d (expected a positive integer)" flag n);
-    n
-  in
-  Term.(const check $ arg)
+let check_positive ~flag n =
+  if n < 1 then
+    failwith
+      (Printf.sprintf "invalid %s %d (expected a positive integer)" flag n);
+  n
+
+let positive ~flag arg = Term.(const (check_positive ~flag) $ arg)
 
 let jobs_arg =
   positive ~flag:"--jobs"
@@ -459,31 +458,20 @@ let simulate_cmd =
                 reliability outcome.")
   in
   let max_cycles_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "max-cycles" ] ~docv:"N"
-          ~doc:"Stop the simulation after N cycles (default 200 million); \
-                useful to bound degraded fault-injection runs.")
+    Term.(
+      const (Option.map (check_positive ~flag:"--max-cycles"))
+      $ Arg.(
+          value & opt (some int) None
+          & info [ "max-cycles" ] ~docv:"N"
+              ~doc:"Cycle budget (default 200 million).  A run whose PEs \
+                    have not all halted by cycle N fails with exit 1, unless \
+                    --faults quarantined a PE: that degraded run stops at N \
+                    and is reported."))
   in
-  let ckpt_dir_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "ckpt-dir" ] ~docv:"DIR"
-          ~doc:"Write replay-mark checkpoints under DIR while simulating, \
-                and validate against the newest one on restart: the engine \
-                replays deterministically to the checkpointed cycle and its \
-                state digest must match the mark, or the run refuses to \
-                continue.")
-  in
-  let ckpt_every_arg =
-    Arg.(
-      value & opt int 500_000
-      & info [ "ckpt-every" ] ~docv:"CYCLES"
-          ~doc:"Mark cadence in simulated cycles (with --ckpt-dir).")
-  in
-  let run arch app trace csv faults max_cycles ckpt_dir ckpt_every =
+  let run arch app trace csv faults max_cycles =
     let module M = Busgen_sim.Machine in
-    let module K = Busgen_ckpt.Ckpt in
+    if csv <> None && not trace then
+      failwith "--csv needs --trace (no transactions recorded)";
     let report stats =
       if trace then
         Format.printf "%a@." Busgen_sim.Analysis.pp_report stats;
@@ -495,8 +483,6 @@ let simulate_cmd =
       match csv with
       | None -> ()
       | Some prefix ->
-          if not trace then
-            failwith "--csv needs --trace (no transactions recorded)";
           let module A = Busgen_sim.Analysis in
           let buckets = 40 in
           let util = prefix ^ "-util.csv" in
@@ -507,14 +493,7 @@ let simulate_cmd =
           Printf.printf "wrote %s-{trace,util}.csv and %s-util.gp\n" prefix
             prefix
     in
-    let app_name =
-      match app with
-      | `Ofdm_ppa -> "ofdm-ppa"
-      | `Ofdm_fpa -> "ofdm-fpa"
-      | `Mpeg2 -> "mpeg2"
-      | `Database -> "database"
-    in
-    let session, print_result =
+    match
       match app with
       | `Ofdm_ppa | `Ofdm_fpa ->
           let style =
@@ -522,131 +501,33 @@ let simulate_cmd =
             | `Ofdm_ppa -> Busgen_apps.Ofdm.Ppa
             | _ -> Busgen_apps.Ofdm.Fpa
           in
-          let s, fin =
-            Busgen_apps.Ofdm.session ~trace ?faults ?max_cycles arch style
-          in
-          ( s,
-            fun stats ->
-              let r = fin stats in
-              Printf.printf "OFDM %s on %s: %.4f Mbps (%d cycles)\n"
-                (Busgen_apps.Ofdm.style_name style)
-                (G.arch_name arch) r.Busgen_apps.Ofdm.throughput_mbps
-                r.Busgen_apps.Ofdm.stats.M.cycles;
-              report r.Busgen_apps.Ofdm.stats )
+          let r = Busgen_apps.Ofdm.run ~trace ?faults ?max_cycles arch style in
+          Printf.printf "OFDM %s on %s: %.4f Mbps (%d cycles)\n"
+            (Busgen_apps.Ofdm.style_name style)
+            (G.arch_name arch) r.Busgen_apps.Ofdm.throughput_mbps
+            r.Busgen_apps.Ofdm.stats.M.cycles;
+          r.Busgen_apps.Ofdm.stats
       | `Mpeg2 ->
-          let s, fin =
-            Busgen_apps.Mpeg2.session ~trace ?faults ?max_cycles arch
-          in
-          ( s,
-            fun stats ->
-              let r = fin stats in
-              Printf.printf "MPEG2 on %s: %.4f Mbps (%d cycles)\n"
-                (G.arch_name arch) r.Busgen_apps.Mpeg2.throughput_mbps
-                r.Busgen_apps.Mpeg2.stats.M.cycles;
-              report r.Busgen_apps.Mpeg2.stats )
+          let r = Busgen_apps.Mpeg2.run ~trace ?faults ?max_cycles arch in
+          Printf.printf "MPEG2 on %s: %.4f Mbps (%d cycles)\n"
+            (G.arch_name arch) r.Busgen_apps.Mpeg2.throughput_mbps
+            r.Busgen_apps.Mpeg2.stats.M.cycles;
+          r.Busgen_apps.Mpeg2.stats
       | `Database ->
-          let s, fin =
-            Busgen_apps.Database.session ~trace ?faults ?max_cycles arch
-          in
-          ( s,
-            fun stats ->
-              let r = fin stats in
-              Printf.printf "Database on %s: %.0f ns (%d tasks)\n"
-                (G.arch_name arch) r.Busgen_apps.Database.execution_time_ns
-                r.Busgen_apps.Database.tasks;
-              report r.Busgen_apps.Database.stats )
-    in
-    let stats =
-      match ckpt_dir with
-      | None ->
-          let rec go () =
-            match M.advance session ~cycles:max_int with
-            | `Done stats -> stats
-            | `Running -> go ()
-          in
-          go ()
-      | Some dir ->
-          if ckpt_every <= 0 then failwith "--ckpt-every must be positive";
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          let ident =
-            Printf.sprintf "%s/%s%s" (G.arch_name arch) app_name
-              (match faults with
-              | None -> ""
-              | Some fc ->
-                  Printf.sprintf "/faults:%d:%d/%d" fc.M.f_seed fc.M.f_error_num
-                    fc.M.f_den)
-          in
-          let found, skipped = K.latest_valid ~dir ~load:K.load_mark in
-          List.iter
-            (fun (path, reason) ->
-              Printf.printf "[ckpt] skipping %s: %s\n%!" path reason)
-            skipped;
-          (* Per-PE phases carry program closures, so a transaction-level
-             checkpoint is a replay mark: re-run deterministically to the
-             marked cycle and require the state digest to agree. *)
-          (match found with
-          | None -> ()
-          | Some (mark, _, path) ->
-              if mark.K.mk_tool <> G.tool_version then
-                failwith
-                  (Printf.sprintf "%s was written by %s; this is %s" path
-                     mark.K.mk_tool G.tool_version);
-              if mark.K.mk_ident <> ident then
-                failwith
-                  (Printf.sprintf
-                     "%s is a checkpoint of '%s'; this run is '%s' — \
-                      refusing to resume"
-                     path mark.K.mk_ident ident);
-              Printf.printf "[ckpt] replaying to cycle %d (%s)\n%!"
-                mark.K.mk_cycle path;
-              let rec to_mark () =
-                let p = M.progress session in
-                if p.M.pr_cycle < mark.K.mk_cycle && not (M.finished session)
-                then begin
-                  ignore
-                    (M.advance session
-                       ~cycles:(min ckpt_every (mark.K.mk_cycle - p.M.pr_cycle)));
-                  to_mark ()
-                end
-              in
-              to_mark ();
-              let p = M.progress session in
-              if p.M.pr_cycle <> mark.K.mk_cycle then
-                failwith
-                  (Printf.sprintf
-                     "replay ended at cycle %d, checkpoint marks cycle %d — \
-                      the workload is shorter than the checkpointed one"
-                     p.M.pr_cycle mark.K.mk_cycle);
-              if p.M.pr_digest <> mark.K.mk_digest then
-                failwith
-                  (Printf.sprintf
-                     "state digest mismatch at cycle %d (checkpoint %x, \
-                      replay %x) — the workload diverged from the \
-                      checkpointed run"
-                     mark.K.mk_cycle mark.K.mk_digest p.M.pr_digest);
-              Printf.printf "[ckpt] digest validated at cycle %d\n%!"
-                mark.K.mk_cycle);
-          let rec drive () =
-            match M.advance session ~cycles:ckpt_every with
-            | `Done stats -> stats
-            | `Running ->
-                let p = M.progress session in
-                K.save_mark ~path:(K.path_for ~dir ~cycle:p.M.pr_cycle)
-                  {
-                    K.mk_tool = G.tool_version;
-                    mk_ident = ident;
-                    mk_cycle = p.M.pr_cycle;
-                    mk_digest = p.M.pr_digest;
-                  };
-                K.prune
-                  ~log:(fun m -> Printf.printf "[ckpt] %s\n%!" m)
-                  ~dir ~keep:3 ();
-                drive ()
-          in
-          drive ()
-    in
-    print_result stats;
-    0
+          let r = Busgen_apps.Database.run ~trace ?faults ?max_cycles arch in
+          Printf.printf "Database on %s: %.0f ns (%d tasks)\n"
+            (G.arch_name arch) r.Busgen_apps.Database.execution_time_ns
+            r.Busgen_apps.Database.tasks;
+          r.Busgen_apps.Database.stats
+    with
+    | stats ->
+        report stats;
+        0
+    | exception M.Deadlock msg ->
+        (* The simulator's progress check ran and failed: exit 1, with
+           nothing on stdout. *)
+        prerr_endline ("bussyn_cli: " ^ msg);
+        1
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -654,7 +535,7 @@ let simulate_cmd =
              its performance.")
     Term.(
       const run $ arch_arg $ app_arg $ trace_arg $ csv_arg $ faults_arg
-      $ max_cycles_arg $ ckpt_dir_arg $ ckpt_every_arg)
+      $ max_cycles_arg)
 
 (* ------------------------------------------------------------------ *)
 (* inject                                                              *)

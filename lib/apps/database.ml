@@ -99,7 +99,7 @@ let var_home name =
   | Some i ->
       int_of_string (String.sub name (i + 1) (String.length name - i - 1))
 
-let session ?(clients = 40) ?config ?faults ?max_cycles ?(trace = false) arch =
+let run ?(clients = 40) ?config ?faults ?max_cycles ?(trace = false) arch =
   let n_pes = 4 in
   let config =
     match config with
@@ -120,21 +120,10 @@ let session ?(clients = 40) ?config ?faults ?max_cycles ?(trace = false) arch =
     match faults with None -> config | Some _ -> { config with Machine.faults }
   in
   let programs = programs ~arch ~n_pes ~clients in
-  let finish stats =
-    {
-      stats;
-      execution_time_ns =
-        float_of_int stats.Machine.cycles *. Machine.ns_per_cycle;
-      tasks = clients + 1;
-    }
-  in
-  (Machine.start ?max_cycles config programs, finish)
-
-let run ?clients ?config ?faults ?max_cycles ?trace arch =
-  let s, finish = session ?clients ?config ?faults ?max_cycles ?trace arch in
-  let rec go () =
-    match Machine.advance s ~cycles:max_int with
-    | `Done stats -> stats
-    | `Running -> go ()
-  in
-  finish (go ())
+  let stats = Machine.run ?max_cycles config programs in
+  {
+    stats;
+    execution_time_ns =
+      float_of_int stats.Machine.cycles *. Machine.ns_per_cycle;
+    tasks = clients + 1;
+  }

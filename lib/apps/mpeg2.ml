@@ -545,7 +545,7 @@ let var_home name =
   | Some i ->
       int_of_string (String.sub name (i + 1) (String.length name - i - 1))
 
-let session ?(gops = 8) ?config ?faults ?max_cycles ?(trace = false) arch =
+let run ?(gops = 8) ?config ?faults ?max_cycles ?(trace = false) arch =
   let n_pes = 4 in
   let config =
     match config with
@@ -567,23 +567,12 @@ let session ?(gops = 8) ?config ?faults ?max_cycles ?(trace = false) arch =
     match faults with None -> config | Some _ -> { config with Machine.faults }
   in
   let programs = programs ~arch ~n_pes ~gops in
-  let finish stats =
-    {
-      stats;
-      gops;
-      throughput_mbps =
-        Machine.throughput_mbps
-          ~bits:(gops * Codec.bits_per_gop)
-          ~cycles:stats.Machine.cycles;
-    }
-  in
-  (Machine.start ?max_cycles config programs, finish)
-
-let run ?gops ?config ?faults ?max_cycles ?trace arch =
-  let s, finish = session ?gops ?config ?faults ?max_cycles ?trace arch in
-  let rec go () =
-    match Machine.advance s ~cycles:max_int with
-    | `Done stats -> stats
-    | `Running -> go ()
-  in
-  finish (go ())
+  let stats = Machine.run ?max_cycles config programs in
+  {
+    stats;
+    gops;
+    throughput_mbps =
+      Machine.throughput_mbps
+        ~bits:(gops * Codec.bits_per_gop)
+        ~cycles:stats.Machine.cycles;
+  }

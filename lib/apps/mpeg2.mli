@@ -79,14 +79,3 @@ val run :
   result
 (** Default 8 GOPs.  [faults] enables the bus fault model (overrides
     [config.faults] when both are given). *)
-
-val session :
-  ?gops:int ->
-  ?config:Busgen_sim.Machine.config ->
-  ?faults:Busgen_sim.Machine.fault_config ->
-  ?max_cycles:int ->
-  ?trace:bool ->
-  Bussyn.Generate.arch ->
-  Busgen_sim.Machine.session * (Busgen_sim.Machine.stats -> result)
-(** {!run} split open for supervised execution (see
-    {!Ofdm.session}). *)

@@ -371,7 +371,21 @@ let var_home name =
   | Some i ->
       int_of_string (String.sub name (i + 1) (String.length name - i - 1))
 
-let finish ~packets ~style stats =
+let run ?(packets = 8) ?config ?faults ?max_cycles ?protocol ?(trace = false)
+    arch style =
+  let n_pes = 4 in
+  let config =
+    match config with
+    | Some c -> c
+    | None ->
+        { (Machine.default_config arch ~n_pes) with Machine.var_home;
+          trace }
+  in
+  let config =
+    match faults with None -> config | Some _ -> { config with Machine.faults }
+  in
+  let programs = programs ?protocol ~arch ~style ~n_pes ~packets () in
+  let stats = Machine.run ?max_cycles config programs in
   let throughput_mbps =
     match style with
     | Fpa ->
@@ -399,30 +413,3 @@ let finish ~packets ~style stats =
               ~cycles:stats.Machine.cycles)
   in
   { stats; packets; throughput_mbps }
-
-let session ?(packets = 8) ?config ?faults ?max_cycles ?protocol
-    ?(trace = false) arch style =
-  let n_pes = 4 in
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-        { (Machine.default_config arch ~n_pes) with Machine.var_home;
-          trace }
-  in
-  let config =
-    match faults with None -> config | Some _ -> { config with Machine.faults }
-  in
-  let programs = programs ?protocol ~arch ~style ~n_pes ~packets () in
-  (Machine.start ?max_cycles config programs, finish ~packets ~style)
-
-let run ?packets ?config ?faults ?max_cycles ?protocol ?trace arch style =
-  let s, finish =
-    session ?packets ?config ?faults ?max_cycles ?protocol ?trace arch style
-  in
-  let rec go () =
-    match Machine.advance s ~cycles:max_int with
-    | `Done stats -> stats
-    | `Running -> go ()
-  in
-  finish (go ())

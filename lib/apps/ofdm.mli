@@ -114,20 +114,3 @@ val run :
 (** Simulate (default 8 packets, paper Fig. 24) and report throughput at
     the 100 MHz bus clock.  [faults] enables the bus fault model
     (overrides [config.faults] when both are given). *)
-
-val session :
-  ?packets:int ->
-  ?config:Busgen_sim.Machine.config ->
-  ?faults:Busgen_sim.Machine.fault_config ->
-  ?max_cycles:int ->
-  ?protocol:Comm.protocol ->
-  ?trace:bool ->
-  Bussyn.Generate.arch ->
-  style ->
-  Busgen_sim.Machine.session * (Busgen_sim.Machine.stats -> result)
-(** {!run} split open for supervised execution: the un-run engine
-    session plus the finisher that turns its final stats into a
-    {!result}.  [run a s] = advancing the session to [`Done stats] and
-    applying the finisher; a checkpoint supervisor instead advances in
-    bounded slices, observing {!Busgen_sim.Machine.progress} between
-    them. *)

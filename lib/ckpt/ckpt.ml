@@ -415,37 +415,6 @@ let check_provenance snap ~arch ~config ~seed =
   else Ok ()
 
 (* ------------------------------------------------------------------ *)
-(* Transaction-level replay marks                                      *)
-(* ------------------------------------------------------------------ *)
-
-type mark = {
-  mk_tool : string;
-  mk_ident : string;
-  mk_cycle : int;
-  mk_digest : int;
-}
-
-let save_mark ~path mark =
-  let body b () =
-    Io.w_string b mark.mk_tool;
-    Io.w_string b mark.mk_ident;
-    Io.w_int b mark.mk_cycle;
-    Io.w_int b mark.mk_digest
-  in
-  write_file path [ ("mark", payload body ()) ]
-
-let load_mark ~path =
-  let* sections = read_file path in
-  let* body = Result.map_error (fun e -> path ^ ": " ^ e) (section sections "mark") in
-  decoding path (fun () ->
-      let r = Io.reader body in
-      let mk_tool = Io.r_string r in
-      let mk_ident = Io.r_string r in
-      let mk_cycle = Io.r_int r in
-      let mk_digest = Io.r_int r in
-      { mk_tool; mk_ident; mk_cycle; mk_digest })
-
-(* ------------------------------------------------------------------ *)
 (* Checkpoint directories                                              *)
 (* ------------------------------------------------------------------ *)
 

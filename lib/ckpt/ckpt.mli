@@ -8,23 +8,15 @@
     magic, version and CRC before decoding anything; every failure is a
     clean [Error] naming the file and the reason.
 
-    On top of the container sit two typed snapshots:
-
-    - {!snapshot}: full RTL co-simulation state — engine signal and
-      memory values ({!Busgen_rtl.Flat.state}), installed fault
-      injections, the traffic driver's RNG and shadow model
-      ({!Busgen_verify.Traffic.state}), property-monitor obligations
-      ({!Busgen_verify.Prop.monitor_state}) — plus the provenance
-      needed to refuse a mismatched resume: tool version and
-      {!Bussyn.Generate.design_hash} over the architecture and config
-      (both of which are stored too, so a resume can re-generate the
-      exact circuit).
-
-    - {!mark}: a replay mark for the transaction-level engine
-      ({!Busgen_sim}), whose per-PE phases carry closures and cannot be
-      serialized.  A mark records the cycle reached and the engine's
-      state digest; restore is deterministic replay to that cycle,
-      validated against the digest. *)
+    On top of the container sits one typed snapshot, {!snapshot}: full
+    RTL co-simulation state — engine signal and memory values
+    ({!Busgen_rtl.Flat.state}), installed fault injections, the traffic
+    driver's RNG and shadow model ({!Busgen_verify.Traffic.state}),
+    property-monitor obligations ({!Busgen_verify.Prop.monitor_state})
+    — plus the provenance needed to refuse a mismatched resume: tool
+    version and {!Bussyn.Generate.design_hash} over the architecture
+    and config (both of which are stored too, so a resume can
+    re-generate the exact circuit). *)
 
 (** {1 Container} *)
 
@@ -75,18 +67,6 @@ val check_provenance :
 (** Refuse a resume against a different world: the snapshot's tool
     version, design hash and traffic seed must all match what the
     resuming run would use.  The [Error] says which differs and how. *)
-
-(** {1 Transaction-level replay marks} *)
-
-type mark = {
-  mk_tool : string;
-  mk_ident : string;  (** free-text workload identity (arch, app, faults) *)
-  mk_cycle : int;
-  mk_digest : int;    (** {!Busgen_sim.Machine.progress} digest at [mk_cycle] *)
-}
-
-val save_mark : path:string -> mark -> unit
-val load_mark : path:string -> (mark, string) result
 
 (** {1 Checkpoint directories}
 

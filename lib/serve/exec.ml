@@ -435,6 +435,9 @@ let run (rq : Proto.request) =
     | exception Tb.Timeout msg ->
       Proto.err_reply ~id:rq.Proto.rq_id ~code:Proto.code_crashed
         ("bus timeout: " ^ msg)
+    | exception Busgen_sim.Machine.Deadlock msg ->
+      Proto.err_reply ~id:rq.Proto.rq_id ~code:Proto.code_crashed
+        ("deadlock: " ^ msg)
   in
   (reply, Cache.sub (Cache.snapshot ()) before)
 

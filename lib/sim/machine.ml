@@ -680,77 +680,6 @@ let resources_of c =
   | Bussyn.Generate.Splitba ->
       List.init (max 1 c.n_subsystems) (fun k -> Ss k)
 
-(* A resumable run: [start] builds the engine, [advance] pushes it a
-   bounded number of cycles, [progress] exposes where it is.  [run] is
-   the one-shot composition and keeps its exact historical semantics. *)
-type session = {
-  s_m : m;
-  s_max : int;                     (* max_cycles guard *)
-  mutable s_stop : bool;           (* degraded stop latched *)
-  mutable s_result : stats option; (* final stats once finished *)
-}
-
-let start ?(max_cycles = 200_000_000) c programs =
-  if Array.length programs <> c.n_pes then
-    Stdlib.invalid_arg "Machine.run: program count <> n_pes";
-  (* Programs are stateful generators: sharing one across PEs would
-     silently split its operations between them. *)
-  Array.iteri
-    (fun i p ->
-      Array.iteri
-        (fun j q ->
-          if i < j && p == q then
-            Stdlib.invalid_arg
-              (Printf.sprintf
-                 "Machine.run: PEs %d and %d share one program generator" i j))
-        programs)
-    programs;
-  let m =
-    {
-      c;
-      programs;
-      phase = Array.make c.n_pes Fetch;
-      buses =
-        List.mapi
-          (fun i r ->
-            { b_res = r; cur = None; cur_left = 0; cur_grant = 0;
-              waiting = []; busy = 0; rr_last = c.n_pes - 1;
-              b_lcg =
-                (match c.faults with
-                | Some fc -> (fc.f_seed + ((i + 1) * 0x27d4eb2f)) land 0x3FFFFFFF
-                | None -> 0);
-              b_fault = F_ok })
-          (resources_of c);
-      l1s =
-        (match c.l1 with
-        | None -> [||]
-        | Some cfg ->
-            Array.init c.n_pes (fun pe ->
-                { cache = Cache.create cfg; pos = 0;
-                  lcg = 12345 + (pe * 7919); run_left = l1_run }));
-      flags = Hashtbl.create 32;
-      locks = Hashtbl.create 32;
-      fifo_count = Array.make c.n_pes 0;
-      fifo_thr = Array.make c.n_pes 0;
-      halted = 0;
-      transactions = 0;
-      words = 0;
-      polls = 0;
-      pe_busy = Array.make c.n_pes 0;
-      pe_wait = Array.make c.n_pes 0;
-      ops_done = Array.make c.n_pes 0;
-      rel =
-        { rl_errors = 0; rl_timeouts = 0; rl_retries = 0; rl_recovered = 0;
-          rl_unrecovered = 0; rl_quarantined = [] };
-      activity = false;
-      m_marks = [];
-      m_trace = [];
-      now = 0;
-    }
-  in
-  List.iter (fun (f, v) -> Hashtbl.replace m.flags f v) c.initial_flags;
-  { s_m = m; s_max = max_cycles; s_stop = false; s_result = None }
-
 (* With faults on, a quarantined PE can leave peers legitimately
    wedged (e.g. polling a flag it will never set); such runs stop and
    report instead of raising. *)
@@ -933,137 +862,75 @@ let stats_of m =
             });
   }
 
-let advance s ~cycles =
-  match s.s_result with
-  | Some st -> `Done st
-  | None ->
-      let m = s.s_m in
-      let n = m.c.n_pes in
-      let budget = ref cycles in
-      while (not s.s_stop) && m.halted < n && m.now < s.s_max && !budget > 0 do
-        decr budget;
-        if one_cycle m then s.s_stop <- true
-      done;
-      if s.s_stop || m.halted >= n || m.now >= s.s_max then begin
-        if m.halted < n && not (degraded m) then
-          raise
-            (Deadlock
-               (Printf.sprintf
-                  "max_cycles (%d) exceeded, %d of %d PEs not halted: %s"
-                  s.s_max (n - m.halted) n (stuck_report m)));
-        let st = stats_of m in
-        s.s_result <- Some st;
-        `Done st
-      end
-      else `Running
-
-let run ?max_cycles c programs =
-  let s = start ?max_cycles c programs in
-  let rec go () =
-    match advance s ~cycles:max_int with `Done st -> st | `Running -> go ()
+(* Build the machine and run it until every PE halts, a degraded run
+   stops, or the [max_cycles] guard trips. *)
+let run ?(max_cycles = 200_000_000) c programs =
+  if Array.length programs <> c.n_pes then
+    Stdlib.invalid_arg "Machine.run: program count <> n_pes";
+  (* Programs are stateful generators: sharing one across PEs would
+     silently split its operations between them. *)
+  Array.iteri
+    (fun i p ->
+      Array.iteri
+        (fun j q ->
+          if i < j && p == q then
+            Stdlib.invalid_arg
+              (Printf.sprintf
+                 "Machine.run: PEs %d and %d share one program generator" i j))
+        programs)
+    programs;
+  let m =
+    {
+      c;
+      programs;
+      phase = Array.make c.n_pes Fetch;
+      buses =
+        List.mapi
+          (fun i r ->
+            { b_res = r; cur = None; cur_left = 0; cur_grant = 0;
+              waiting = []; busy = 0; rr_last = c.n_pes - 1;
+              b_lcg =
+                (match c.faults with
+                | Some fc -> (fc.f_seed + ((i + 1) * 0x27d4eb2f)) land 0x3FFFFFFF
+                | None -> 0);
+              b_fault = F_ok })
+          (resources_of c);
+      l1s =
+        (match c.l1 with
+        | None -> [||]
+        | Some cfg ->
+            Array.init c.n_pes (fun pe ->
+                { cache = Cache.create cfg; pos = 0;
+                  lcg = 12345 + (pe * 7919); run_left = l1_run }));
+      flags = Hashtbl.create 32;
+      locks = Hashtbl.create 32;
+      fifo_count = Array.make c.n_pes 0;
+      fifo_thr = Array.make c.n_pes 0;
+      halted = 0;
+      transactions = 0;
+      words = 0;
+      polls = 0;
+      pe_busy = Array.make c.n_pes 0;
+      pe_wait = Array.make c.n_pes 0;
+      ops_done = Array.make c.n_pes 0;
+      rel =
+        { rl_errors = 0; rl_timeouts = 0; rl_retries = 0; rl_recovered = 0;
+          rl_unrecovered = 0; rl_quarantined = [] };
+      activity = false;
+      m_marks = [];
+      m_trace = [];
+      now = 0;
+    }
   in
-  go ()
-
-(* ------------------------------------------------------------------ *)
-(* Progress and state digest                                           *)
-(* ------------------------------------------------------------------ *)
-
-type progress = {
-  pr_cycle : int;
-  pr_halted : int;
-  pr_ops_done : int array;
-  pr_phases : string array;
-  pr_transactions : int;
-  pr_words : int;
-  pr_digest : int;
-}
-
-let flag_text = function
-  | Program.Hs_flag (k, name) -> Printf.sprintf "hs%d:%s" k name
-  | Program.Var_flag name -> "var:" ^ name
-
-(* FNV-style fold over every piece of serializable engine state.  The
-   per-PE phases carry closures, so a Machine run cannot be restored by
-   copying state — restore is deterministic replay to the recorded
-   cycle, and this digest is the proof that the replay reconverged on
-   the exact state the checkpoint saw. *)
-let digest_of m =
-  let h = ref 0x811C9DC5 in
-  let add x = h := ((!h lxor x) * 0x01000193) land max_int in
-  let adds s = String.iter (fun ch -> add (Char.code ch)) s in
-  let phase_sig = function
-    | Fetch -> (0, 0, 0)
-    | Computing cs -> (1, cs.cleft, cs.miss_acc)
-    | Queued -> (2, 0, 0)
-    | Local_transfer lt -> (3, lt.left, 0)
-    | Sleeping sl -> (4, sl.left, 0)
-    | Backoff bo -> (5, bo.left, bo.txn.t_attempts)
-    | Fifo_blocked _ -> (6, 0, 0)
-    | Irq_wait -> (7, 0, 0)
-    | Halted -> (8, 0, 0)
-  in
-  add m.now;
-  add m.halted;
-  add m.transactions;
-  add m.words;
-  add m.polls;
-  Array.iter add m.ops_done;
-  Array.iter add m.pe_busy;
-  Array.iter add m.pe_wait;
-  Array.iter add m.fifo_count;
-  Array.iter add m.fifo_thr;
-  Array.iter
-    (fun ph ->
-      let a, b, c = phase_sig ph in
-      add a;
-      add b;
-      add c)
-    m.phase;
-  List.iter
-    (fun b ->
-      add b.busy;
-      add b.cur_left;
-      add b.cur_grant;
-      add b.rr_last;
-      add b.b_lcg;
-      add (match b.cur with Some t -> t.t_pe + 1 | None -> 0);
-      add (List.length b.waiting);
-      List.iter (fun t -> add t.t_pe) b.waiting)
-    m.buses;
-  Hashtbl.fold (fun f v acc -> (flag_text f, v) :: acc) m.flags []
-  |> List.sort compare
-  |> List.iter (fun (s, v) ->
-         adds s;
-         add (if v then 1 else 0));
-  Hashtbl.fold (fun name owner acc -> (name, owner) :: acc) m.locks []
-  |> List.sort compare
-  |> List.iter (fun (s, owner) ->
-         adds s;
-         add owner);
-  Array.iter
-    (fun st ->
-      add st.pos;
-      add st.lcg;
-      add st.run_left)
-    m.l1s;
-  add m.rel.rl_errors;
-  add m.rel.rl_timeouts;
-  add m.rel.rl_retries;
-  add m.rel.rl_recovered;
-  add m.rel.rl_unrecovered;
-  List.iter add m.rel.rl_quarantined;
-  !h
-
-let progress s =
-  let m = s.s_m in
-  {
-    pr_cycle = m.now;
-    pr_halted = m.halted;
-    pr_ops_done = Array.copy m.ops_done;
-    pr_phases = Array.map phase_desc m.phase;
-    pr_transactions = m.transactions;
-    pr_words = m.words;
-    pr_digest = digest_of m;
-  }
-
-let finished s = s.s_result <> None
+  List.iter (fun (f, v) -> Hashtbl.replace m.flags f v) c.initial_flags;
+  let n = c.n_pes in
+  let stop = ref false in
+  while (not !stop) && m.halted < n && m.now < max_cycles do
+    if one_cycle m then stop := true
+  done;
+  if m.halted < n && not (degraded m) then
+    raise
+      (Deadlock
+         (Printf.sprintf "max_cycles (%d) exceeded, %d of %d PEs not halted: %s"
+            max_cycles (n - m.halted) n (stuck_report m)));
+  stats_of m

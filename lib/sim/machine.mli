@@ -136,8 +136,8 @@ exception Invalid_program of string
     perform (e.g. [Loc_global] on BFBA), naming the PE and operation. *)
 
 exception Deadlock of string
-(** Raised when no PE can make progress before [max_cycles].  The
-    message names every non-halted PE with its program position (ops
+(** Raised when no PE can make progress, or when PEs are still running
+    at [max_cycles].  The message names every non-halted PE with its program position (ops
     fetched) and phase, e.g. ["pe1 at op #12, queued on a bus"]. *)
 
 val run : ?max_cycles:int -> config -> Program.t array -> stats
@@ -151,47 +151,6 @@ val run : ?max_cycles:int -> config -> Program.t array -> stats
     @raise Invalid_program / [Deadlock] as above; [Invalid_argument] if
     the program count differs from [n_pes] or the same (stateful)
     program generator appears under two PEs. *)
-
-(** {1 Resumable sessions}
-
-    {!run} as a stepped session, for supervised long runs: a checkpoint
-    supervisor advances the engine in bounded slices, observes
-    {!progress} between slices, and stops/restarts at will.  Per-PE
-    phases carry program closures, so a session is {e not} restored by
-    copying state — restore is deterministic replay of the same config
-    and programs to the recorded cycle, validated by comparing
-    {!progress} digests.  [run c ps] is exactly [start c ps] advanced to
-    completion. *)
-
-type session
-
-val start : ?max_cycles:int -> config -> Program.t array -> session
-(** Build the engine without running it.  Same validation and
-    [max_cycles] default as {!run}. *)
-
-val advance : session -> cycles:int -> [ `Running | `Done of stats ]
-(** Simulate at most [cycles] more cycles.  [`Done] is returned exactly
-    once the run ends (all PEs halted, degraded stop, or the
-    [max_cycles] guard) and is then returned again by every later call.
-    @raise Deadlock / [Invalid_program] with the same semantics as
-    {!run} (a deadlock surfaces on the [advance] call that hits it). *)
-
-val finished : session -> bool
-
-type progress = {
-  pr_cycle : int;             (** cycles simulated so far *)
-  pr_halted : int;            (** PEs halted so far *)
-  pr_ops_done : int array;    (** program position per PE *)
-  pr_phases : string array;   (** human-readable phase per PE *)
-  pr_transactions : int;
-  pr_words : int;
-  pr_digest : int;
-      (** order-independent hash of the full serializable engine state
-          (phases, queues, flags, locks, RNGs, counters): two sessions
-          with equal digests at the same cycle are in the same state *)
-}
-
-val progress : session -> progress
 
 val ns_per_cycle : float
 (** 10.0 — the paper's 100 MHz SYSCLK. *)

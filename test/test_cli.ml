@@ -409,6 +409,105 @@ let test_verify_fuzz_sweep_mismatch_refused () =
     ~on_stderr:"sweep-ckpt"
 
 (* ------------------------------------------------------------------ *)
+(* simulate: the transaction-level Machine behind Tables II-IV         *)
+(* ------------------------------------------------------------------ *)
+
+let contains ~needle hay =
+  let n = String.length hay and m = String.length needle in
+  let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
+  go 0
+
+let simulate args = run ([ "simulate"; "-a"; "gbaviii"; "-w"; "ofdm-fpa" ] @ args)
+
+let test_simulate_pinned () =
+  List.iter
+    (fun (arch, workload, want) ->
+      let name = arch ^ " " ^ workload in
+      let code, out, err = run [ "simulate"; "-a"; arch; "-w"; workload ] in
+      Alcotest.(check int) (name ^ ": exit 0") 0 code;
+      Alcotest.(check string) (name ^ ": stdout") (want ^ "\n") out;
+      Alcotest.(check string) (name ^ ": stderr") "" err)
+    [
+      ("gbaviii", "ofdm-fpa", "OFDM FPA on GBAVIII: 4.5096 Mbps (726635 cycles)");
+      ("gbaviii", "ofdm-ppa", "OFDM PPA on GBAVIII: 2.4154 Mbps (1564213 cycles)");
+      ("gbaviii", "mpeg2", "MPEG2 on GBAVIII: 1.0853 Mbps (3019139 cycles)");
+      ("ccba", "database", "Database on CCBA: 3136830 ns (41 tasks)");
+    ]
+
+let test_simulate_faults () =
+  let code, out, _ =
+    simulate [ "--faults"; "42:0.05"; "--max-cycles"; "2000000" ]
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check (list string))
+    "result, fault and recovery lines"
+    [ "OFDM FPA on GBAVIII: 4.5095 Mbps (726651 cycles)";
+      "faults: 21 errors, 5 timeouts (0.0083 per txn)";
+      "recovery: 26 retries, 25 recovered, 0 unrecovered" ]
+    (List.filteri (fun i _ -> i < 3) (String.split_on_char '\n' out))
+
+let test_simulate_trace_csv () =
+  let prefix = in_tmp "sim_csv" in
+  let files = List.map (( ^ ) prefix) [ "-trace.csv"; "-util.csv"; "-util.gp" ] in
+  List.iter (fun f -> if Sys.file_exists f then Sys.remove f) files;
+  let code, out, _ = simulate [ "--trace"; "--csv"; prefix ] in
+  Alcotest.(check int) "exit 0" 0 code;
+  (match String.split_on_char '\n' out with
+  | result :: report :: _ ->
+      Alcotest.(check string) "result line"
+        "OFDM FPA on GBAVIII: 4.5096 Mbps (726635 cycles)" result;
+      Alcotest.(check string) "report starts with the run totals"
+        "run: 726635 cycles, 3167 transactions, 62555 words" report
+  | _ -> Alcotest.failf "short output %S" out);
+  List.iter
+    (fun f -> Alcotest.(check bool) (f ^ " written") true (Sys.file_exists f))
+    files
+
+(* --csv without --trace has nothing to write: a user error, rejected
+   before the simulation runs, so nothing reaches stdout. *)
+let test_simulate_csv_needs_trace () =
+  let code, out, err =
+    run [ "simulate"; "-a"; "splitba"; "-w"; "mpeg2"; "--csv";
+          in_tmp "sim_csv_no_trace" ]
+  in
+  Alcotest.(check int) "exit 2" 2 code;
+  Alcotest.(check string) "nothing ran" "" out;
+  Alcotest.(check bool) "one line on stderr" true (is_one_line err);
+  Alcotest.(check bool) "names the missing flag" true
+    (contains ~needle:"--csv needs --trace" err)
+
+(* A run still going at --max-cycles is the simulator's progress check
+   failing (exit 1, one stderr line), not an uncaught exception; a
+   bound below 1 is a user error. *)
+let test_simulate_deadlock () =
+  let code, out, err = simulate [ "--max-cycles"; "1000" ] in
+  Alcotest.(check int) "exit 1" 1 code;
+  Alcotest.(check string) "nothing on stdout" "" out;
+  Alcotest.(check bool) "one line on stderr" true (is_one_line err);
+  Alcotest.(check bool) "no uncaught exception" false
+    (contains ~needle:"Fatal error" err);
+  Alcotest.(check bool)
+    (Printf.sprintf "names the guard (got %S)" err)
+    true
+    (contains ~needle:"bussyn_cli: max_cycles (1000) exceeded, 4 of 4 PEs" err);
+  List.iter
+    (fun n ->
+      check_user_error ("--max-cycles=" ^ n)
+        [ "simulate"; "-a"; "gbaviii"; "-w"; "ofdm-fpa"; "--max-cycles=" ^ n ]
+        ~on_stderr:
+          (Printf.sprintf "invalid --max-cycles %s (expected a positive integer)"
+             n))
+    [ "0"; "-5" ]
+
+(* simulate has no checkpoints: the flag is cmdliner's unknown option. *)
+let test_simulate_no_ckpt_dir () =
+  let code, out, err = simulate [ "--ckpt-dir"; in_tmp "sim_ckpt" ] in
+  Alcotest.(check int) "exit 124" 124 code;
+  Alcotest.(check string) "nothing ran" "" out;
+  Alcotest.(check bool) "unknown option" true
+    (contains ~needle:"unknown option '--ckpt-dir'" err)
+
+(* ------------------------------------------------------------------ *)
 (* Checkpoints written by the deleted slot engine                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -480,6 +579,20 @@ let () =
             test_supervision_flag_validation;
           Alcotest.test_case "wires --check valid file" `Quick
             test_wires_check_valid_ok;
+        ] );
+      ( "simulate",
+        [
+          Alcotest.test_case "pinned results" `Quick test_simulate_pinned;
+          Alcotest.test_case "--faults reliability lines" `Quick
+            test_simulate_faults;
+          Alcotest.test_case "--trace --csv report and files" `Quick
+            test_simulate_trace_csv;
+          Alcotest.test_case "--csv without --trace runs nothing" `Quick
+            test_simulate_csv_needs_trace;
+          Alcotest.test_case "max-cycles deadlock is one stderr line" `Quick
+            test_simulate_deadlock;
+          Alcotest.test_case "--ckpt-dir is an unknown option" `Quick
+            test_simulate_no_ckpt_dir;
         ] );
       ( "engine equivalence",
         [

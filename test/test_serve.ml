@@ -576,6 +576,28 @@ let test_drain_request () =
     (recv_exn sv);
   Alcotest.(check int) "drains to exit 0" 0 (finish sv)
 
+(* A simulate job that trips its max_cycles guard is a deterministic
+   in-job failure: one crashed reply naming the deadlock, not a worker
+   crash that the supervisor retries, quarantines and counts as failed. *)
+let test_simulate_deadlock_reply () =
+  let sv = start () in
+  send sv
+    {|{"id":"dl","kind":"simulate","params":{"arch":"gbaviii","workload":"ofdm-fpa","max_cycles":1000}}|};
+  let line = recv_exn sv in
+  check_error ~what:"deadlock" ~id:(Some "dl") ~code:"crashed" line;
+  let err = Option.value ~default:"" (reply_field line "error") in
+  Alcotest.(check bool)
+    (Printf.sprintf "names the guard (got %S)" err)
+    true
+    (String.starts_with ~prefix:"deadlock: max_cycles (1000) exceeded" err);
+  send sv {|{"id":"s","kind":"stats"}|};
+  let stats = recv_exn sv in
+  Alcotest.(check bool)
+    (Printf.sprintf "no failed job (got %s)" stats)
+    true
+    (contains ~needle:{|"failed":0|} stats);
+  Alcotest.(check int) "clean exit" 0 (finish sv)
+
 let test_explore_request () =
   let sv = start () in
   let profile =
@@ -915,6 +937,8 @@ let () =
           Alcotest.test_case "spin timed out" `Quick test_spin_timed_out;
           Alcotest.test_case "queue deadline shed" `Quick test_deadline_shed;
           Alcotest.test_case "drain request" `Quick test_drain_request;
+          Alcotest.test_case "simulate deadlock is a reply" `Quick
+            test_simulate_deadlock_reply;
           Alcotest.test_case "explore request" `Quick test_explore_request;
           Alcotest.test_case "inject matches the CLI" `Quick
             test_inject_matches_cli;

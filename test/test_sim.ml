@@ -92,45 +92,6 @@ let test_contention_slows_down () =
   Alcotest.(check bool) "two masters slower than one" true
     (both > solo + (solo / 2))
 
-let test_session_matches_run () =
-  (* A stepped session sliced at awkward boundaries is the same engine
-     as a straight run — same stats, and equal progress digests at the
-     same cycle (the invariant the checkpoint supervisor relies on). *)
-  let c = cfg () in
-  let burst = List.init 30 (fun _ -> Program.Read (Program.Loc_global, 16)) in
-  let programs () =
-    [| Program.of_list (burst @ [ Program.Halt ]);
-       Program.of_list
-         (List.init 30 (fun _ -> Program.Write (Program.Loc_global, 16))
-         @ [ Program.Halt ]) |]
-  in
-  let straight = run c (programs ()) in
-  let s1 = Machine.start c (programs ()) in
-  let s2 = Machine.start c (programs ()) in
-  let rec drain s slice =
-    match Machine.advance s ~cycles:slice with
-    | `Done stats -> stats
-    | `Running ->
-        (* Vary the slice so boundaries never line up with bus events. *)
-        drain s (1 + ((slice + 3) mod 7))
-  in
-  (* Advance both sessions to the same mid-flight cycle and compare
-     digests; then drain and compare against the straight run. *)
-  ignore (Machine.advance s1 ~cycles:40);
-  ignore (Machine.advance s2 ~cycles:25);
-  ignore (Machine.advance s2 ~cycles:15);
-  let p1 = Machine.progress s1 and p2 = Machine.progress s2 in
-  Alcotest.(check int) "same cycle after equal total slices"
-    p1.Machine.pr_cycle p2.Machine.pr_cycle;
-  Alcotest.(check int) "equal digests at the same cycle"
-    p1.Machine.pr_digest p2.Machine.pr_digest;
-  let sliced = drain s1 3 in
-  Alcotest.(check int) "same cycles" straight.Machine.cycles
-    sliced.Machine.cycles;
-  Alcotest.(check int) "same transactions" straight.Machine.transactions
-    sliced.Machine.transactions;
-  Alcotest.(check bool) "session reports finished" true (Machine.finished s1)
-
 let test_invalid_ops_rejected () =
   let expect_invalid arch ops =
     let c = cfg ~arch () in
@@ -1158,8 +1119,6 @@ let () =
           Alcotest.test_case "latency" `Quick test_private_vs_shared_latency;
           Alcotest.test_case "contention" `Quick test_contention_slows_down;
           Alcotest.test_case "invalid ops" `Quick test_invalid_ops_rejected;
-          Alcotest.test_case "session equals run" `Quick
-            test_session_matches_run;
           Alcotest.test_case "marks" `Quick test_marks_record_time;
           Alcotest.test_case "trace analysis" `Quick test_trace_and_analysis;
           Alcotest.test_case "bus energy" `Quick test_bus_energy;
