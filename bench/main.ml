@@ -630,9 +630,8 @@ let bench_monitors () =
          same sim, alternate bare/armed chunks, take medians. *)
       let tb = Busgen_rtl.Testbench.create top in
       let sim = Busgen_rtl.Testbench.engine tb in
-      (* Seeded bus traffic keeps the netlist active: on an idle design
-         the tape engine batches whole stretches, and the bare side
-         would time a counter increment. *)
+      (* Seeded bus traffic keeps the dirty sets non-empty, so the bare
+         side times real evaluation. *)
       let traffic = Busgen_verify.Traffic.create tb ~arch ~config:cfg ~seed:1 in
       let run_cycles n =
         let stop = Busgen_rtl.Engine.current_cycle sim + n in

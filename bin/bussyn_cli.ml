@@ -95,11 +95,6 @@ let arch_arg =
           "Bus architecture: one of bfba, gbavi, gbavii, gbaviii, hybrid, \
            splitba (generated), or ggba, ccba (hand-designed baselines).")
 
-let pes_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "p"; "pes" ] ~docv:"N" ~doc:"Number of processing elements.")
-
 (* Counts are validated here, once for every subcommand: a value below
    1 is a user error (exit 2, one line on stderr), raised while cmdliner
    evaluates the term and before any work starts. *)
@@ -110,6 +105,12 @@ let check_positive ~flag n =
   n
 
 let positive ~flag arg = Term.(const (check_positive ~flag) $ arg)
+
+let pes_arg =
+  positive ~flag:"--pes"
+    Arg.(
+      value & opt int 4
+      & info [ "p"; "pes" ] ~docv:"N" ~doc:"Number of processing elements.")
 
 let jobs_arg =
   positive ~flag:"--jobs"
@@ -549,16 +550,18 @@ let inject_cmd =
           ~doc:"Campaign seed; the same seed always draws the same faults.")
   in
   let n_arg =
-    Arg.(
-      value & opt int 24
-      & info [ "n" ] ~docv:"COUNT" ~doc:"Number of faults to inject.")
+    positive ~flag:"-n"
+      Arg.(
+        value & opt int 24
+        & info [ "n" ] ~docv:"COUNT" ~doc:"Number of faults to inject.")
   in
   let cycles_arg =
-    Arg.(
-      value & opt int 120
-      & info [ "cycles" ] ~docv:"N"
-          ~doc:"Cycles to simulate per run (fault start times are drawn \
-                within this horizon).")
+    positive ~flag:"--cycles"
+      Arg.(
+        value & opt int 120
+        & info [ "cycles" ] ~docv:"N"
+            ~doc:"Cycles to simulate per run (fault start times are drawn \
+                  within this horizon).")
   in
   let protect_arg =
     Arg.(
@@ -709,10 +712,11 @@ let soak_cmd =
       & info [ "seed" ] ~docv:"SEED" ~doc:"Traffic seed for the run.")
   in
   let cycles_arg =
-    Arg.(
-      value & opt int 200_000
-      & info [ "cycles" ] ~docv:"N"
-          ~doc:"Run until at least N bus cycles have been simulated.")
+    positive ~flag:"--cycles"
+      Arg.(
+        value & opt int 200_000
+        & info [ "cycles" ] ~docv:"N"
+            ~doc:"Run until at least N bus cycles have been simulated.")
   in
   let dir_arg =
     Arg.(
@@ -736,9 +740,10 @@ let soak_cmd =
                 passed since the last one.")
   in
   let keep_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "keep" ] ~docv:"N" ~doc:"Checkpoint files retained.")
+    positive ~flag:"--keep"
+      Arg.(
+        value & opt int 3
+        & info [ "keep" ] ~docv:"N" ~doc:"Checkpoint files retained.")
   in
   let campaign_arg =
     Arg.(
@@ -821,10 +826,11 @@ let verify_cmd =
              Ignored with --fuzz / --replay.")
   in
   let cycles_arg =
-    Arg.(
-      value & opt int 2000
-      & info [ "cycles" ] ~docv:"N"
-          ~doc:"Cycle horizon per monitored run.")
+    positive ~flag:"--cycles"
+      Arg.(
+        value & opt int 2000
+        & info [ "cycles" ] ~docv:"N"
+            ~doc:"Cycle horizon per monitored run.")
   in
   let protect_arg =
     Arg.(
@@ -844,10 +850,11 @@ let verify_cmd =
              Deterministic per SEED.")
   in
   let budget_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "budget" ] ~docv:"N"
-          ~doc:"Number of fuzz cases to classify (with --fuzz).")
+    positive ~flag:"--budget"
+      Arg.(
+        value & opt int 32
+        & info [ "budget" ] ~docv:"N"
+            ~doc:"Number of fuzz cases to classify (with --fuzz).")
   in
   let first_case_arg =
     Arg.(

@@ -13,25 +13,14 @@
    inherits the reference semantics (including error behavior)
    wherever the inline transcription would not be exactly faithful.
 
-   On top of the tape sit two dynamic optimizations:
-
-   - {b Activity-based evaluation}: a slot -> fanout map (in CSR form)
-     is built at compile time.  When a register commit, [set_input],
-     memory write or fault transform changes a value, only the
-     dependent schedule nodes are marked dirty (bucketed by level) and
-     re-evaluated, level by level; combinational cones whose inputs
-     did not change are skipped entirely.  With faults active the
-     engine falls back to full re-evaluation in schedule order, the
-     semantics {!Interp_ref} specifies.
-
-   - {b Idle-stretch batching}: a step whose clock edge commits no
-     register or memory change and leaves nothing dirty puts the
-     engine in a [steady] state — a fixed point where every further
-     step is the identity on all state.  [run] fast-forwards such
-     stretches, firing observers with correct cycle numbers (they see
-     the same settled values a real step would show), and drops out of
-     the batch the moment an observer perturbs the simulation or a
-     scheduled fault campaign comes due.
+   On top of the tape sits activity-based evaluation: a slot -> fanout
+   map (in CSR form) is built at compile time.  When a register
+   commit, [set_input], memory write or fault transform changes a
+   value, only the dependent schedule nodes are marked dirty (bucketed
+   by level) and re-evaluated, level by level; combinational cones
+   whose inputs did not change are skipped entirely.  With faults
+   active the engine falls back to full re-evaluation in schedule
+   order, the semantics {!Interp_ref} specifies.
 
    Flattening goes through {!Flat.flatten}, so the flat-name universe,
    slot numbering and {!Flat.state} snapshot layout are fixed there;
@@ -444,9 +433,6 @@ type t = {
   node_dirty : bool array;
   mutable have_dirty : bool;
   mutable all_dirty : bool;
-  (* Idle-stretch batching: [steady] means the simulation is at a fixed
-     point — a further [step] changes nothing but the cycle counter. *)
-  mutable steady : bool;
   mutable cycle : int;
   mutable injections : cinj array;
   mutable inj_pending : cinj list; (* newest first *)
@@ -699,8 +685,6 @@ let settle t =
 (* Clock edge                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Returns [true] when the edge was the identity: no register or memory
-   word changed value. *)
 let clock_edge t =
   (* Sample every register next and memory port with pre-edge values
      (their target cells are private, so the tape segment cannot
@@ -715,7 +699,6 @@ let clock_edge t =
       | Some f ->
           set_cell t r.tr_next (Flat.apply_fault f (get_cell t r.tr_next))
     done;
-  let quiet = ref true in
   for i = 0 to Array.length regs - 1 do
     let r = Array.unsafe_get regs i in
     let s = r.tr_slot and nc = r.tr_next in
@@ -723,7 +706,6 @@ let clock_edge t =
       let v = t.bvals.(nc) in
       if not (Bits.equal t.bvals.(s) v) then begin
         t.bvals.(s) <- v;
-        quiet := false;
         dirty_fanout t s
       end
     end
@@ -731,7 +713,6 @@ let clock_edge t =
       let v = t.ivals.(nc) in
       if t.ivals.(s) <> v then begin
         t.ivals.(s) <- v;
-        quiet := false;
         dirty_fanout t s
       end
     end
@@ -752,15 +733,11 @@ let clock_edge t =
             end
           end)
         m.tm_writes;
-      if !touched then begin
-        quiet := false;
-        dirty_mem_fanout t m.tm_index
-      end)
-    t.mems;
-  !quiet
+      if !touched then dirty_mem_fanout t m.tm_index)
+    t.mems
 
 (* ------------------------------------------------------------------ *)
-(* Observers / injections: O(1) registration, batch materialization    *)
+(* Observers / injections: O(1) registration, lazy materialization     *)
 (* ------------------------------------------------------------------ *)
 
 let materialize_observers t =
@@ -801,89 +778,26 @@ let refresh_active t =
           end
         end)
       t.injections;
-    if t.n_active > 0 || was_active then begin
-      t.all_dirty <- true;
-      t.steady <- false
-    end
+    if t.n_active > 0 || was_active then t.all_dirty <- true
   end
-
-let no_pending t =
-  (match t.obs_pending with [] -> true | _ -> false)
-  && match t.inj_pending with [] -> true | _ -> false
 
 let step t =
   refresh_active t;
   settle t;
   (* Sampling point: observers see the settled pre-edge values, faults
-     included — same as the other engines. *)
+     included — same as {!Interp_ref}. *)
   (let obs = materialize_observers t in
    if Array.length obs > 0 then
      for i = 0 to Array.length obs - 1 do
        (Array.unsafe_get obs i) t.cycle
      done);
-  let quiet = clock_edge t in
+  clock_edge t;
   settle t;
-  t.cycle <- t.cycle + 1;
-  t.steady <-
-    quiet
-    && (not t.have_dirty)
-    && (not t.all_dirty)
-    && t.n_active = 0 && no_pending t
-
-(* Earliest cycle at which the installed campaign could (re)activate a
-   fault, or [max_int].  Defensive: a window already covering the
-   current cycle pins the limit at the current cycle, forcing a real
-   step (which activates it via [refresh_active]). *)
-let next_inj_start t =
-  let best = ref max_int in
-  Array.iter
-    (fun ci ->
-      if ci.ci_stop > t.cycle then
-        if ci.ci_start <= t.cycle then best := t.cycle
-        else if ci.ci_start < !best then best := ci.ci_start)
-    t.injections;
-  !best
+  t.cycle <- t.cycle + 1
 
 let run t n =
-  let stop = t.cycle + n in
-  while t.cycle < stop do
-    if not t.steady then step t
-    else begin
-      materialize_injections t;
-      let limit = min stop (next_inj_start t) in
-      if limit <= t.cycle then step t
-      else begin
-        let obs = materialize_observers t in
-        if Array.length obs = 0 then t.cycle <- limit
-        else begin
-          (* Batched stretch: the state is a fixed point, so observers
-             see exactly what a real step would show at each cycle.  If
-             an observer perturbs the simulation ([set_input], [inject],
-             [poke_mem], or registering another observer), finish the
-             current cycle as a real step — the pre-observer phases
-             (refresh, settle) were no-ops by steadiness — and drop out
-             of the batch. *)
-          let continue_ = ref true in
-          while !continue_ && t.cycle < limit do
-            for i = 0 to Array.length obs - 1 do
-              (Array.unsafe_get obs i) t.cycle
-            done;
-            if t.steady && no_pending t then t.cycle <- t.cycle + 1
-            else begin
-              let quiet = clock_edge t in
-              settle t;
-              t.cycle <- t.cycle + 1;
-              t.steady <-
-                quiet
-                && (not t.have_dirty)
-                && (not t.all_dirty)
-                && t.n_active = 0 && no_pending t;
-              continue_ := false
-            end
-          done
-        end
-      end
-    end
+  for _ = 1 to n do
+    step t
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1146,7 +1060,6 @@ let create top =
       node_dirty = Array.make (max 1 n_nodes) false;
       have_dirty = false;
       all_dirty = true;
-      steady = false;
       cycle = 0;
       injections = [||];
       inj_pending = [];
@@ -1177,7 +1090,6 @@ let reset t =
       done)
     t.mems;
   t.all_dirty <- true;
-  t.steady <- false;
   settle t
 
 let set_input t name v =
@@ -1193,16 +1105,14 @@ let set_input t name v =
       if t.wide.(s) then begin
         if not (Bits.equal t.bvals.(s) v) then begin
           t.bvals.(s) <- v;
-          dirty_fanout t s;
-          t.steady <- false
+          dirty_fanout t s
         end
       end
       else begin
         let x = Bits.to_int_trunc v in
         if t.ivals.(s) <> x then begin
           t.ivals.(s) <- x;
-          dirty_fanout t s;
-          t.steady <- false
+          dirty_fanout t s
         end
       end
 
@@ -1231,8 +1141,7 @@ let poke_mem t name addr v =
       if addr < 0 || addr >= Array.length arr then
         invalid_arg "Interp_tape.poke_mem: address out of range";
       arr.(addr) <- v;
-      dirty_mem_fanout t (Hashtbl.find t.mem_index name);
-      t.steady <- false
+      dirty_mem_fanout t (Hashtbl.find t.mem_index name)
 
 let signal_names t =
   Array.to_list (Array.sub t.names 0 t.n_sig) |> List.sort compare
@@ -1295,8 +1204,7 @@ let inject t injs =
   in
   List.iter
     (fun inj -> t.inj_pending <- compile_inj inj :: t.inj_pending)
-    injs;
-  match injs with [] -> () | _ -> t.steady <- false
+    injs
 
 let clear_injections t =
   t.injections <- [||];
@@ -1306,8 +1214,7 @@ let clear_injections t =
   (* Deactivated faults may have left transformed values behind on
      driven slots; recompute at the next settle, like the full-sweep
      engines do implicitly. *)
-  t.all_dirty <- true;
-  t.steady <- false
+  t.all_dirty <- true
 
 let export_state t : Flat.state =
   {
@@ -1360,5 +1267,4 @@ let import_state t (st : Flat.state) =
   t.cycle <- st.st_cycle;
   (* The snapshot is settled, but the dirty bookkeeping no longer
      matches the cells: recompute once at the next settle. *)
-  t.all_dirty <- true;
-  t.steady <- false
+  t.all_dirty <- true

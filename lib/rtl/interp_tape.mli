@@ -4,12 +4,9 @@
     {!create} compiles the levelized circuit into a flat linear tape of
     pre-decoded ops — int opcode plus slot operands in contiguous
     arrays, no per-expression closures — with the immediate-int fast
-    path inlined for signals of width <= 62 bits.  Two dynamic
-    optimizations ride on the tape: activity-based evaluation (per-level
-    dirty sets from a slot -> fanout map, so unchanged combinational
-    cones are skipped) and idle-stretch batching ({!run} fast-forwards
-    register-stable stretches while still firing observers at correct
-    cycle numbers).
+    path inlined for signals of width <= 62 bits.  Activity-based
+    evaluation rides on the tape: per-level dirty sets from a slot ->
+    fanout map, so unchanged combinational cones are skipped.
 
     The API mirrors {!Interp_ref} exactly — same fault-injection and
     observer interfaces, and {!Flat.state} snapshots interchange between
@@ -29,11 +26,7 @@ val settle : t -> unit
 val step : t -> unit
 
 val run : t -> int -> unit
-(** [run t n] performs [n] steps, batching steady (register-stable)
-    stretches: cycles in which the design is at a fixed point advance
-    the cycle counter without re-evaluating the netlist.  Observers
-    still fire once per cycle with correct cycle numbers and see
-    exactly the values an unbatched run would show. *)
+(** [run t n] is [n] calls of {!step}. *)
 
 val peek : t -> string -> Bits.t
 (** @raise Not_found if unknown. *)
@@ -60,9 +53,7 @@ val reader : t -> string -> unit -> Bits.t
     @raise Not_found if the signal is unknown. *)
 
 val inject : t -> Flat.injection list -> unit
-(** Install injections (cumulative with previous calls).  Installing
-    injections disables idle batching until the campaign windows are
-    resolved.
+(** Install injections (cumulative with previous calls).
     @raise Invalid_argument on unknown signals or bad schedules. *)
 
 val clear_injections : t -> unit

@@ -171,6 +171,50 @@ let test_supervision_flag_validation () =
       in_tmp "explore_every_zero"; "--sweep-every=0" ]
     ~on_stderr:"invalid --sweep-every 0 (expected a positive integer)"
 
+(* A count below 1 is a user error on every subcommand: exit 2 and one
+   line on stderr before any work, so no output directory appears
+   either. *)
+let test_count_flag_validation () =
+  let gen_dir = in_tmp "count_gen" and soak_dir = in_tmp "count_soak" in
+  let soak = [ "soak"; "-a"; "gbaviii"; "--ckpt-dir"; soak_dir ] in
+  let cases =
+    [
+      ("--pes", [ "generate"; "-a"; "gbavi"; "-o"; gen_dir ]);
+      ("--pes", [ "verify"; "-a"; "gbavi" ]);
+      ("--pes", [ "inject"; "-a"; "gbavi" ]);
+      ("--pes", soak);
+      ("--cycles", [ "verify"; "-a"; "gbavi" ]);
+      ("--cycles", [ "inject"; "-a"; "gbavi" ]);
+      ("--cycles", soak);
+      ("-n", [ "inject"; "-a"; "gbavi" ]);
+      ("--budget", [ "verify"; "--fuzz"; "1" ]);
+      ("--keep", soak);
+    ]
+  in
+  List.iter
+    (fun (flag, args) ->
+      List.iter
+        (fun v ->
+          (* A short flag takes its value glued on ("-n-1"); a long one
+             after "=", so cmdliner does not read "-1" as an option. *)
+          let arg =
+            if String.length flag = 2 then flag ^ v else flag ^ "=" ^ v
+          in
+          List.iter
+            (fun d -> if Sys.file_exists d then Sys.rmdir d)
+            [ gen_dir; soak_dir ];
+          check_user_error
+            (List.hd args ^ " " ^ arg)
+            (args @ [ arg ])
+            ~on_stderr:
+              (Printf.sprintf "invalid %s %s (expected a positive integer)"
+                 flag v);
+          Alcotest.(check bool)
+            (arg ^ ": no output directory") false
+            (Sys.file_exists gen_dir || Sys.file_exists soak_dir))
+        [ "0"; "-1" ])
+    cases
+
 let test_wires_check_valid_ok () =
   (* The happy path still exits 0: dump a library, then validate it. *)
   let f = in_tmp "valid.wires" in
@@ -214,6 +258,33 @@ let test_inject_engines_agree () =
   let cr, orf, _ = run (args "ref") in
   Alcotest.(check int) "tape vs ref exit" ct cr;
   Alcotest.(check string) "tape vs ref stdout" ot orf
+
+(* [verify] reaches [Engine.run] through [Testbench.step]: pin its
+   numbers on the default tape engine, then hold the reference oracle
+   to the same lines on two designs. *)
+let test_verify_pinned_engines () =
+  let args rest =
+    [ "verify"; "-p"; "2"; "--protect"; "--cycles"; "2000" ] @ rest
+  in
+  let code, out, _ = run (args []) in
+  Alcotest.(check int) "tape: exit 0" 0 code;
+  Alcotest.(check string) "tape: pinned lines"
+    "BFBA       2003 cycles,   462 transactions,  44 properties armed: clean\n\
+     GBAVI      2006 cycles,   409 transactions,  30 properties armed: clean\n\
+     GBAVII     2007 cycles,   337 transactions,  41 properties armed: clean\n\
+     GBAVIII    2002 cycles,   282 transactions,  23 properties armed: clean\n\
+     Hybrid     2004 cycles,   375 transactions,  55 properties armed: clean\n\
+     SplitBA    2000 cycles,   250 transactions,  30 properties armed: clean\n\
+     GGBA       2000 cycles,   250 transactions,  11 properties armed: clean\n\
+     CCBA       2001 cycles,   250 transactions,   9 properties armed: clean\n"
+    out;
+  List.iter
+    (fun a ->
+      let ct, ot, _ = run (args [ "-a"; a; "--engine"; "tape" ]) in
+      let cr, orf, _ = run (args [ "-a"; a; "--engine"; "ref" ]) in
+      Alcotest.(check int) (a ^ ": tape vs ref exit") ct cr;
+      Alcotest.(check string) (a ^ ": tape vs ref stdout") ot orf)
+    [ "gbaviii"; "hybrid" ]
 
 let test_inject_tape_jobs_identical () =
   let args j =
@@ -577,6 +648,8 @@ let () =
           Alcotest.test_case "unknown --engine" `Quick test_engine_unknown;
           Alcotest.test_case "supervision flag validation" `Quick
             test_supervision_flag_validation;
+          Alcotest.test_case "count flag validation" `Quick
+            test_count_flag_validation;
           Alcotest.test_case "wires --check valid file" `Quick
             test_wires_check_valid_ok;
         ] );
@@ -600,6 +673,8 @@ let () =
             test_inject_engines_agree;
           Alcotest.test_case "inject --engine tape -j 1 vs -j 2" `Slow
             test_inject_tape_jobs_identical;
+          Alcotest.test_case "verify pinned on tape and ref" `Slow
+            test_verify_pinned_engines;
           Alcotest.test_case "slot checkpoint resumes under tape and ref"
             `Quick test_slot_checkpoint_resumes;
         ] );
