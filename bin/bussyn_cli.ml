@@ -95,16 +95,25 @@ let arch_arg =
           "Bus architecture: one of bfba, gbavi, gbavii, gbaviii, hybrid, \
            splitba (generated), or ggba, ccba (hand-designed baselines).")
 
-(* Counts are validated here, once for every subcommand: a value below
-   1 is a user error (exit 2, one line on stderr), raised while cmdliner
-   evaluates the term and before any work starts. *)
-let check_positive ~flag n =
-  if n < 1 then
+(* Counts and sizes are validated here, once for every subcommand: a
+   value outside [(lo, hi)] ([hi = max_int]: no upper bound) is a user
+   error (exit 2, one line on stderr), raised while cmdliner evaluates
+   the term and before any work starts. *)
+let check_range ~flag (lo, hi) n =
+  if n < lo || n > hi then
     failwith
-      (Printf.sprintf "invalid %s %d (expected a positive integer)" flag n);
+      (Printf.sprintf "invalid %s %d (expected %s)" flag n
+         (if hi < max_int then Printf.sprintf "an integer in [%d, %d]" lo hi
+          else
+            match lo with
+            | 0 -> "a non-negative integer"
+            | 1 -> "a positive integer"
+            | _ -> Printf.sprintf "an integer >= %d" lo));
   n
 
-let positive ~flag arg = Term.(const (check_positive ~flag) $ arg)
+let in_range ~flag range arg = Term.(const (check_range ~flag range) $ arg)
+let positive ~flag arg = in_range ~flag (1, max_int) arg
+let non_negative ~flag arg = in_range ~flag (0, max_int) arg
 
 let pes_arg =
   positive ~flag:"--pes"
@@ -172,7 +181,7 @@ let engine_of_string s =
   | Ok k -> k
   | Error msg -> failwith msg
 
-let parse_job_deadline = function
+let parse_seconds ~flag = function
   | None -> None
   | Some s -> (
       match float_of_string_opt s with
@@ -180,9 +189,9 @@ let parse_job_deadline = function
       | _ ->
           failwith
             (Printf.sprintf
-               "invalid --job-deadline %S (expected a positive number of \
-                seconds)"
-               s))
+               "invalid %s %S (expected a positive number of seconds)" flag s))
+
+let parse_job_deadline = parse_seconds ~flag:"--job-deadline"
 
 let parse_job_retries s =
   match int_of_string_opt s with
@@ -237,22 +246,25 @@ let generate_cmd =
           ~doc:"Output directory for the Verilog files, wires.txt and report.")
   in
   let data_width =
-    Arg.(
-      value & opt int 64
-      & info [ "data-width" ] ~docv:"BITS" ~doc:"Bus data width (option 3.2).")
+    in_range ~flag:"--data-width" Bussyn.Archs.data_width_range
+      Arg.(
+        value & opt int 64
+        & info [ "data-width" ] ~docv:"BITS" ~doc:"Bus data width (option 3.2).")
   in
   let mem_addr_width =
-    Arg.(
-      value & opt int 20
-      & info [ "mem-addr-width" ] ~docv:"BITS"
-          ~doc:"Per-BAN memory address width (option 5.2); 20 = 8 MB of \
-                64-bit words.")
+    in_range ~flag:"--mem-addr-width" Bussyn.Archs.mem_addr_width_range
+      Arg.(
+        value & opt int 20
+        & info [ "mem-addr-width" ] ~docv:"BITS"
+            ~doc:"Per-BAN memory address width (option 5.2); 20 = 8 MB of \
+                  64-bit words.")
   in
   let fifo_depth =
-    Arg.(
-      value & opt int 1024
-      & info [ "fifo-depth" ] ~docv:"WORDS"
-          ~doc:"Bi-FIFO depth (option 3.3, BFBA/Hybrid only).")
+    in_range ~flag:"--fifo-depth" Bussyn.Archs.fifo_depth_range
+      Arg.(
+        value & opt int 1024
+        & info [ "fifo-depth" ] ~docv:"WORDS"
+            ~doc:"Bi-FIFO depth (option 3.3, BFBA/Hybrid only).")
   in
   let lint =
     Arg.(value & flag & info [ "lint" ] ~doc:"Run the structural linter too.")
@@ -460,7 +472,7 @@ let simulate_cmd =
   in
   let max_cycles_arg =
     Term.(
-      const (Option.map (check_positive ~flag:"--max-cycles"))
+      const (Option.map (check_range ~flag:"--max-cycles" (1, max_int)))
       $ Arg.(
           value & opt (some int) None
           & info [ "max-cycles" ] ~docv:"N"
@@ -727,17 +739,21 @@ let soak_cmd =
                 skipped in favor of the previous good one).")
   in
   let every_arg =
-    Arg.(
-      value & opt int 10_000
-      & info [ "every" ] ~docv:"CYCLES"
-          ~doc:"Checkpoint cadence in simulated cycles (0 disables).")
+    non_negative ~flag:"--every"
+      Arg.(
+        value & opt int 10_000
+        & info [ "every" ] ~docv:"CYCLES"
+            ~doc:"Checkpoint cadence in simulated cycles (0 disables).")
   in
   let wall_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "every-seconds" ] ~docv:"SEC"
-          ~doc:"Also checkpoint whenever SEC wall-clock seconds have \
-                passed since the last one.")
+    Term.(
+      const (parse_seconds ~flag:"--every-seconds")
+      $ Arg.(
+          value
+          & opt (some string) None
+          & info [ "every-seconds" ] ~docv:"SEC"
+              ~doc:"Also checkpoint whenever SEC wall-clock seconds (a \
+                    positive number) have passed since the last one."))
   in
   let keep_arg =
     positive ~flag:"--keep"
@@ -857,13 +873,14 @@ let verify_cmd =
             ~doc:"Number of fuzz cases to classify (with --fuzz).")
   in
   let first_case_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "first-case" ] ~docv:"K"
-          ~doc:
-            "With --fuzz: start at case index K instead of 0, so a long \
-             campaign can be split across invocations (cases [K, \
-             K+budget) of the same seed).")
+    non_negative ~flag:"--first-case"
+      Arg.(
+        value & opt int 0
+        & info [ "first-case" ] ~docv:"K"
+            ~doc:
+              "With --fuzz: start at case index K instead of 0, so a long \
+               campaign can be split across invocations (cases [K, \
+               K+budget) of the same seed).")
   in
   let replay_arg =
     Arg.(

@@ -299,25 +299,25 @@ let r_traffic_state r : T.state =
     ts_reads; ts_writes; ts_mismatches;
   }
 
+let w_violation b (v : P.violation) =
+  Io.w_string b v.P.v_prop;
+  Io.w_int b v.P.v_cycle;
+  Io.w_string b v.P.v_detail
+
+let r_violation r : P.violation =
+  let v_prop = Io.r_string r in
+  let v_cycle = Io.r_int r in
+  let v_detail = Io.r_string r in
+  { P.v_prop; v_cycle; v_detail }
+
 let w_monitor_state b (st : P.monitor_state) =
   Io.w_array b Io.w_int st.P.ms_pending;
-  Io.w_list b
-    (fun b (v : P.violation) ->
-      Io.w_string b v.P.v_prop;
-      Io.w_int b v.P.v_cycle;
-      Io.w_string b v.P.v_detail)
-    st.P.ms_firsts;
+  Io.w_list b w_violation st.P.ms_firsts;
   Io.w_int b st.P.ms_total
 
 let r_monitor_state r : P.monitor_state =
   let ms_pending = Io.r_array r Io.r_int in
-  let ms_firsts =
-    Io.r_list r (fun r ->
-        let v_prop = Io.r_string r in
-        let v_cycle = Io.r_int r in
-        let v_detail = Io.r_string r in
-        { P.v_prop; v_cycle; v_detail })
-  in
+  let ms_firsts = Io.r_list r r_violation in
   let ms_total = Io.r_int r in
   { P.ms_pending; ms_firsts; ms_total }
 

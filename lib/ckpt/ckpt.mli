@@ -42,6 +42,15 @@ val r_bits : Busgen_binio.Io.reader -> Busgen_rtl.Bits.t
 (** Inverse of {!w_bits}.  Raises [Busgen_binio.Io.Corrupt] on a
     malformed width or digit string. *)
 
+(** {1 Record codecs}, shared with {!Sweep}'s fuzz-result payloads *)
+
+val w_pair : Busgen_binio.Io.writer -> int * int -> unit
+val r_pair : Busgen_binio.Io.reader -> int * int
+val w_injection : Busgen_binio.Io.writer -> Busgen_rtl.Flat.injection -> unit
+val r_injection : Busgen_binio.Io.reader -> Busgen_rtl.Flat.injection
+val w_violation : Busgen_binio.Io.writer -> Busgen_verify.Prop.violation -> unit
+val r_violation : Busgen_binio.Io.reader -> Busgen_verify.Prop.violation
+
 (** {1 RTL co-simulation snapshots} *)
 
 type snapshot = {

@@ -8,8 +8,6 @@
 
 module Io = Busgen_binio.Io
 module Fuzz = Busgen_verify.Fuzz
-module Prop = Busgen_verify.Prop
-module Flat = Busgen_rtl.Flat
 
 let file_name = "sweep.bsck"
 let meta_section = "sweep-meta"
@@ -213,46 +211,16 @@ let load ?(log = fun _ -> ()) ?(every = 32) ?(wall = 5.0) ~dir ~ident ~total ()
 
 (* Checkpointed fuzz jobs carry their full [Fuzz.result list] so a
    resumed run reproduces the report byte-for-byte without re-running
-   the case.  Same Io discipline as the snapshot codecs in ckpt.ml: no
-   Marshal, every decode bounds-checked. *)
-
-let w_fault w = function
-  | Flat.Stuck_at_0 -> Io.w_int w 0
-  | Flat.Stuck_at_1 -> Io.w_int w 1
-  | Flat.Flip b ->
-      Io.w_int w 2;
-      Io.w_int w b
-
-let r_fault r =
-  match Io.r_int r with
-  | 0 -> Flat.Stuck_at_0
-  | 1 -> Flat.Stuck_at_1
-  | 2 -> Flat.Flip (Io.r_int r)
-  | n -> raise (Io.Corrupt (Printf.sprintf "bad fault tag %d at %d" n (Io.pos r)))
-
-let w_injection w (i : Flat.injection) =
-  Io.w_string w i.Flat.inj_signal;
-  w_fault w i.Flat.inj_fault;
-  Io.w_int w i.Flat.inj_start;
-  Io.w_int w i.Flat.inj_cycles
-
-let r_injection r =
-  let inj_signal = Io.r_string r in
-  let inj_fault = r_fault r in
-  let inj_start = Io.r_int r in
-  let inj_cycles = Io.r_int r in
-  { Flat.inj_signal; inj_fault; inj_start; inj_cycles }
+   the case.  Same Io discipline as the snapshot codecs in ckpt.ml,
+   whose injection and violation codecs these reuse: no Marshal, every
+   decode bounds-checked. *)
 
 let w_scenario w (sc : Fuzz.scenario) =
   Io.w_string w (Bussyn.Options_text.print sc.Fuzz.sc_options);
   Io.w_int w sc.Fuzz.sc_seed;
   Io.w_int w sc.Fuzz.sc_cycles;
-  Io.w_opt w
-    (fun w (s, n) ->
-      Io.w_int w s;
-      Io.w_int w n)
-    sc.Fuzz.sc_campaign;
-  Io.w_list w w_injection sc.Fuzz.sc_faults
+  Io.w_opt w Ckpt.w_pair sc.Fuzz.sc_campaign;
+  Io.w_list w Ckpt.w_injection sc.Fuzz.sc_faults
 
 let r_scenario r =
   let options_text = Io.r_string r in
@@ -263,25 +231,9 @@ let r_scenario r =
   in
   let sc_seed = Io.r_int r in
   let sc_cycles = Io.r_int r in
-  let sc_campaign =
-    Io.r_opt r (fun r ->
-        let s = Io.r_int r in
-        let n = Io.r_int r in
-        (s, n))
-  in
-  let sc_faults = Io.r_list r r_injection in
+  let sc_campaign = Io.r_opt r Ckpt.r_pair in
+  let sc_faults = Io.r_list r Ckpt.r_injection in
   { Fuzz.sc_options; sc_seed; sc_cycles; sc_campaign; sc_faults }
-
-let w_violation w (v : Prop.violation) =
-  Io.w_string w v.Prop.v_prop;
-  Io.w_int w v.Prop.v_cycle;
-  Io.w_string w v.Prop.v_detail
-
-let r_violation r =
-  let v_prop = Io.r_string r in
-  let v_cycle = Io.r_int r in
-  let v_detail = Io.r_string r in
-  { Prop.v_prop; v_cycle; v_detail }
 
 let w_outcome w = function
   | Fuzz.Clean -> Io.w_int w 0
@@ -296,7 +248,7 @@ let w_outcome w = function
       Io.w_string w s
   | Fuzz.Property_violation vs ->
       Io.w_int w 4;
-      Io.w_list w w_violation vs
+      Io.w_list w Ckpt.w_violation vs
   | Fuzz.Traffic_error s ->
       Io.w_int w 5;
       Io.w_string w s
@@ -307,7 +259,7 @@ let r_outcome r =
   | 1 -> Fuzz.Generation_error (Io.r_string r)
   | 2 -> Fuzz.Lint_error (Io.r_string r)
   | 3 -> Fuzz.Engine_divergence (Io.r_string r)
-  | 4 -> Fuzz.Property_violation (Io.r_list r r_violation)
+  | 4 -> Fuzz.Property_violation (Io.r_list r Ckpt.r_violation)
   | 5 -> Fuzz.Traffic_error (Io.r_string r)
   | n ->
       raise (Io.Corrupt (Printf.sprintf "bad outcome tag %d at %d" n (Io.pos r)))

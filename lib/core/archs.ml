@@ -37,6 +37,10 @@ let paper_config ~n_pes =
     protect = false;
   }
 
+let data_width_range = (1, max_int)
+let mem_addr_width_range = (1, 20)
+let fifo_depth_range = (2, max_int)
+
 let small_config ~n_pes =
   {
     n_pes;

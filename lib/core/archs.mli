@@ -57,6 +57,14 @@ val paper_config : n_pes:int -> config
     SRAM per BAN ([mem_addr_width = 20]), Bi-FIFO depth 1024, FCFS global
     arbiter, MPC755 cores. *)
 
+val data_width_range : int * int
+val mem_addr_width_range : int * int
+val fifo_depth_range : int * int
+(** Inclusive [(lo, hi)] limits ([hi = max_int]: none) on one {!config}
+    field alone, as the Module Library enforces them: data width >= 1,
+    memory address widths in [\[1, 20\]], FIFO depth >= 2.  Limits that
+    tie fields together stay with their module. *)
+
 val small_config : n_pes:int -> config
 (** A scaled-down variant (256-word memories, depth-8 FIFOs, 16-bit
     data) for fast RTL interpretation in tests. *)

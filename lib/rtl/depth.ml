@@ -1,42 +1,5 @@
 type report = { levels : int; endpoint : string }
 
-exception Combinational_cycle of string list
-
-let levelize nodes =
-  let deps_of = Hashtbl.create (2 * List.length nodes) in
-  List.iter (fun (n, deps) -> Hashtbl.replace deps_of n deps) nodes;
-  let state = Hashtbl.create (2 * List.length nodes) in
-  (* name -> `Busy during the DFS, `Done level afterwards *)
-  let order = ref [] in
-  let rec visit path name =
-    match Hashtbl.find_opt deps_of name with
-    | None -> 0 (* source: input, register output, constant, memory word *)
-    | Some deps -> (
-        match Hashtbl.find_opt state name with
-        | Some (`Done l) -> l
-        | Some `Busy ->
-            (* Trim [path] to the part inside the cycle. *)
-            let rec cycle acc = function
-              | [] -> acc
-              | n :: rest -> if n = name then n :: acc else cycle (n :: acc) rest
-            in
-            raise (Combinational_cycle (cycle [ name ] path))
-        | None ->
-            Hashtbl.replace state name `Busy;
-            let l =
-              1
-              + List.fold_left
-                  (fun acc d -> max acc (visit (name :: path) d))
-                  (-1) deps
-            in
-            Hashtbl.replace state name (`Done l);
-            order := (name, l) :: !order;
-            l)
-  in
-  List.iter (fun (name, _) -> ignore (visit [] name)) nodes;
-  (* [!order] holds DFS finish order reversed (dependents first). *)
-  List.rev !order
-
 let clog2 n =
   let rec go w = if 1 lsl w >= n then w else go (w + 1) in
   if n <= 1 then 0 else go 1
@@ -72,122 +35,95 @@ let rec expr_levels ~env depth_of_var (e : Expr.t) =
       (adder_levels (w a) + 1) + max (sub a) (sub b)
   | Expr.Mux (c, a, b) -> 1 + max (sub c) (max (sub a) (sub b))
 
-(* Flatten the hierarchy the same way the interpreter does: instance
-   boundaries become zero-cost alias assignments. *)
-let flatten (top : Circuit.t) =
-  let widths = Hashtbl.create 256 in
-  let assigns = ref [] in
-  let reg_nexts = ref [] in
-  let mem_nodes = ref [] in
-  let mem_write_exprs = ref [] in
-  let rec go prefix (c : Circuit.t) =
-    let ren n = prefix ^ n in
-    let rename_expr = Expr.map_vars ren in
-    List.iter
-      (fun (p : Circuit.port) ->
-        Hashtbl.replace widths (ren p.port_name) p.port_width)
-      c.ports;
-    List.iter
-      (fun (s : Circuit.signal) ->
-        Hashtbl.replace widths (ren s.sig_name) s.sig_width)
-      c.wires;
-    List.iter
-      (fun (r : Circuit.reg) ->
-        Hashtbl.replace widths (ren r.reg_name) r.reg_width;
-        reg_nexts := (ren r.reg_name, rename_expr r.next) :: !reg_nexts)
-      c.regs;
-    List.iter
-      (fun (m : Circuit.memory) ->
-        List.iter
-          (fun (rd, a) ->
-            Hashtbl.replace widths (ren rd) m.data_width;
-            mem_nodes := (ren rd, rename_expr a, m.depth) :: !mem_nodes)
-          m.reads;
-        List.iter
-          (fun (wr : Circuit.mem_write) ->
-            mem_write_exprs :=
-              (ren m.mem_name,
-               [ rename_expr wr.we; rename_expr wr.waddr;
-                 rename_expr wr.wdata ])
-              :: !mem_write_exprs)
-          m.writes)
-      c.memories;
-    List.iter
-      (fun (a : Circuit.assign) ->
-        assigns := (ren a.target, rename_expr a.expr) :: !assigns)
-      c.assigns;
-    List.iter
-      (fun (i : Circuit.instance) ->
-        let sub_prefix = prefix ^ i.inst_name ^ "$" in
-        go sub_prefix i.sub;
-        List.iter
-          (fun (p, e) ->
-            assigns := (sub_prefix ^ p, rename_expr e) :: !assigns)
-          i.in_connections;
-        List.iter
-          (fun (p, wn) ->
-            assigns := (ren wn, Expr.Var (sub_prefix ^ p)) :: !assigns)
-          i.out_connections)
-      c.instances
-  in
-  go "" top;
-  (widths, !assigns, !reg_nexts, !mem_nodes, !mem_write_exprs)
+(* What drives a flat signal combinationally: nothing (an input, a
+   register output or an undriven wire, all level-0 sources), an
+   assignment, or a memory read port (its address and the memory's
+   depth). *)
+type driver = Source | Assign of Expr.t | Read of Expr.t * int
+
+(* Per-slot search state: [unvisited], [busy] while the search is
+   below the slot, and the slot's level once it is done. *)
+let unvisited = -2
+let busy = -1
 
 let of_circuit (top : Circuit.t) =
-  let widths, assigns, reg_nexts, mem_nodes, mem_writes = flatten top in
-  let env n =
-    match Hashtbl.find_opt widths n with
-    | Some w -> w
-    | None -> invalid_arg ("Depth: unknown signal " ^ n)
+  let d = Flat.flatten top in
+  let slot v =
+    match Hashtbl.find d.Flat.d_slots v with
+    | s -> s
+    | exception Not_found -> invalid_arg ("Depth: unknown signal " ^ v)
   in
-  (* Combinational drivers: target -> node. *)
-  let drivers = Hashtbl.create 256 in
-  List.iter (fun (t, e) -> Hashtbl.replace drivers t (`Assign e)) assigns;
+  let env v = d.Flat.d_widths.(slot v) in
+  let n = Array.length d.Flat.d_names in
+  let drivers = Array.make n Source in
+  List.iter (fun (t, e) -> drivers.(slot t) <- Assign e) d.Flat.d_assigns;
   List.iter
-    (fun (rd, a, depth) -> Hashtbl.replace drivers rd (`Memread (a, depth)))
-    mem_nodes;
-  let memo = Hashtbl.create 256 in
-  let rec depth_of path name =
-    match Hashtbl.find_opt memo name with
-    | Some (`Done d) -> d
-    | Some `Busy ->
-        invalid_arg
-          ("Depth: combinational loop through "
-          ^ String.concat " -> " (List.rev (name :: path)))
-    | None -> (
-        match Hashtbl.find_opt drivers name with
-        | None -> 0 (* input, register output or constant source *)
-        | Some node ->
-            Hashtbl.replace memo name `Busy;
-            let d =
-              match node with
-              | `Assign e -> expr_levels ~env (depth_of (name :: path)) e
-              | `Memread (a, depth) ->
-                  (* Address decode then word mux: log2(depth) levels. *)
-                  max 1 (clog2 depth)
-                  + expr_levels ~env (depth_of (name :: path)) a
-            in
-            Hashtbl.replace memo name (`Done d);
-            d)
+    (fun (m : Flat.flat_mem) ->
+      List.iter
+        (fun (rd, a) -> drivers.(slot rd) <- Read (a, m.fm_depth))
+        m.fm_reads)
+    d.Flat.d_mems;
+  let levels = Array.make n unvisited in
+  (* [path] is the search stack, innermost first. *)
+  let rec level path s =
+    let l = levels.(s) in
+    if l >= 0 then l
+    else if l = busy then begin
+      (* Trim [path] to the part inside the cycle, closed once in
+         dependency order, as {!Flat.levelize} names it. *)
+      let rec cycle acc = function
+        | [] -> acc
+        | p :: rest -> if p = s then p :: acc else cycle (p :: acc) rest
+      in
+      invalid_arg
+        ("Depth: combinational loop: "
+        ^ String.concat " -> "
+            (List.map (fun p -> d.Flat.d_names.(p)) (cycle [ s ] path)))
+    end
+    else begin
+      levels.(s) <- busy;
+      let var v = level (s :: path) (slot v) in
+      let l =
+        match drivers.(s) with
+        | Source -> 0
+        | Assign e -> expr_levels ~env var e
+        | Read (a, depth) ->
+            (* Address decode then word mux: log2(depth) levels. *)
+            max 1 (clog2 depth) + expr_levels ~env var a
+      in
+      levels.(s) <- l;
+      l
+    end
   in
+  let var v = level [] (slot v) in
   let best = ref { levels = 0; endpoint = Circuit.name top } in
-  let consider endpoint d = if d > !best.levels then best := { levels = d; endpoint } in
-  (* Endpoints: every combinational target (covers output ports), every
-     register D input, every memory write port. *)
-  Hashtbl.iter
-    (fun name _ -> consider name (depth_of [] name))
+  let consider levels endpoint =
+    if levels > !best.levels then best := { levels; endpoint }
+  in
+  (* Endpoints, the first strictly deeper one winning: every
+     combinational target (covers output ports) in slot order, then
+     every register D input and every memory write port, each in
+     reverse declaration order. *)
+  Array.iteri
+    (fun s drv ->
+      match drv with
+      | Source -> ()
+      | Assign _ | Read _ -> consider (level [] s) d.Flat.d_names.(s))
     drivers;
   List.iter
-    (fun (r, e) ->
-      consider (r ^ " (reg D)") (expr_levels ~env (depth_of []) e))
-    reg_nexts;
+    (fun (r : Flat.flat_reg) ->
+      consider (expr_levels ~env var r.fr_next) (r.fr_name ^ " (reg D)"))
+    (List.rev d.Flat.d_regs);
   List.iter
-    (fun (m, es) ->
+    (fun (m : Flat.flat_mem) ->
       List.iter
-        (fun e ->
-          consider (m ^ " (mem write)") (expr_levels ~env (depth_of []) e))
-        es)
-    mem_writes;
+        (fun (w : Circuit.mem_write) ->
+          List.iter
+            (fun e ->
+              consider (expr_levels ~env var e) (m.fm_name ^ " (mem write)"))
+            [ w.we; w.waddr; w.wdata ])
+        m.fm_writes)
+    (List.rev d.Flat.d_mems);
   !best
 
 let pp_report fmt r =

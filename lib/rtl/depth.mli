@@ -6,8 +6,8 @@
     levels (and/or/mux = 1, xor = 1, comparator = [1 + log2 w], adder =
     [2 * log2 w] as a carry-lookahead, multiplier = Wallace tree plus
     final adder); wiring-only operations (select, concat, constant
-    shifts) are free.  The design is flattened, so paths that cross
-    instance boundaries combinationally are followed end to end;
+    shifts) are free.  The design is {!Flat.flatten}'s, so paths that
+    cross instance boundaries combinationally are followed end to end;
     registers and memories terminate paths.
 
     The estimate is deliberately coarse — it ranks the generated bus
@@ -20,24 +20,17 @@ type report = {
   endpoint : string;     (** flat name of the signal ending that path *)
 }
 
-exception Combinational_cycle of string list
-(** A dependency cycle among combinational nodes; the payload is the
-    node names along the cycle, in dependency order. *)
-
-val levelize : (string * string list) list -> (string * int) list
-(** [levelize nodes] topologically orders combinational [nodes], each
-    given as [(name, dependencies)].  Dependencies that are not
-    themselves nodes (inputs, registers, memory words) are sources at
-    level 0.  Returns every node paired with its level — [1 + max] of
-    its dependencies' levels — in evaluation (dependency-first) order,
-    so evaluating the returned sequence once settles the whole network
-    without any fixed-point iteration.  The traversal is deterministic
-    in the order of [nodes].
-    @raise Combinational_cycle on a dependency cycle. *)
-
 val of_circuit : Circuit.t -> report
-(** Flatten the hierarchy and return the critical path.
-    @raise Invalid_argument on combinational loops. *)
+(** The critical path of [top], over {!Flat.flatten}'s design.  Every
+    combinational target (output ports included), register D input and
+    memory write port is an endpoint.  The first strictly deeper
+    endpoint wins, with combinational targets taken in slot order, then
+    registers and then memory write ports, each in reverse declaration
+    order.
+    @raise Invalid_argument on a duplicate flat signal (from
+    {!Flat.flatten}), on a variable no flat declaration names, and on a
+    combinational loop, which the message names as {!Flat.levelize}
+    does: [Depth: combinational loop: a -> b -> a]. *)
 
 val expr_levels : env:(string -> int) -> (string -> int) -> Expr.t -> int
 (** [expr_levels ~env depth_of_var e]: levels through one expression,

@@ -1,7 +1,7 @@
-(* The flat view of a circuit hierarchy, shared by the evaluation
-   engines: the flattening itself, the fault-injection descriptors and
-   the state snapshot.  {!Interp_tape} interns the flat signals in the
-   declaration order [flatten] returns, which is what fixes the slot
+(* The flat view of a circuit hierarchy, shared by the tape engine,
+   lint and Depth: the flattening itself, the fault-injection
+   descriptors and the state snapshot.  [flatten] interns every flat
+   signal to a slot in declaration order, which is what fixes the slot
    order and the snapshot layout that checkpoints store. *)
 
 type flat_reg = {
@@ -19,6 +19,16 @@ type flat_mem = {
   fm_reads : (string * Expr.t) list;
 }
 
+type design = {
+  d_names : string array;
+  d_widths : int array;
+  d_slots : (string, int) Hashtbl.t;
+  d_inputs : (string, int) Hashtbl.t;
+  d_assigns : (string * Expr.t) list;
+  d_regs : flat_reg list;
+  d_mems : flat_mem list;
+}
+
 (* The instance that declared a flat signal, as the duplicate-signal
    error names it: the instance path (innermost first) and its module. *)
 let instance_path (path, (c : Circuit.t)) =
@@ -31,24 +41,27 @@ let instance_path (path, (c : Circuit.t)) =
 (* Every signal of every instance becomes [prefix ^ signal]; instance
    boundaries become alias assignments. *)
 let flatten (top : Circuit.t) =
-  (* flat name -> the declaring instance, formatted only on a collision *)
-  let origins = Hashtbl.create 256 in
-  let decls = ref [] in (* (flat name, width), reversed declaration order *)
+  let slots = Hashtbl.create 256 in
+  let n = ref 0 in
+  (* (flat name, width, declaring instance), reversed declaration order *)
+  let decls = ref [] in
   let assigns = ref [] in
   let regs = ref [] in
   let mems = ref [] in
   let rec go prefix path (c : Circuit.t) =
     let origin = (path, c) in
     let add_width name w =
-      (match Hashtbl.find_opt origins name with
-      | Some first ->
+      (match Hashtbl.find_opt slots name with
+      | Some s ->
+          let _, _, first = List.nth !decls (!n - 1 - s) in
           invalid_arg
             (Printf.sprintf
                "Flat: duplicate flat signal %s: first declared in instance \
                 %s, collides with a declaration in instance %s"
                name (instance_path first) (instance_path origin))
-      | None -> Hashtbl.add origins name origin);
-      decls := (name, w) :: !decls
+      | None -> Hashtbl.add slots name !n);
+      incr n;
+      decls := (name, w, origin) :: !decls
     in
     let ren n = prefix ^ n in
     let rename_expr = Expr.map_vars ren in
@@ -108,25 +121,80 @@ let flatten (top : Circuit.t) =
       c.instances
   in
   go "" [] top;
-  let top_inputs = Hashtbl.create 16 in
+  let n = !n in
+  let d_names = Array.make n "" and d_widths = Array.make n 0 in
+  List.iteri
+    (fun i (name, w, _) ->
+      d_names.(n - 1 - i) <- name;
+      d_widths.(n - 1 - i) <- w)
+    !decls;
+  let d_inputs = Hashtbl.create 16 in
   List.iter
-    (fun (p : Circuit.port) -> Hashtbl.add top_inputs p.port_name p.port_width)
+    (fun (p : Circuit.port) ->
+      Hashtbl.add d_inputs p.port_name (Hashtbl.find slots p.port_name))
     (Circuit.inputs top);
-  ( List.rev !decls, top_inputs, List.rev !assigns, List.rev !regs,
-    List.rev !mems )
+  {
+    d_names;
+    d_widths;
+    d_slots = slots;
+    d_inputs;
+    d_assigns = List.rev !assigns;
+    d_regs = List.rev !regs;
+    d_mems = List.rev !mems;
+  }
+
+let signals d =
+  Array.to_list (Array.mapi (fun s name -> (name, d.d_widths.(s))) d.d_names)
+
+exception Combinational_cycle of string list
+
+let levelize_graph nodes =
+  let deps_of = Hashtbl.create (2 * List.length nodes) in
+  List.iter (fun (n, deps) -> Hashtbl.replace deps_of n deps) nodes;
+  let state = Hashtbl.create (2 * List.length nodes) in
+  (* name -> `Busy during the DFS, `Done level afterwards *)
+  let order = ref [] in
+  let rec visit path name =
+    match Hashtbl.find_opt deps_of name with
+    | None -> 0 (* source: input, register output, constant, memory word *)
+    | Some deps -> (
+        match Hashtbl.find_opt state name with
+        | Some (`Done l) -> l
+        | Some `Busy ->
+            (* Trim [path] to the part inside the cycle. *)
+            let rec cycle acc = function
+              | [] -> acc
+              | n :: rest -> if n = name then n :: acc else cycle (n :: acc) rest
+            in
+            raise (Combinational_cycle (cycle [ name ] path))
+        | None ->
+            Hashtbl.replace state name `Busy;
+            let l =
+              1
+              + List.fold_left
+                  (fun acc d -> max acc (visit (name :: path) d))
+                  (-1) deps
+            in
+            Hashtbl.replace state name (`Done l);
+            order := (name, l) :: !order;
+            l)
+  in
+  List.iter (fun (name, _) -> ignore (visit [] name)) nodes;
+  (* [!order] holds DFS finish order reversed (dependents first). *)
+  List.rev !order
 
 (* The combinational graph over flat names: one node per assignment
    target and per memory read port (memory words are state, so a read
    port depends only on its address). *)
-let levelize assigns mems =
+let levelize d =
   let graph =
-    List.map (fun (tgt, e) -> (tgt, Expr.vars e)) assigns
+    List.map (fun (tgt, e) -> (tgt, Expr.vars e)) d.d_assigns
     @ List.concat_map
         (fun m -> List.map (fun (rd, a) -> (rd, Expr.vars a)) m.fm_reads)
-        mems
+        d.d_mems
   in
-  try Depth.levelize graph
-  with Depth.Combinational_cycle cycle ->
+  try levelize_graph graph
+  with Combinational_cycle cycle ->
     invalid_arg ("Flat: combinational loop: " ^ String.concat " -> " cycle)
 
 (* ------------------------------------------------------------------ *)

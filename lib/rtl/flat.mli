@@ -1,11 +1,11 @@
-(** The flat view of a {!Circuit} hierarchy that the evaluation engines
-    share: the flattening, the fault-injection descriptors and the
-    simulation-state snapshot.
+(** The flat view of a {!Circuit} hierarchy: the flattening, the
+    fault-injection descriptors and the simulation-state snapshot.
 
-    {!Interp_tape} flattens through {!flatten} and interns the flat
-    signals in the declaration order it returns, so this module fixes
-    the flat-name universe, the slot order and the {!state} layout that
-    checkpoints store.  {!Interp_ref}, the oracle, keeps its own
+    {!flatten} is the one flattening of the library outside the
+    {!Interp_ref} oracle.  {!Interp_tape}, {!Lint} and {!Depth} all read
+    its {!design}, which interns every flat signal to a slot once, so
+    this module fixes the flat-name universe, the slot order and the
+    {!state} layout that checkpoints store.  {!Interp_ref} keeps its own
     flattening and shares only the types, so a snapshot taken under
     either engine restores into the other. *)
 
@@ -22,29 +22,50 @@ type flat_mem = {
   fm_reads : (string * Expr.t) list;
 }
 
-val flatten :
-  Circuit.t ->
-  (string * int) list
-  * (string, int) Hashtbl.t
-  * (string * Expr.t) list
-  * flat_reg list
-  * flat_mem list
-(** [flatten top] is [(decls, top_inputs, assigns, regs, mems)]: every
-    flat signal as [(name, width)] in declaration order, the top-level
-    inputs by name, the combinational assignments (instance boundaries
-    become alias assignments), the registers and the memories.  The
-    signals of instance [u] are named [u$signal].
-    @raise Invalid_argument if two declarations flatten to the same name
+type design = {
+  d_names : string array;  (** slot -> flat name, in declaration order *)
+  d_widths : int array;  (** slot -> width *)
+  d_slots : (string, int) Hashtbl.t;  (** flat name -> slot *)
+  d_inputs : (string, int) Hashtbl.t;  (** top-level input -> slot *)
+  d_assigns : (string * Expr.t) list;
+      (** combinational assignments; instance boundaries become alias
+          assignments *)
+  d_regs : flat_reg list;
+  d_mems : flat_mem list;
+}
+(** A flattened hierarchy.  Every declared signal (port, wire,
+    register, memory read port) has one slot; the signals of instance
+    [u] are named [u$signal].  Assignments, registers and memories are
+    in declaration order. *)
+
+val flatten : Circuit.t -> design
+(** @raise Invalid_argument if two declarations flatten to the same name
     (the message names both instance paths). *)
 
-val levelize :
-  (string * Expr.t) list -> flat_mem list -> (string * int) list
-(** [levelize assigns mems] orders the combinational graph of a
-    flattened design: one node per assignment target and per memory
+val signals : design -> (string * int) list
+(** Every flat signal as [(name, width)], in slot order. *)
+
+exception Combinational_cycle of string list
+(** A dependency cycle among combinational nodes; the payload is the
+    node names along the cycle, in dependency order. *)
+
+val levelize_graph : (string * string list) list -> (string * int) list
+(** [levelize_graph nodes] topologically orders combinational [nodes],
+    each given as [(name, dependencies)].  Dependencies that are not
+    themselves nodes (inputs, registers, memory words) are sources at
+    level 0.  Returns every node paired with its level — [1 + max] of
+    its dependencies' levels — in evaluation (dependency-first) order,
+    so evaluating the returned sequence once settles the whole network
+    without any fixed-point iteration.  The traversal is deterministic
+    in the order of [nodes].
+    @raise Combinational_cycle on a dependency cycle. *)
+
+val levelize : design -> (string * int) list
+(** [levelize d] orders the combinational graph of [d] with
+    {!levelize_graph}: one node per assignment target and per memory
     read port, each depending on the variables of its expression (a
-    read port on its address).  The result is {!Depth.levelize}'s: every
-    node with its level, in evaluation order.  {!Interp_tape} schedules
-    from it and {!Lint} checks it, so both see the same graph.
+    read port on its address).  {!Interp_tape} schedules from it and
+    {!Lint} checks it, so both see the same graph.
     @raise Invalid_argument on a combinational loop; the message names
     the cycle in dependency order, closed once:
     [combinational loop: a -> b -> a] means [a] reads [b] and [b]

@@ -22,10 +22,12 @@
    active the engine falls back to full re-evaluation in schedule
    order, the semantics {!Interp_ref} specifies.
 
-   Flattening goes through {!Flat.flatten}, so the flat-name universe,
-   slot numbering and {!Flat.state} snapshot layout are fixed there;
-   snapshots interchange freely with {!Interp_ref}.  The schedule comes
-   from {!Flat.levelize}, the graph {!Lint} checks. *)
+   The tape reads {!Flat.flatten}'s design: its slots are the first
+   cells and its name -> slot and input tables are the tape's own, so
+   the flat-name universe, slot numbering and {!Flat.state} snapshot
+   layout are fixed there; snapshots interchange freely with
+   {!Interp_ref}.  The schedule comes from {!Flat.levelize}, the graph
+   {!Lint} checks. *)
 
 let small_limit = 62
 
@@ -805,20 +807,13 @@ let run t n =
 (* ------------------------------------------------------------------ *)
 
 let create top =
-  let decls, input_widths, assigns, fregs, fmems = Flat.flatten top in
-  let n_sig = List.length decls in
+  let d = Flat.flatten top in
+  let n_sig = Array.length d.Flat.d_names in
   let b = builder () in
-  (* Cells [0, n_sig): one per flat signal, in declaration order. *)
-  List.iter (fun (_, w) -> ignore (new_cell b w)) decls;
-  let slots = Hashtbl.create (2 * n_sig) in
-  let names = Array.make (max 1 n_sig) "" in
-  List.iteri
-    (fun i (name, _) ->
-      Hashtbl.replace slots name i;
-      names.(i) <- name)
-    decls;
+  (* Cells [0, n_sig): one per flat signal, in slot order. *)
+  Array.iter (fun w -> ignore (new_cell b w)) d.Flat.d_widths;
   let slot name =
-    match Hashtbl.find_opt slots name with
+    match Hashtbl.find_opt d.Flat.d_slots name with
     | Some s -> s
     | None -> invalid_arg (Printf.sprintf "Interp_tape: unknown signal %s" name)
   in
@@ -826,7 +821,7 @@ let create top =
      fallbacks can capture the arrays directly). *)
   let arrays = Hashtbl.create 8 in
   let mem_index = Hashtbl.create 8 in
-  let fmems_arr = Array.of_list fmems in
+  let fmems_arr = Array.of_list d.Flat.d_mems in
   let n_mems = Array.length fmems_arr in
   let mem_arrs =
     Array.map
@@ -845,17 +840,17 @@ let create top =
     fmems_arr;
   (* Levelize combinational assignments plus memory read ports as one
      dependency graph over flat names. *)
-  let node_bodies = Hashtbl.create (2 * List.length assigns) in
+  let node_bodies = Hashtbl.create (2 * List.length d.Flat.d_assigns) in
   List.iter
     (fun (tgt, e) -> Hashtbl.replace node_bodies tgt (`Assign e))
-    assigns;
+    d.Flat.d_assigns;
   Array.iteri
     (fun mi (m : Flat.flat_mem) ->
       List.iter
         (fun (rd, a) -> Hashtbl.replace node_bodies rd (`Memread (mi, a)))
         m.fm_reads)
     fmems_arr;
-  let nodes = Array.of_list (Flat.levelize assigns fmems) in
+  let nodes = Array.of_list (Flat.levelize d) in
   let n_nodes = Array.length nodes in
   let node_slot = Array.make (max 1 n_nodes) 0 in
   let node_lo = Array.make (max 1 n_nodes) 0 in
@@ -915,7 +910,7 @@ let create top =
                 ~what:("next of " ^ r.fr_name)
                 (Some nc) r.fr_next);
            { tr_slot = s; tr_init = r.fr_init; tr_next = nc })
-         fregs)
+         d.Flat.d_regs)
   in
   let mems =
     Array.mapi
@@ -1013,19 +1008,15 @@ let create top =
     level_cnt.(node_level.(i)) <- level_cnt.(node_level.(i)) + 1
   done;
   let buckets = Array.map (fun n -> Array.make (max 1 n) 0) level_cnt in
-  let top_inputs = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun name _w -> Hashtbl.replace top_inputs name (slot name))
-    input_widths;
   let driven = Array.make (max 1 n_sig) false in
   Array.iteri (fun i s -> if i < n_nodes then driven.(s) <- true) node_slot;
   Array.iter (fun r -> driven.(r.tr_slot) <- true) regs;
   let calls_specs = Array.of_list (List.rev b.b_calls) in
   let t =
     {
-      slots;
-      names;
-      top_inputs;
+      slots = d.Flat.d_slots;
+      names = d.Flat.d_names;
+      top_inputs = d.Flat.d_inputs;
       n_sig;
       widths;
       wide;

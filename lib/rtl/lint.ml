@@ -62,13 +62,11 @@ let check_circuit (c : Circuit.t) =
    expressions (every variable declared, every assignment and register
    as wide as its target).  Raises with the first error found. *)
 let check_flat top =
-  let decls, _, assigns, regs, mems = Flat.flatten top in
-  ignore (Flat.levelize assigns mems);
-  let widths = Hashtbl.create (List.length decls) in
-  List.iter (fun (name, w) -> Hashtbl.add widths name w) decls;
+  let d = Flat.flatten top in
+  ignore (Flat.levelize d);
   let env name =
-    match Hashtbl.find_opt widths name with
-    | Some w -> w
+    match Hashtbl.find_opt d.Flat.d_slots name with
+    | Some s -> d.Flat.d_widths.(s)
     | None -> invalid_arg ("unknown flat signal " ^ name)
   in
   let width what e =
@@ -84,7 +82,9 @@ let check_flat top =
            "Lint: %s: expression width %d does not match target width %d"
            what w want)
   in
-  List.iter (fun (tgt, e) -> expect tgt (width tgt (Expr.Var tgt)) e) assigns;
+  List.iter
+    (fun (tgt, e) -> expect tgt (width tgt (Expr.Var tgt)) e)
+    d.Flat.d_assigns;
   List.iter
     (fun (r : Flat.flat_reg) ->
       let w = env r.fr_name in
@@ -95,7 +95,7 @@ let check_flat top =
               width %d"
              r.fr_name (Bits.width r.fr_init) w);
       expect ("next of " ^ r.fr_name) w r.fr_next)
-    regs;
+    d.Flat.d_regs;
   List.iter
     (fun (m : Flat.flat_mem) ->
       let what = m.fm_name ^ " write" in
@@ -104,7 +104,7 @@ let check_flat top =
           List.iter (fun e -> ignore (width what e)) [ w.we; w.waddr; w.wdata ])
         m.fm_writes;
       List.iter (fun (rd, a) -> ignore (width rd a)) m.fm_reads)
-    mems
+    d.Flat.d_mems
 
 let check top =
   let errors = ref [] and warnings = ref [] in

@@ -16,11 +16,11 @@ val check : Circuit.t -> report
     enforces, reported as one error (the first found): duplicate flat
     signals ({!Flat.flatten}), combinational loops ({!Flat.levelize},
     the graph the tape engine schedules from), unknown flat signals (a
-    variable of an assignment, register next or memory port that no
-    flat declaration names) and flat width mismatches (an assignment or
-    register next whose {!Expr.width} differs from its target's, a
-    register init of the wrong width, or an expression that fails
-    {!Expr.width}).  The check is structural: it builds no engine,
+    variable of an assignment, register next or memory port that is not
+    in {!Flat.design}'s name -> slot table, the one the tape reads) and
+    flat width mismatches (an assignment or register next whose
+    {!Expr.width} differs from its target's, a register init of the
+    wrong width, or an expression that fails {!Expr.width}).  The check is structural: it builds no engine,
     allocates no memory words and settles nothing, so its cost does not
     grow with memory depth. *)
 

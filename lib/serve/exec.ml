@@ -117,15 +117,21 @@ let parse_job ~allow_debug (rq : Proto.request) =
   match rq.Proto.rq_kind with
   | "generate" ->
     let pes = p_pes params in
+    (* Within {!A}'s single-field limits, narrowed to bound the work
+       one job may ask for. *)
+    let mem_addr_width =
+      p_int params "mem_addr_width" ~default:20 ~min:4
+        ~max:(snd A.mem_addr_width_range)
+    in
     let config =
       {
         (A.paper_config ~n_pes:pes) with
         A.bus_data_width = p_int params "data_width" ~default:64 ~min:8 ~max:256;
-        mem_addr_width =
-          p_int params "mem_addr_width" ~default:20 ~min:4 ~max:32;
-        global_mem_addr_width =
-          p_int params "mem_addr_width" ~default:20 ~min:4 ~max:32;
-        fifo_depth = p_int params "fifo_depth" ~default:64 ~min:2 ~max:4096;
+        mem_addr_width;
+        global_mem_addr_width = mem_addr_width;
+        fifo_depth =
+          p_int params "fifo_depth" ~default:64
+            ~min:(fst A.fifo_depth_range) ~max:4096;
         protect = p_protect params;
       }
     in

@@ -139,9 +139,10 @@ let classify sc =
           match sc.sc_campaign with
           | None -> sc.sc_faults
           | Some (cseed, n) ->
-              let signals, _, _, _, _ = Flat.flatten top in
               sc.sc_faults
-              @ Flat.random_campaign signals ~seed:cseed ~n
+              @ Flat.random_campaign
+                  (Flat.signals (Flat.flatten top))
+                  ~seed:cseed ~n
                   ~horizon:(max 1 (sc.sc_cycles / 2))
         in
         let diff_cycles = min sc.sc_cycles 48 in

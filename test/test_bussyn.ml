@@ -776,18 +776,57 @@ let test_gbaviii_end_to_end () =
     (cpu_txn sim 1 ~dw ~rnw:true ~addr:9 ~wdata:0)
 
 let test_depth_of_architectures () =
-  (* Sanity on real generated systems: every architecture has a finite,
-     positive combinational depth, and the arbitrated single-bus CCBA is
-     at least as deep as a lone BAN's local path. *)
-  let c = Archs.small_config ~n_pes:2 in
+  (* Depth is the timing half of Table V's area story: its levels are
+     pinned on the 31 Table V designs at the paper's own config, and its
+     endpoint too at 4 PEs.  The arbitrated single-bus CCBA deepens with
+     every master; the bridged GBAVI/GBAVII chains are the deepest at
+     4 PEs. *)
+  let depth arch n_pes =
+    Depth.of_circuit
+      (Generate.generate arch (Archs.paper_config ~n_pes)).Generate.generated
+        .Archs.top
+  in
+  let table5 =
+    Generate.
+      [
+        (Bfba, [ (1, 26); (8, 26); (16, 26); (24, 26) ]);
+        (Gbavi, [ (1, 38); (8, 38); (16, 38); (24, 38) ]);
+        (Gbavii, [ (1, 39); (8, 39); (16, 40); (24, 50) ]);
+        (Gbaviii, [ (1, 25); (8, 32); (16, 40); (24, 50) ]);
+        (Hybrid, [ (1, 27); (8, 32); (16, 40); (24, 50) ]);
+        (Splitba, [ (8, 30); (16, 34); (24, 38) ]);
+        (Ggba, [ (1, 24); (8, 31); (16, 39); (24, 50) ]);
+        (Ccba, [ (1, 26); (8, 40); (16, 56); (24, 72) ]);
+      ]
+  in
   List.iter
-    (fun (nm, build) ->
-      let g : Archs.generated = build c in
-      let r = Depth.of_circuit g.Archs.top in
-      if r.Depth.levels <= 0 || r.Depth.levels > 500 then
-        Alcotest.failf "%s: implausible depth %d" nm r.Depth.levels)
-    [ ("bfba", Archs.bfba); ("gbavi", Archs.gbavi);
-      ("ccba", Archs.ccba) ]
+    (fun (arch, rows) ->
+      List.iter
+        (fun (n, want) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s %d PEs levels" (Generate.arch_name arch) n)
+            want (depth arch n).Depth.levels)
+        rows)
+    table5;
+  let ban3 = "BAN_3$CBI$rdata_l (reg D)" in
+  List.iter
+    (fun (arch, levels, endpoint) ->
+      let r = depth arch 4 in
+      Alcotest.(check (pair int string))
+        (Generate.arch_name arch ^ " 4 PEs")
+        (levels, endpoint)
+        (r.Depth.levels, r.Depth.endpoint))
+    Generate.
+      [
+        (Bfba, 26, ban3);
+        (Gbavi, 38, ban3);
+        (Gbavii, 39, ban3);
+        (Gbaviii, 28, ban3);
+        (Hybrid, 28, ban3);
+        (Splitba, 28, "BB_10$ret_rdata_r (reg D)");
+        (Ggba, 27, ban3);
+        (Ccba, 32, ban3);
+      ]
 
 let prop_optimizer_preserves_system =
   (* Strongest equivalence check we can run without a formal tool: the

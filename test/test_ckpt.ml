@@ -700,6 +700,63 @@ let test_sweep_fuzz_payload_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage payload must not decode"
 
+let test_sweep_fuzz_payload_pinned () =
+  (* A fixed result list covering every fault kind, a campaign and a
+     property violation encodes to the bytes pinned when the payload
+     format was last changed, so sweep checkpoints written before still
+     resume, and decodes back to itself. *)
+  let sc ?campaign ?faults seed =
+    Fz.scenario ?campaign ?faults ~cycles:200 ~seed Bussyn.Preset.gbavi_4pe
+  in
+  let inj inj_signal inj_fault inj_start inj_cycles =
+    { I.inj_signal; inj_fault; inj_start; inj_cycles }
+  in
+  let results =
+    [
+      {
+        Fz.r_scenario =
+          sc 7
+            ~faults:
+              [
+                inj "BAN_0$CBI$cpu_req" I.Stuck_at_0 3 2;
+                inj "BAN_1$cpu_rdata" I.Stuck_at_1 0 4;
+                inj "w_sb2_rnw_a" (I.Flip 5) 17 1;
+              ];
+        r_outcome = Fz.Clean;
+        r_arch = Some "GBAVI";
+        r_properties = 12;
+        r_detections = [];
+      };
+      {
+        Fz.r_scenario = sc 8 ~campaign:(11, 4);
+        r_outcome =
+          Fz.Property_violation
+            [
+              { P.v_prop = "handshake"; v_cycle = 42; v_detail = "ack without req" };
+              { P.v_prop = "onehot-grant"; v_cycle = 0; v_detail = "" };
+            ];
+        r_arch = Some "GBAVI";
+        r_properties = 12;
+        r_detections = [ "handshake"; "onehot-grant" ];
+      };
+      {
+        Fz.r_scenario = sc 9;
+        r_outcome = Fz.Generation_error "no such bus";
+        r_arch = None;
+        r_properties = 0;
+        r_detections = [];
+      };
+    ]
+  in
+  let bytes = Sweep.encode_fuzz_results results in
+  Alcotest.(check (pair int string))
+    "pinned length and digest"
+    (1059, "d4bdbc50e7bc3455c420de9cf5ab262b")
+    (String.length bytes, Digest.to_hex (Digest.string bytes));
+  match Sweep.decode_fuzz_results bytes with
+  | Ok rs -> Alcotest.(check bool) "decodes back" true (rs = results)
+  | Error msg -> Alcotest.failf "decode failed: %s" msg
+
 let () =
   Alcotest.run "busgen_ckpt"
     [
@@ -725,6 +782,8 @@ let () =
             test_sweep_corrupt_starts_fresh;
           Alcotest.test_case "sweep: autosave cadence" `Quick
             test_sweep_autosave_cadence;
+          Alcotest.test_case "sweep: fuzz payload bytes pinned" `Quick
+            test_sweep_fuzz_payload_pinned;
           Alcotest.test_case "sweep: fuzz payload codec round-trip" `Slow
             test_sweep_fuzz_payload_roundtrip;
           Alcotest.test_case "failed prune is logged, resume survives" `Quick

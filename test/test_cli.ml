@@ -213,7 +213,44 @@ let test_count_flag_validation () =
             (arg ^ ": no output directory") false
             (Sys.file_exists gen_dir || Sys.file_exists soak_dir))
         [ "0"; "-1" ])
-    cases
+    cases;
+  (* Flags with other bounds: the soak cadences (0 still turns the
+     cycle cadence off), generate's sizes (Archs' single-field limits,
+     checked even where no module would use the value) and verify's
+     first fuzz case. *)
+  let gen arch = [ "generate"; "-a"; arch; "-o"; gen_dir ] in
+  let seconds v =
+    Printf.sprintf
+      "invalid --every-seconds %S (expected a positive number of seconds)" v
+  in
+  List.iter
+    (fun (args, arg, on_stderr) ->
+      List.iter
+        (fun d -> if Sys.file_exists d then Sys.rmdir d)
+        [ gen_dir; soak_dir ];
+      check_user_error (List.hd args ^ " " ^ arg) (args @ [ arg ]) ~on_stderr;
+      Alcotest.(check bool)
+        (arg ^ ": no output directory") false
+        (Sys.file_exists gen_dir || Sys.file_exists soak_dir))
+    [
+      (soak, "--every=-1", "invalid --every -1 (expected a non-negative integer)");
+      (soak, "--every-seconds=0", seconds "0");
+      (soak, "--every-seconds=-1", seconds "-1");
+      (soak, "--every-seconds=nan", seconds "nan");
+      (soak, "--every-seconds=inf", seconds "inf");
+      ( gen "gbaviii", "--data-width=0",
+        "invalid --data-width 0 (expected a positive integer)" );
+      ( gen "gbaviii", "--mem-addr-width=0",
+        "invalid --mem-addr-width 0 (expected an integer in [1, 20])" );
+      ( gen "gbaviii", "--mem-addr-width=21",
+        "invalid --mem-addr-width 21 (expected an integer in [1, 20])" );
+      ( gen "gbaviii", "--fifo-depth=0",
+        "invalid --fifo-depth 0 (expected an integer >= 2)" );
+      ( gen "splitba", "--fifo-depth=1",
+        "invalid --fifo-depth 1 (expected an integer >= 2)" );
+      ( [ "verify"; "--fuzz"; "1" ], "--first-case=-1",
+        "invalid --first-case -1 (expected a non-negative integer)" );
+    ]
 
 let test_wires_check_valid_ok () =
   (* The happy path still exits 0: dump a library, then validate it. *)

@@ -983,7 +983,7 @@ let test_levelize () =
   let nodes =
     [ ("d", [ "b"; "c" ]); ("b", [ "a" ]); ("c", [ "a" ]); ("x", []) ]
   in
-  let order = Depth.levelize nodes in
+  let order = Flat.levelize_graph nodes in
   let level n = List.assoc n order in
   Alcotest.(check int) "b level" 1 (level "b");
   Alcotest.(check int) "c level" 1 (level "c");
@@ -1001,8 +1001,8 @@ let test_levelize () =
   Alcotest.(check bool) "b before d" true (pos "b" < pos "d");
   Alcotest.(check bool) "c before d" true (pos "c" < pos "d");
   (* Cycles raise with the offending path. *)
-  match Depth.levelize [ ("p", [ "q" ]); ("q", [ "p" ]) ] with
-  | exception Depth.Combinational_cycle cycle ->
+  match Flat.levelize_graph [ ("p", [ "q" ]); ("q", [ "p" ]) ] with
+  | exception Flat.Combinational_cycle cycle ->
       Alcotest.(check bool) "cycle names both nodes" true
         (List.mem "p" cycle && List.mem "q" cycle)
   | _ -> Alcotest.fail "cycle not detected"
@@ -1154,15 +1154,17 @@ let memory_loop_circuit () =
    node equals the last, no other node repeats, and in each [a -> b]
    step [b] is a variable of [a]'s driver. *)
 let check_cycle c who msg =
-  let _, _, assigns, _, mems = Flat.flatten c in
+  let d = Flat.flatten c in
   let drivers = Hashtbl.create 16 in
-  List.iter (fun (t, e) -> Hashtbl.replace drivers t (Expr.vars e)) assigns;
+  List.iter
+    (fun (t, e) -> Hashtbl.replace drivers t (Expr.vars e))
+    d.Flat.d_assigns;
   List.iter
     (fun (m : Flat.flat_mem) ->
       List.iter
         (fun (rd, a) -> Hashtbl.replace drivers rd (Expr.vars a))
         m.fm_reads)
-    mems;
+    d.Flat.d_mems;
   let marker = "combinational loop: " in
   match index_of msg marker with
   | None -> Alcotest.failf "%s names no loop: %s" who msg
@@ -1234,11 +1236,22 @@ let test_lint_flags_engine_rejects () =
       | exception Invalid_argument _ -> ignore (lint_errors name c)
       | _ -> Alcotest.failf "%s: the tape engine accepted it" name)
     others;
+  (* Depth reads the same flat design, so it rejects the circuits that
+     break flattening or name lookup (it checks no widths). *)
+  List.iter
+    (fun name ->
+      match Depth.of_circuit (List.assoc name others) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: Depth accepted it" name)
+    [ "duplicate flat signal"; "raw record reading an undeclared signal" ];
   List.iter
     (fun (name, c) ->
       (match Engine.create ~kind:Engine.Tape c with
       | exception Invalid_argument msg -> check_cycle c (name ^ ", tape") msg
       | _ -> Alcotest.failf "%s: the tape engine accepted it" name);
+      (match Depth.of_circuit c with
+      | exception Invalid_argument msg -> check_cycle c (name ^ ", depth") msg
+      | _ -> Alcotest.failf "%s: Depth accepted it" name);
       (match Engine.create ~kind:Engine.Ref c with
       | exception Invalid_argument msg -> check_cycle c (name ^ ", ref") msg
       | _ -> Alcotest.failf "%s: the ref engine accepted it" name);
@@ -1325,7 +1338,7 @@ let all_archs =
     [ Bfba; Gbavi; Gbavii; Gbaviii; Hybrid; Splitba; Ggba; Ccba ]
 
 let campaign_prepare seed top slow tape =
-  let signals, _, _, _, _ = Flat.flatten top in
+  let signals = Flat.signals (Flat.flatten top) in
   let campaign =
     Flat.random_campaign signals ~seed ~n:12 ~horizon:differential_cycles
   in
@@ -1468,7 +1481,7 @@ let test_random_campaign_pinned () =
       "BAN_2$MBI$csb stuck1 0 4";
     ]
   in
-  let signals, _, _, _, _ = Flat.flatten top in
+  let signals = Flat.signals (Flat.flatten top) in
   Alcotest.(check (list string))
     "flattened circuit draws the pinned stream" pinned
     (show (Flat.random_campaign signals ~seed:11 ~n:8 ~horizon:40));

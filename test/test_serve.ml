@@ -463,6 +463,17 @@ let test_malformed_then_serves () =
   send sv {|{"id":"g","kind":"generate","params":{"arch":"martian"}}|};
   check_error ~what:"bad params" ~id:(Some "g") ~code:"bad-request"
     (recv_exn sv);
+  (* A memory wider than the SRAM template takes is refused at
+     admission, naming the field, instead of crashing a worker. *)
+  send sv
+    {|{"id":"m","kind":"generate","params":{"arch":"gbaviii","pes":2,"mem_addr_width":24}}|};
+  let line = recv_exn sv in
+  check_error ~what:"memory address width" ~id:(Some "m") ~code:"bad-request"
+    line;
+  Alcotest.(check (option string))
+    "memory address width: error names the field"
+    (Some "\"mem_addr_width\" = 24 out of range [4, 20]")
+    (reply_field line "error");
   (* An engine the daemon does not have (here the removed [slot]) is a
      bad request whose one-line error names the engines it does have. *)
   send sv
