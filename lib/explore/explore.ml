@@ -3,6 +3,7 @@ module A = Bussyn.Archs
 module E = Busgen_rtl.Engine
 module Tb = Busgen_rtl.Testbench
 module Traffic = Busgen_verify.Traffic
+module Prop = Busgen_verify.Prop
 module Sv = Busgen_par.Supervise
 module Sweep = Busgen_ckpt.Sweep
 module Json = Busgen_json.Json
@@ -112,21 +113,19 @@ let score ?(engine = E.default_kind) ?(generate = G.generate) (p : Profile.t)
         E.random_campaign sim ~seed:p.Profile.fault_seed ~n:p.Profile.faults
           ~horizon
       in
-      let watch = Busgen_verify.Check.protection_taps sim in
+      let taps =
+        List.map
+          (fun s -> Prop.never ~name:s (Prop.high s))
+          (Busgen_verify.Check.protection_taps sim)
+      in
       let survived = ref 0 and det = ref 0 in
       List.iter
         (fun inj ->
           let tb = fresh_tb [ inj ] in
-          let flagged = ref false in
-          if watch <> [] then
-            E.on_cycle sim (fun _ ->
-                if
-                  (not !flagged)
-                  && List.exists (fun s -> E.peek_int sim s <> 0) watch
-                then flagged := true);
+          let mon = Prop.attach sim taps in
           let ok, st = drive_traffic tb in
           if ok && st.Traffic.mismatches = 0 then incr survived;
-          if !flagged then incr det)
+          if Prop.violation_count mon > 0 then incr det)
         campaign;
       E.clear_observers sim;
       E.clear_injections sim;

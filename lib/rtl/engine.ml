@@ -77,10 +77,6 @@ let signal_names = function
   | R s -> Interp_ref.signal_names s
   | T s -> Interp_tape.signal_names s
 
-let memories = function
-  | R s -> Interp_ref.memories s
-  | T s -> Interp_tape.memories s
-
 let on_cycle t f =
   match t with
   | R s -> Interp_ref.on_cycle s f

@@ -45,13 +45,15 @@ val peek_int : t -> string -> int
 val peek_mem : t -> string -> int -> Bits.t
 val poke_mem : t -> string -> int -> Bits.t -> unit
 val signal_names : t -> string list
-val memories : t -> (string * int) list
 
 val on_cycle : t -> (int -> unit) -> unit
 val clear_observers : t -> unit
 
-val reader : t -> string -> unit -> Bits.t
-(** @raise Not_found if the signal is unknown. *)
+val reader : t -> string -> unit -> int
+(** A pre-resolved reader of one signal's value as {!peek_int} reads it
+    (truncated to the low 62 bits), for property monitors that read
+    every cycle; the tape engine's reader does not allocate.
+    @raise Not_found if the signal is unknown. *)
 
 val inject : t -> Flat.injection list -> unit
 val clear_injections : t -> unit

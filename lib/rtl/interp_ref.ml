@@ -425,7 +425,7 @@ let reader sim name =
   if not (Hashtbl.mem sim.base.values name) then raise Not_found;
   (* [Hashtbl.replace] rebinds in place, so the lookup must happen per
      call; this engine hashes strings everywhere anyway. *)
-  fun () -> Hashtbl.find sim.base.values name
+  fun () -> peek_int sim name
 
 let current_cycle sim = sim.cycle
 
@@ -458,11 +458,6 @@ let inject sim injs =
 let clear_injections sim =
   sim.injections <- [];
   Hashtbl.reset sim.active
-
-let memories sim =
-  Array.to_list
-    (Array.map (fun m -> (m.fm_name, m.fm_depth)) sim.base.mems)
-  |> List.sort compare
 
 (* State snapshots share {!Flat.state} so a checkpoint written by one
    engine can restore the other (the flattening is identical). *)

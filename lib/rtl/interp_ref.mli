@@ -34,9 +34,6 @@ val poke_mem : t -> string -> int -> Bits.t -> unit
 val signal_names : t -> string list
 (** All flat signal names, sorted. *)
 
-val memories : t -> (string * int) list
-(** All flattened memories as [(flat name, depth)], sorted. *)
-
 val on_cycle : t -> (int -> unit) -> unit
 (** Register a per-cycle observer.  It runs after the combinational
     settle with the cycle's inputs, before the clock edge, and receives
@@ -44,9 +41,10 @@ val on_cycle : t -> (int -> unit) -> unit
 
 val clear_observers : t -> unit
 
-val reader : t -> string -> unit -> Bits.t
-(** Accessor for a flat signal (hashes the name per call — this is the
-    slow engine).  @raise Not_found if the signal is unknown. *)
+val reader : t -> string -> unit -> int
+(** Accessor for a flat signal's value as {!peek_int} reads it (hashes
+    the name per call — this is the slow engine).
+    @raise Not_found if the signal is unknown. *)
 
 val inject : t -> Flat.injection list -> unit
 (** Install injections (cumulative with previous calls), so faulty runs

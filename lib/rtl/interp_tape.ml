@@ -1137,18 +1137,14 @@ let poke_mem t name addr v =
 let signal_names t =
   Array.to_list (Array.sub t.names 0 t.n_sig) |> List.sort compare
 
-let memories t =
-  Array.to_list (Array.map (fun m -> (m.tm_name, m.tm_depth)) t.mems)
-  |> List.sort compare
-
 let reader t name =
   match Hashtbl.find_opt t.slots name with
   | None -> raise Not_found
   | Some s ->
-      if t.wide.(s) then fun () -> t.bvals.(s)
+      if t.wide.(s) then fun () -> Bits.to_int_trunc t.bvals.(s)
       else
-        let w = t.widths.(s) in
-        fun () -> Bits.of_int ~width:w t.ivals.(s)
+        let ivals = t.ivals in
+        fun () -> ivals.(s)
 
 let on_cycle t f = t.obs_pending <- f :: t.obs_pending
 

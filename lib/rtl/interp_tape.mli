@@ -38,9 +38,6 @@ val poke_mem : t -> string -> int -> Bits.t -> unit
 val signal_names : t -> string list
 (** All flat signal names, sorted. *)
 
-val memories : t -> (string * int) list
-(** All flattened memories as [(flat name, depth)], sorted. *)
-
 val on_cycle : t -> (int -> unit) -> unit
 (** Register a per-cycle observer.  It runs after the combinational
     settle with the cycle's inputs, before the clock edge, and receives
@@ -48,8 +45,9 @@ val on_cycle : t -> (int -> unit) -> unit
 
 val clear_observers : t -> unit
 
-val reader : t -> string -> unit -> Bits.t
-(** Pre-resolved accessor for a flat signal.
+val reader : t -> string -> unit -> int
+(** Pre-resolved accessor for a flat signal's value as {!peek_int}
+    reads it (truncated to the low 62 bits); no allocation per call.
     @raise Not_found if the signal is unknown. *)
 
 val inject : t -> Flat.injection list -> unit

@@ -227,18 +227,24 @@ let parse_job ~allow_debug (rq : Proto.request) =
   | kind ->
     bad "unknown kind %S (expected %s)" kind (String.concat ", " job_kinds)
 
+(* Building the design refuses fields that pass one by one but not
+   together, before journaling.  Any other builder exception is a bug
+   that the worker meets again and replies [crashed]. *)
 let validate ~allow_debug rq =
   match parse_job ~allow_debug rq with
+  | J_generate { arch; config; _ }
+  | J_verify { arch; config; _ }
+  | J_inject { arch; config; _ } -> (
+    match Cache.circuit arch config with
+    | _ -> Ok ()
+    | exception Invalid_argument msg -> Error msg
+    | exception _ -> Ok ())
   | (_ : job) -> Ok ()
   | exception Failure msg -> Error msg
   | exception Invalid_argument msg -> Error msg
 
 let warm rq =
   match parse_job ~allow_debug:true rq with
-  | J_generate { arch; config; _ }
-  | J_verify { arch; config; _ }
-  | J_inject { arch; config; _ } -> (
-    try ignore (Cache.circuit arch config) with _ -> ())
   | J_explore { profile; _ } -> (
     (* Warm the first candidate's circuit; the worker reuses the LRU
        for the whole grid. *)
@@ -248,7 +254,7 @@ let warm rq =
       let c = cands.(0) in
       try ignore (Cache.circuit c.X.ca_arch (X.config_of profile c))
       with _ -> ()))
-  | J_simulate _ | J_fuzz _ | J_sleep _ | J_spin | J_crash _ | J_fail _ -> ()
+  | _ -> ()
   | exception _ -> ()
 
 (* ------------------------------------------------------------------ *)

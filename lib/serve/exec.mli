@@ -9,11 +9,13 @@
 
     {!validate} runs in the parent at admission: full parameter
     parsing and bounds checks (PE counts, widths, cycle and budget
-    caps), so a malformed job is rejected with [bad-request] before it
-    is journaled, and a hostile one cannot make the parent itself do
-    unbounded work.  {!run} executes in a procpool worker child; a
-    deterministic in-job failure comes back as an error {e reply}
-    (code [crashed]), while a worker death or hang is the
+    caps), then, for the kinds that simulate or emit one design, the
+    design's build through the circuit cache.  So a malformed job, or
+    one whose builder refuses its configuration, is rejected with
+    [bad-request] before it is journaled, and a hostile one cannot make
+    the parent itself do unbounded work.  {!run} executes in a procpool
+    worker child; a deterministic in-job failure comes back as an error
+    {e reply} (code [crashed]), while a worker death or hang is the
     supervisor's business and never reaches this module.
 
     Debug kinds ([sleep], [spin], [crash], [fail]) exist to let tests
@@ -29,13 +31,16 @@ val debug_kinds : string list
 (** sleep, spin, crash, fail. *)
 
 val validate : allow_debug:bool -> Proto.request -> (unit, string) result
-(** Parse and bounds-check; the error is one [bad-request] line. *)
+(** Parse and bounds-check, and build a [generate]/[verify]/[inject]
+    design through the circuit cache, so forked workers inherit the
+    entry.  A builder's [Invalid_argument] is the error; the error is
+    one [bad-request] line. *)
 
 val warm : Proto.request -> unit
-(** Parent-side cache warm: for kinds that simulate a generated design,
-    touch the circuit cache so forked workers inherit the entry.  Never
-    raises; quietly does nothing for kinds without a design or params
-    that fail to parse ({!validate} already gated those). *)
+(** Parent-side cache warm for [explore]: build the first candidate's
+    circuit; the worker reuses the cache for the whole grid.  Never
+    raises; does nothing for other kinds ({!validate} already built
+    their design) or params that fail to parse. *)
 
 val run : Proto.request -> string * Cache.snap
 (** Execute (in a worker child) and return the reply line plus this

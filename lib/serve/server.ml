@@ -364,7 +364,8 @@ let process_line st c line =
           incr (inflight_of st c.cl_id);
           st.ct.ct_accepted <- st.ct.ct_accepted + 1;
           (* Warm the circuit cache in the parent so the batch's forked
-             workers inherit the entry copy-on-write. *)
+             workers inherit the entry copy-on-write ([validate] already
+             built the design of a generate/verify/inject job). *)
           Exec.warm rq;
           Queue.push j st.pending))
   end

@@ -1,112 +1,51 @@
 open Busgen_rtl
 
-type read = string -> unit -> Bits.t
+(* Over signal names as built; over the monitor's value indices once
+   attached, with each constant truncated to its signal's width as
+   [Bits.of_int ~width] does. *)
+type 's p =
+  | High of 's
+  | Low of 's
+  | Eq_int of 's * int
+  | Le_int of 's * int
+  | Le_sig of 's * 's
+  | Onehot_or_zero of 's
+  | Subset_of of 's * 's
+  | At_most_one_of of 's list
+  | Conj of 's p * 's p
+  | Disj of 's p * 's p
+  | Neg of 's p
+  | Iff of 's p * 's p
 
-type pred = { pd_desc : string; pd_compile : read -> unit -> bool }
+type pred = string p
 
-let pred desc compile = { pd_desc = desc; pd_compile = compile }
-let desc p = p.pd_desc
+let high s = High s
+let low s = Low s
+let eq_int s k = Eq_int (s, k)
+let le_int s k = Le_int (s, k)
+let le_sig a b = Le_sig (a, b)
+let onehot_or_zero s = Onehot_or_zero s
+let subset_of a b = Subset_of (a, b)
+let at_most_one_of names = At_most_one_of names
+let conj a b = Conj (a, b)
+let disj a b = Disj (a, b)
+let neg a = Neg a
+let iff a b = Iff (a, b)
 
-let nonzero v = Bits.reduce_or v
-
-let high s =
-  { pd_desc = s; pd_compile = (fun rd -> let r = rd s in fun () -> nonzero (r ())) }
-
-let low s =
-  { pd_desc = "!" ^ s;
-    pd_compile = (fun rd -> let r = rd s in fun () -> not (nonzero (r ()))) }
-
-let eq_int s k =
-  { pd_desc = Printf.sprintf "%s == %d" s k;
-    pd_compile =
-      (fun rd ->
-        let r = rd s in
-        let k' = lazy (Bits.of_int ~width:(Bits.width (r ())) k) in
-        fun () -> Bits.equal (r ()) (Lazy.force k')) }
-
-let le_int s k =
-  { pd_desc = Printf.sprintf "%s <= %d" s k;
-    pd_compile =
-      (fun rd ->
-        let r = rd s in
-        let k' = lazy (Bits.of_int ~width:(Bits.width (r ())) k) in
-        fun () -> Bits.ule (r ()) (Lazy.force k')) }
-
-let le_sig a b =
-  { pd_desc = Printf.sprintf "%s <= %s" a b;
-    pd_compile =
-      (fun rd ->
-        let ra = rd a and rb = rd b in
-        fun () -> Bits.ule (ra ()) (rb ())) }
-
-let onehot_or_zero s =
-  { pd_desc = "onehot0(" ^ s ^ ")";
-    pd_compile =
-      (fun rd ->
-        let r = rd s in
-        fun () ->
-          let v = r () in
-          (* v & (v - 1) = 0 iff at most one bit set; stay in native
-             ints for narrow vectors to keep the per-cycle hook
-             allocation-free *)
-          if Bits.width v <= 62 then
-            let x = Bits.to_int_trunc v in
-            x land (x - 1) = 0
-          else
-            Bits.is_zero (Bits.logand v (Bits.sub v (Bits.one (Bits.width v))))) }
-
-let subset_of a b =
-  { pd_desc = Printf.sprintf "%s within %s" a b;
-    pd_compile =
-      (fun rd ->
-        let ra = rd a and rb = rd b in
-        fun () ->
-          let va = ra () and vb = rb () in
-          if Bits.width va <= 62 && Bits.width vb <= 62 then
-            Bits.to_int_trunc va land lnot (Bits.to_int_trunc vb) = 0
-          else Bits.is_zero (Bits.logand va (Bits.lognot vb))) }
-
-let at_most_one_of names =
-  { pd_desc = "at-most-one(" ^ String.concat "," names ^ ")";
-    pd_compile =
-      (fun rd ->
-        let rs = Array.of_list (List.map rd names) in
-        fun () ->
-          let seen = ref false and ok = ref true in
-          Array.iter
-            (fun r ->
-              if nonzero (r ()) then
-                if !seen then ok := false else seen := true)
-            rs;
-          !ok) }
-
-let conj a b =
-  { pd_desc = Printf.sprintf "(%s && %s)" a.pd_desc b.pd_desc;
-    pd_compile =
-      (fun rd ->
-        let ca = a.pd_compile rd and cb = b.pd_compile rd in
-        fun () -> ca () && cb ()) }
-
-let disj a b =
-  { pd_desc = Printf.sprintf "(%s || %s)" a.pd_desc b.pd_desc;
-    pd_compile =
-      (fun rd ->
-        let ca = a.pd_compile rd and cb = b.pd_compile rd in
-        fun () -> ca () || cb ()) }
-
-let neg a =
-  { pd_desc = Printf.sprintf "!(%s)" a.pd_desc;
-    pd_compile =
-      (fun rd ->
-        let ca = a.pd_compile rd in
-        fun () -> not (ca ())) }
-
-let iff a b =
-  { pd_desc = Printf.sprintf "(%s <-> %s)" a.pd_desc b.pd_desc;
-    pd_compile =
-      (fun rd ->
-        let ca = a.pd_compile rd and cb = b.pd_compile rd in
-        fun () -> ca () = cb ()) }
+(* Formatted only when a violation is recorded. *)
+let rec describe : pred -> string = function
+  | High s -> s
+  | Low s -> "!" ^ s
+  | Eq_int (s, k) -> Printf.sprintf "%s == %d" s k
+  | Le_int (s, k) -> Printf.sprintf "%s <= %d" s k
+  | Le_sig (a, b) -> Printf.sprintf "%s <= %s" a b
+  | Onehot_or_zero s -> "onehot0(" ^ s ^ ")"
+  | Subset_of (a, b) -> Printf.sprintf "%s within %s" a b
+  | At_most_one_of names -> "at-most-one(" ^ String.concat "," names ^ ")"
+  | Conj (a, b) -> Printf.sprintf "(%s && %s)" (describe a) (describe b)
+  | Disj (a, b) -> Printf.sprintf "(%s || %s)" (describe a) (describe b)
+  | Neg a -> Printf.sprintf "!(%s)" (describe a)
+  | Iff (a, b) -> Printf.sprintf "(%s <-> %s)" (describe a) (describe b)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -135,112 +74,170 @@ type violation = { v_prop : string; v_cycle : int; v_detail : string }
 let pp_violation fmt v =
   Format.fprintf fmt "cycle %d: %s: %s" v.v_cycle v.v_prop v.v_detail
 
-(* A compiled checker: internal state plus a per-cycle step function
-   returning a violation description when the property just failed. *)
-type checker = {
-  ck_name : string;
-  ck_step : int -> string option;
-  ck_reset : unit -> unit;
-  ck_state : unit -> int;    (* hidden temporal state, as plain data *)
-  ck_restore : int -> unit;
-}
+type check =
+  | C_holds of int p  (* [always p]; [never p] is [C_holds (Neg p)] *)
+  | C_within of int * int p * int p  (* cycles, trigger, goal *)
 
 type monitor = {
-  checkers : checker array;
+  props : t array;
+  checks : check array;
+  readers : (unit -> int) array;  (* one per distinct signal *)
+  values : int array;             (* this cycle's reads, by signal *)
+  pending : int array;
+      (* per check: earliest undischarged [implies_within] trigger
+         cycle, [-1] = none *)
   firsts : (string, violation) Hashtbl.t; (* prop name -> first violation *)
   mutable order : string list;            (* violated props, reversed *)
   mutable total : int;
 }
 
-let compile_checker rd (p : t) : checker =
-  match p.p_shape with
-  | Always pr ->
-      let c = pr.pd_compile rd in
-      {
-        ck_name = p.p_name;
-        ck_step =
-          (fun _ ->
-            if c () then None
-            else Some (Printf.sprintf "invariant %s does not hold" pr.pd_desc));
-        ck_reset = (fun () -> ());
-        ck_state = (fun () -> -1);
-        ck_restore = (fun _ -> ());
-      }
-  | Never pr ->
-      let c = pr.pd_compile rd in
-      {
-        ck_name = p.p_name;
-        ck_step =
-          (fun _ ->
-            if c () then
-              Some (Printf.sprintf "forbidden condition %s holds" pr.pd_desc)
-            else None);
-        ck_reset = (fun () -> ());
-        ck_state = (fun () -> -1);
-        ck_restore = (fun _ -> ());
-      }
-  | Implies_within { cycles; trigger; goal } ->
-      let ct = trigger.pd_compile rd and cg = goal.pd_compile rd in
-      (* [pending] is the earliest undischarged trigger cycle.  A goal
-         observation discharges every pending trigger (they all fired at
-         or before it); a deadline miss reports once and re-arms. *)
-      let pending = ref (-1) in
-      {
-        ck_name = p.p_name;
-        ck_step =
-          (fun cycle ->
-            let viol =
-              if !pending >= 0 && cycle > !pending + cycles then begin
-                let was = !pending in
-                pending := -1;
-                Some
-                  (Printf.sprintf
-                     "%s at cycle %d was not followed by %s within %d cycle(s)"
-                     trigger.pd_desc was goal.pd_desc cycles)
-              end
-              else None
-            in
-            if !pending < 0 && ct () then pending := cycle;
-            if !pending >= 0 && cg () then pending := -1;
-            viol);
-        ck_reset = (fun () -> pending := -1);
-        ck_state = (fun () -> !pending);
-        ck_restore = (fun p -> pending := p);
-      }
+let rec at_most_one v seen = function
+  | [] -> true
+  | i :: rest ->
+      if v.(i) = 0 then at_most_one v seen rest
+      else (not seen) && at_most_one v true rest
 
+(* Every value is a width-masked, hence non-negative, int, so signed
+   comparison is unsigned comparison. *)
+let rec holds v = function
+  | High i -> v.(i) <> 0
+  | Low i -> v.(i) = 0
+  | Eq_int (i, k) -> v.(i) = k
+  | Le_int (i, k) -> v.(i) <= k
+  | Le_sig (i, j) -> v.(i) <= v.(j)
+  | Onehot_or_zero i -> v.(i) land (v.(i) - 1) = 0
+  | Subset_of (i, j) -> v.(i) land lnot v.(j) = 0
+  | At_most_one_of ixs -> at_most_one v false ixs
+  | Conj (a, b) -> holds v a && holds v b
+  | Disj (a, b) -> holds v a || holds v b
+  | Neg a -> not (holds v a)
+  | Iff (a, b) -> holds v a = holds v b
+
+let detail (p : t) ~trigger_cycle =
+  match p.p_shape with
+  | Always pr -> Printf.sprintf "invariant %s does not hold" (describe pr)
+  | Never pr -> Printf.sprintf "forbidden condition %s holds" (describe pr)
+  | Implies_within { cycles; trigger; goal } ->
+      Printf.sprintf "%s at cycle %d was not followed by %s within %d cycle(s)"
+        (describe trigger) trigger_cycle (describe goal) cycles
+
+let record m cycle k ~trigger_cycle =
+  let p = m.props.(k) in
+  m.total <- m.total + 1;
+  if not (Hashtbl.mem m.firsts p.p_name) then begin
+    Hashtbl.replace m.firsts p.p_name
+      { v_prop = p.p_name; v_cycle = cycle;
+        v_detail = detail p ~trigger_cycle };
+    m.order <- p.p_name :: m.order
+  end
+
+(* One sampled cycle: read every signal once, then check every property
+   in attach order.  A goal observation discharges every pending trigger
+   (they all fired at or before it); a deadline miss reports once and
+   re-arms. *)
+let sample m cycle =
+  let v = m.values in
+  for i = 0 to Array.length m.readers - 1 do
+    v.(i) <- m.readers.(i) ()
+  done;
+  for k = 0 to Array.length m.checks - 1 do
+    match m.checks.(k) with
+    | C_holds p -> if not (holds v p) then record m cycle k ~trigger_cycle:(-1)
+    | C_within (cycles, trigger, goal) ->
+        let was = m.pending.(k) in
+        if was >= 0 && cycle > was + cycles then begin
+          m.pending.(k) <- -1;
+          record m cycle k ~trigger_cycle:was
+        end;
+        if m.pending.(k) < 0 && holds v trigger then m.pending.(k) <- cycle;
+        if m.pending.(k) >= 0 && holds v goal then m.pending.(k) <- -1
+  done
+
+(* Resolve every property against the design, giving each distinct
+   signal one index and one reader; raises before anything is
+   registered. *)
 let attach sim props =
-  let rd name =
-    try Engine.reader sim name
-    with Not_found ->
-      invalid_arg
-        (Printf.sprintf "Prop.attach: unknown signal %s" name)
+  let slots = Hashtbl.create 64 and readers = ref [] in
+  let resolve (p : t) =
+    let fail fmt =
+      Printf.ksprintf
+        (fun msg ->
+          invalid_arg
+            (Printf.sprintf "Prop.attach: property %s: %s" p.p_name msg))
+        fmt
+    in
+    (* [(index, width)] of a signal *)
+    let slot name =
+      match Hashtbl.find_opt slots name with
+      | Some sw -> sw
+      | None ->
+          let w =
+            try Bits.width (Engine.peek sim name)
+            with Not_found -> fail "unknown signal %s" name
+          in
+          if w > 62 then
+            fail "signal %s is %d bits wide (monitors read at most 62)" name w;
+          let sw = (Hashtbl.length slots, w) in
+          Hashtbl.replace slots name sw;
+          readers := Engine.reader sim name :: !readers;
+          sw
+    in
+    let ix name = fst (slot name) in
+    let truncate w k = k land ((1 lsl w) - 1) in
+    let rec go : pred -> int p = function
+      | High s -> High (ix s)
+      | Low s -> Low (ix s)
+      | Eq_int (s, k) ->
+          let i, w = slot s in
+          Eq_int (i, truncate w k)
+      | Le_int (s, k) ->
+          let i, w = slot s in
+          Le_int (i, truncate w k)
+      | Le_sig (a, b) ->
+          let i, wa = slot a in
+          let j, wb = slot b in
+          if wa <> wb then
+            fail "le_sig %s (%d bits) <= %s (%d bits): widths differ" a wa b
+              wb;
+          Le_sig (i, j)
+      | Onehot_or_zero s -> Onehot_or_zero (ix s)
+      | Subset_of (a, b) ->
+          let i = ix a in
+          Subset_of (i, ix b)
+      | At_most_one_of names -> At_most_one_of (List.map ix names)
+      | Conj (a, b) ->
+          let a = go a in
+          Conj (a, go b)
+      | Disj (a, b) ->
+          let a = go a in
+          Disj (a, go b)
+      | Neg a -> Neg (go a)
+      | Iff (a, b) ->
+          let a = go a in
+          Iff (a, go b)
+    in
+    match p.p_shape with
+    | Always pr -> C_holds (go pr)
+    | Never pr -> C_holds (Neg (go pr))
+    | Implies_within { cycles; trigger; goal } ->
+        let t = go trigger in
+        C_within (cycles, t, go goal)
   in
-  let compile p =
-    try compile_checker rd p
-    with Invalid_argument msg ->
-      invalid_arg (Printf.sprintf "Prop.attach: property %s: %s" p.p_name msg)
-  in
+  let checks = Array.of_list (List.map resolve props) in
+  let readers = Array.of_list (List.rev !readers) in
   let m =
     {
-      checkers = Array.of_list (List.map compile props);
+      props = Array.of_list props;
+      checks;
+      readers;
+      values = Array.make (Array.length readers) 0;
+      pending = Array.make (Array.length checks) (-1);
       firsts = Hashtbl.create 16;
       order = [];
       total = 0;
     }
   in
-  Engine.on_cycle sim (fun cycle ->
-      Array.iter
-        (fun ck ->
-          match ck.ck_step cycle with
-          | None -> ()
-          | Some detail ->
-              m.total <- m.total + 1;
-              if not (Hashtbl.mem m.firsts ck.ck_name) then begin
-                Hashtbl.replace m.firsts ck.ck_name
-                  { v_prop = ck.ck_name; v_cycle = cycle; v_detail = detail };
-                m.order <- ck.ck_name :: m.order
-              end)
-        m.checkers);
+  Engine.on_cycle sim (sample m);
   m
 
 let violations m =
@@ -248,39 +245,39 @@ let violations m =
 
 let violation_count m = m.total
 let violated_props m = List.rev m.order
-let property_count m = Array.length m.checkers
+let property_count m = Array.length m.checks
 
 let reset m =
   Hashtbl.reset m.firsts;
   m.order <- [];
   m.total <- 0;
-  Array.iter (fun ck -> ck.ck_reset ()) m.checkers
+  Array.fill m.pending 0 (Array.length m.pending) (-1)
 
 (* ------------------------------------------------------------------ *)
 (* Monitor state snapshot                                              *)
 (* ------------------------------------------------------------------ *)
 
 type monitor_state = {
-  ms_pending : int array; (* hidden checker state, in attach order *)
+  ms_pending : int array; (* per check, in attach order *)
   ms_firsts : violation list;
   ms_total : int;
 }
 
 let export_state m =
   {
-    ms_pending = Array.map (fun ck -> ck.ck_state ()) m.checkers;
+    ms_pending = Array.copy m.pending;
     ms_firsts = violations m;
     ms_total = m.total;
   }
 
 let import_state m st =
-  if Array.length st.ms_pending <> Array.length m.checkers then
+  if Array.length st.ms_pending <> Array.length m.checks then
     invalid_arg
       (Printf.sprintf
          "Prop.import_state: snapshot has %d checkers, monitor has %d"
          (Array.length st.ms_pending)
-         (Array.length m.checkers));
-  Array.iteri (fun i ck -> ck.ck_restore st.ms_pending.(i)) m.checkers;
+         (Array.length m.checks));
+  Array.blit st.ms_pending 0 m.pending 0 (Array.length m.pending);
   Hashtbl.reset m.firsts;
   m.order <- [];
   List.iter

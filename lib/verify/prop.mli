@@ -1,27 +1,21 @@
 (** Property monitors: a small combinator language for safety invariants
-    and bounded-liveness properties over RTL simulations, compiled to
-    per-cycle checkers that attach to {!Busgen_rtl.Engine} runs through
-    the engine's observer hook.
+    and bounded-liveness properties over RTL simulations, checked each
+    cycle through the engine's observer hook
+    ({!Busgen_rtl.Engine.on_cycle}).
 
-    A {!pred} is a named boolean observation over the current cycle's
-    sampled signal values; a property wraps predicates into a temporal
-    shape ([always] / [never] / [implies_within]).  Compilation resolves
-    every signal name to a slot reader once, so an armed monitor costs a
-    few array reads and bit tests per property per cycle. *)
-
-type read = string -> unit -> Busgen_rtl.Bits.t
-(** Signal access as handed to predicate compilation: pre-resolved
-    per-name readers ({!Busgen_rtl.Engine.reader}). *)
+    A {!pred} is plain data: a boolean observation over the current
+    cycle's values of named flat signals.  A property wraps predicates
+    into a temporal shape ([always] / [never] / [implies_within]).
+    {!attach} resolves each distinct signal once to an index and a
+    reader; each cycle the monitor reads every signal once as an
+    unboxed [int] and one evaluator checks every property. *)
 
 type pred
+(** Plain data, built with the functions below: no closures. *)
 
-val pred : string -> (read -> unit -> bool) -> pred
-(** [pred desc compile]: a custom observation.  [compile] receives the
-    reader factory once, at attach time. *)
-
-val desc : pred -> string
-
-(** {2 Ready-made predicates}  All names are flat signal paths. *)
+(** {2 Predicates}  All names are flat signal paths of at most 62 bits;
+    integer constants are truncated to the signal's width, as
+    {!Busgen_rtl.Bits.of_int} does. *)
 
 val high : string -> pred
 (** The 1-bit (or reduce-or of a wider) signal is non-zero. *)
@@ -37,11 +31,11 @@ val onehot_or_zero : string -> pred
 (** At most one bit of the signal is set. *)
 
 val subset_of : string -> string -> pred
-(** [subset_of a b]: every set bit of [a] is also set in [b] (equal
-    widths) — e.g. "grant implies request". *)
+(** [subset_of a b]: every set bit of [a] is also set in [b] — e.g.
+    "grant implies request". *)
 
 val at_most_one_of : string list -> pred
-(** At most one of the listed (1-bit) signals is high. *)
+(** At most one of the listed signals is non-zero. *)
 
 val conj : pred -> pred -> pred
 val disj : pred -> pred -> pred
@@ -76,11 +70,12 @@ val pp_violation : Format.formatter -> violation -> unit
 type monitor
 
 val attach : Busgen_rtl.Engine.t -> t list -> monitor
-(** Compile the properties against the design and register one observer
+(** Resolve the properties against the design and register one observer
     ({!Busgen_rtl.Engine.on_cycle}).  Only the first violation of each
     property is stored; later ones are counted.
-    @raise Invalid_argument if a property names an unknown signal (the
-    message says which property and which signal). *)
+    @raise Invalid_argument if a property names an unknown signal or one
+    wider than 62 bits, or compares signals of different widths with
+    {!le_sig} (the message says which property and which signal). *)
 
 val violations : monitor -> violation list
 (** First violation of each violated property, in cycle order. *)
@@ -105,7 +100,8 @@ val reset : monitor -> unit
 
 type monitor_state = {
   ms_pending : int array;
-      (** per-checker obligation state, in attach order ([-1] = none) *)
+      (** per property, in attach order: the earliest undischarged
+          [implies_within] trigger cycle ([-1] = none) *)
   ms_firsts : violation list;  (** first violation per property, in order *)
   ms_total : int;  (** total violations including repeats *)
 }
@@ -114,4 +110,4 @@ val export_state : monitor -> monitor_state
 
 val import_state : monitor -> monitor_state -> unit
 (** Restore into a monitor attached with the {e same} property list.
-    @raise Invalid_argument if the checker count differs. *)
+    @raise Invalid_argument if the property count differs. *)

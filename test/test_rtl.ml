@@ -1271,6 +1271,13 @@ let test_lint_flags_engine_rejects () =
 
 let differential_cycles = 40
 
+(* Every flattened memory as [(flat name, depth)], sorted, read off a
+   state snapshot. *)
+let memory_set (st : Flat.state) =
+  Array.to_list st.Flat.st_mems
+  |> List.map (fun (name, words) -> (name, Array.length words))
+  |> List.sort compare
+
 (* Lockstep: drive identical random inputs into both engines and
    compare every flat signal (and finally every memory word) after
    each cycle.  [prepare] installs fault campaigns. *)
@@ -1286,7 +1293,8 @@ let differential ?(prepare = fun _ _ -> ()) name top =
     (name ^ ": tape same signal set") sigs (Interp_tape.signal_names tape);
   Alcotest.(check (list (pair string int)))
     (name ^ ": tape same memory set")
-    (Interp_ref.memories slow) (Interp_tape.memories tape);
+    (memory_set (Interp_ref.export_state slow))
+    (memory_set (Interp_tape.export_state tape));
   let st = Random.State.make [| 0x5EED; String.length name |] in
   for cycle = 1 to differential_cycles do
     List.iter
@@ -1315,7 +1323,7 @@ let differential ?(prepare = fun _ _ -> ()) name top =
         if not (Bits.equal (Interp_tape.peek_mem tape m a) r) then
           Alcotest.failf "%s: memory %s[%d] diverged (tape vs ref)" name m a
       done)
-    (Interp_ref.memories slow)
+    (memory_set (Interp_ref.export_state slow))
 
 let test_differential_counter () =
   differential "counter8" (counter_circuit ())
@@ -1555,22 +1563,20 @@ let test_idle_batching_observers () =
   let sim_ref = Interp_ref.create top in
   Interp_ref.reset sim_ref;
   let ref_trace = ref [] in
-  let ref_readers = List.map (fun o -> (o, Interp_ref.reader sim_ref o)) outs in
   Interp_ref.on_cycle sim_ref (fun c ->
       List.iter
-        (fun (o, r) -> ref_trace := (c, o, r ()) :: !ref_trace)
-        ref_readers);
+        (fun o -> ref_trace := (c, o, Interp_ref.peek sim_ref o) :: !ref_trace)
+        outs);
   drive (Interp_ref.set_input sim_ref) (fun () -> Interp_ref.step sim_ref)
     (fun n -> Interp_ref.run sim_ref n);
   (* Batched tape engine. *)
   let tape = Interp_tape.create top in
   Interp_tape.reset tape;
   let tape_trace = ref [] in
-  let tape_readers = List.map (fun o -> (o, Interp_tape.reader tape o)) outs in
   Interp_tape.on_cycle tape (fun c ->
       List.iter
-        (fun (o, r) -> tape_trace := (c, o, r ()) :: !tape_trace)
-        tape_readers);
+        (fun o -> tape_trace := (c, o, Interp_tape.peek tape o) :: !tape_trace)
+        outs);
   drive (Interp_tape.set_input tape) (fun () -> Interp_tape.step tape)
     (fun n -> Interp_tape.run tape n);
   Alcotest.(check int)
@@ -1607,7 +1613,7 @@ let test_idle_batching_observers () =
                (Interp_tape.peek_mem tape m a))
         then Alcotest.failf "final memory %s[%d] diverged" m a
       done)
-    (Interp_ref.memories sim_ref)
+    (memory_set (Interp_ref.export_state sim_ref))
 
 (* An observer that perturbs the simulation mid-batch (re-driving an
    input at a scheduled cycle) must break the batch at exactly that

@@ -474,6 +474,16 @@ let test_malformed_then_serves () =
     "memory address width: error names the field"
     (Some "\"mem_addr_width\" = 24 out of range [4, 20]")
     (reply_field line "error");
+  (* Fields that pass one by one but not together are refused at
+     admission with the builder's message, instead of crashing a
+     worker. *)
+  send sv {|{"id":"w","kind":"generate","params":{"arch":"bfba","data_width":8}}|};
+  let line = recv_exn sv in
+  check_error ~what:"builder refusal" ~id:(Some "w") ~code:"bad-request" line;
+  Alcotest.(check (option string))
+    "builder refusal: the builder's message"
+    (Some "Fifo_slave: data too narrow for the status word")
+    (reply_field line "error");
   (* An engine the daemon does not have (here the removed [slot]) is a
      bad request whose one-line error names the engines it does have. *)
   send sv

@@ -355,9 +355,342 @@ let test_restart_matches_create (name, arch, build) () =
         (same_state state state'))
     Engine.all_kinds
 
+(* ------------------------------------------------------------------ *)
+(* Prop monitors: verdicts, violation text and state                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Inputs [a] and [b] share width [w]; [c] has its own width.  A top
+   input's flat name is its port name, so monitors watch them directly. *)
+let passthrough w wc =
+  let open Circuit.Builder in
+  let b = create "passthrough" in
+  let a = input b "a" w in
+  ignore (input b "b" w);
+  ignore (input b "c" wc);
+  output b "y" w;
+  assign b "y" a;
+  finish b
+
+type sample = { va : Bits.t; vb : Bits.t; vc : Bits.t; k : int }
+
+(* Whether [pred] held on the one cycle sampled with the given inputs. *)
+let held kind pred s =
+  let sim =
+    Engine.create ~kind (passthrough (Bits.width s.va) (Bits.width s.vc))
+  in
+  Engine.reset sim;
+  Engine.set_input sim "a" s.va;
+  Engine.set_input sim "b" s.vb;
+  Engine.set_input sim "c" s.vc;
+  let m = Prop.attach sim [ Prop.always ~name:"p" pred ] in
+  Engine.step sim;
+  Prop.violation_count m = 0
+
+let gen_value w =
+  QCheck.Gen.(
+    oneof
+      [
+        return (Bits.zero w);
+        return (Bits.ones w);
+        map (fun i -> Bits.of_int ~width:w (1 lsl (i mod w))) nat;
+        map (fun k -> Bits.of_int ~width:w k) small_nat;
+        (fun st -> Bits.init w (fun _ -> Random.State.bool st));
+      ])
+
+(* Constants near the value, beyond the width (they truncate as
+   [Bits.of_int ~width] does), negative, and Pack's [max_int] default. *)
+let gen_const va =
+  let x = Bits.to_int_trunc va and w = Bits.width va in
+  QCheck.Gen.(
+    oneof
+      [
+        return max_int; return min_int; return (-1); int; small_signed_int;
+        return x; return (x + 1); return (x - 1); return (x lor (1 lsl w));
+      ])
+
+let arb_sample =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 62 >>= fun w ->
+      int_range 1 62 >>= fun wc ->
+      gen_value w >>= fun va ->
+      gen_value w >>= fun vb ->
+      gen_value wc >>= fun vc ->
+      gen_const va >|= fun k -> { va; vb; vc; k })
+  in
+  let print s =
+    Printf.sprintf "a=%s b=%s c=%s k=%d"
+      (Bits.to_verilog_literal s.va)
+      (Bits.to_verilog_literal s.vb)
+      (Bits.to_verilog_literal s.vc)
+      s.k
+  in
+  QCheck.make ~print gen
+
+let nz = Bits.reduce_or
+let konst v k = Bits.of_int ~width:(Bits.width v) k
+
+let popcount v =
+  List.length (List.filter (Bits.bit v) (List.init (Bits.width v) Fun.id))
+
+(* Each combinator with its Bits oracle; the connectives combine leaves
+   over different signals. *)
+let combinators =
+  [
+    ("high", (fun _ -> Prop.high "a"), fun s -> nz s.va);
+    ("low", (fun _ -> Prop.low "a"), fun s -> not (nz s.va));
+    ( "eq_int",
+      (fun s -> Prop.eq_int "a" s.k),
+      fun s -> Bits.equal s.va (konst s.va s.k) );
+    ( "le_int",
+      (fun s -> Prop.le_int "a" s.k),
+      fun s -> Bits.ule s.va (konst s.va s.k) );
+    ("le_sig", (fun _ -> Prop.le_sig "a" "b"), fun s -> Bits.ule s.va s.vb);
+    ( "onehot_or_zero",
+      (fun _ -> Prop.onehot_or_zero "a"),
+      fun s -> popcount s.va <= 1 );
+    ( "subset_of",
+      (fun _ -> Prop.subset_of "a" "b"),
+      fun s -> Bits.is_zero (Bits.logand s.va (Bits.lognot s.vb)) );
+    ( "at_most_one_of",
+      (fun _ -> Prop.at_most_one_of [ "a"; "b"; "c" ]),
+      fun s -> List.length (List.filter nz [ s.va; s.vb; s.vc ]) <= 1 );
+    ( "conj",
+      (fun s -> Prop.conj (Prop.high "c") (Prop.le_int "a" s.k)),
+      fun s -> nz s.vc && Bits.ule s.va (konst s.va s.k) );
+    ( "disj",
+      (fun s -> Prop.disj (Prop.low "c") (Prop.eq_int "a" s.k)),
+      fun s -> (not (nz s.vc)) || Bits.equal s.va (konst s.va s.k) );
+    ( "neg",
+      (fun _ -> Prop.neg (Prop.onehot_or_zero "c")),
+      fun s -> popcount s.vc > 1 );
+    ( "iff",
+      (fun _ -> Prop.iff (Prop.high "c") (Prop.subset_of "a" "b")),
+      fun s ->
+        nz s.vc = Bits.is_zero (Bits.logand s.va (Bits.lognot s.vb)) );
+  ]
+
+let prop_verdicts =
+  List.map
+    (fun (name, pred, oracle) ->
+      QCheck.Test.make ~count:150
+        ~name:("monitor verdict matches Bits: " ^ name)
+        arb_sample
+        (fun s ->
+          List.for_all
+            (fun kind -> held kind (pred s) s = oracle s)
+            Engine.all_kinds))
+    combinators
+
+let test_constants_truncate () =
+  let s v =
+    { va = Bits.of_int ~width:4 v; vb = Bits.zero 4; vc = Bits.zero 1; k = 0 }
+  in
+  List.iter
+    (fun (what, pred, v, expect) ->
+      List.iter
+        (fun kind ->
+          Alcotest.(check bool)
+            (what ^ "/" ^ Engine.kind_to_string kind)
+            expect (held kind pred (s v)))
+        Engine.all_kinds)
+    [
+      ("le_int max_int holds at all-ones", Prop.le_int "a" max_int, 15, true);
+      ("eq_int max_int is all-ones", Prop.eq_int "a" max_int, 15, true);
+      ("eq_int max_int rejects 14", Prop.eq_int "a" max_int, 14, false);
+      ("eq_int 20 truncates to 4", Prop.eq_int "a" 20, 4, true);
+      ("eq_int -1 is all-ones", Prop.eq_int "a" (-1), 15, true);
+      ("le_int 17 truncates to 1", Prop.le_int "a" 17, 2, false);
+    ]
+
+(* Drive 1-bit inputs [a] (trigger) and [b] (goal) from per-cycle
+   strings, one character per cycle ('1' = high). *)
+let drive_ab sim ts gs =
+  String.iteri
+    (fun i t ->
+      Engine.set_input sim "a" (Bits.of_bool (t = '1'));
+      Engine.set_input sim "b" (Bits.of_bool (gs.[i] = '1'));
+      Engine.step sim)
+    ts
+
+let within ~cycles =
+  Prop.implies_within ~name:"w" ~cycles (Prop.high "a") (Prop.high "b")
+
+let run_within ~kind ~cycles ts gs =
+  let sim = Engine.create ~kind (passthrough 1 1) in
+  Engine.reset sim;
+  let m = Prop.attach sim [ within ~cycles ] in
+  drive_ab sim ts gs;
+  m
+
+let render v = Format.asprintf "%a" Prop.pp_violation v
+
+let test_implies_within () =
+  List.iter
+    (fun kind ->
+      let what s = Engine.kind_to_string kind ^ ": " ^ s in
+      let count ~cycles ts gs =
+        Prop.violation_count (run_within ~kind ~cycles ts gs)
+      in
+      Alcotest.(check int) (what "goal in time discharges") 0
+        (count ~cycles:2 "1000000" "0010000");
+      Alcotest.(check int) (what "goal on the trigger's cycle discharges") 0
+        (count ~cycles:0 "1000" "1000");
+      Alcotest.(check int) (what "no report before the deadline passes") 0
+        (count ~cycles:2 "100" "000");
+      let m = run_within ~kind ~cycles:2 "1000" "0000" in
+      Alcotest.(check (list string))
+        (what "miss reported one cycle past the bound")
+        [ "cycle 3: w: a at cycle 0 was not followed by b within 2 cycle(s)" ]
+        (List.map render (Prop.violations m));
+      let m = run_within ~kind ~cycles:0 "10" "00" in
+      Alcotest.(check (list string))
+        (what "zero bound misses on the next cycle")
+        [ "cycle 1: w: a at cycle 0 was not followed by b within 0 cycle(s)" ]
+        (List.map render (Prop.violations m));
+      (* A held trigger re-arms on the cycle of each miss: misses at
+         3, 6 and 9, and only the first is stored. *)
+      let m = run_within ~kind ~cycles:2 "1111111111" "0000000000" in
+      Alcotest.(check int) (what "re-arming counts every miss") 3
+        (Prop.violation_count m);
+      Alcotest.(check (list string)) (what "first miss stored")
+        [ "cycle 3: w: a at cycle 0 was not followed by b within 2 cycle(s)" ]
+        (List.map render (Prop.violations m));
+      (* A second trigger while one is pending keeps the earlier
+         deadline. *)
+      let m = run_within ~kind ~cycles:2 "1010000" "0000000" in
+      Alcotest.(check (list string)) (what "earliest trigger kept")
+        [ "cycle 3: w: a at cycle 0 was not followed by b within 2 cycle(s)" ]
+        (List.map render (Prop.violations m));
+      Alcotest.(check int) (what "one miss") 1 (Prop.violation_count m);
+      Prop.reset m;
+      Alcotest.(check int) (what "reset forgets") 0 (Prop.violation_count m))
+    Engine.all_kinds
+
+(* Every combinator's description, through a [never] that fires. *)
+let test_violation_text () =
+  let sim = Engine.create (passthrough 4 1) in
+  Engine.reset sim;
+  Engine.set_input sim "a" (Bits.of_int ~width:4 1);
+  Engine.set_input sim "b" (Bits.of_int ~width:4 3);
+  let open Prop in
+  let cases =
+    [
+      (high "a", "a");
+      (low "c", "!c");
+      (eq_int "a" 1, "a == 1");
+      (le_int "a" 5, "a <= 5");
+      (le_sig "a" "b", "a <= b");
+      (onehot_or_zero "a", "onehot0(a)");
+      (subset_of "a" "b", "a within b");
+      (at_most_one_of [ "a"; "c" ], "at-most-one(a,c)");
+      (conj (high "a") (low "c"), "(a && !c)");
+      (disj (high "c") (high "a"), "(c || a)");
+      (neg (high "c"), "!(c)");
+      (iff (high "a") (neg (low "b")), "(a <-> !(!b))");
+    ]
+  in
+  let props =
+    List.mapi (fun i (p, _) -> never ~name:(Printf.sprintf "n%d" i) p) cases
+    @ [ always ~name:"inv" (eq_int "a" 2) ]
+  in
+  let m = attach sim props in
+  Engine.step sim;
+  let expect =
+    List.mapi
+      (fun i (_, d) ->
+        Printf.sprintf "cycle 0: n%d: forbidden condition %s holds" i d)
+      cases
+    @ [ "cycle 0: inv: invariant a == 2 does not hold" ]
+  in
+  Alcotest.(check (list string)) "violation text, in property order" expect
+    (List.map render (violations m));
+  Alcotest.(check (list string)) "violated props in order"
+    (List.map (fun (p : t) -> p.p_name) props)
+    (violated_props m);
+  Alcotest.(check int) "property count" (List.length props) (property_count m)
+
+(* A checkpoint taken while an obligation is pending resumes, on either
+   engine, to the bytes of an uninterrupted run. *)
+let test_state_mid_obligation () =
+  let props =
+    [ within ~cycles:3; Prop.always ~name:"x" (Prop.low "c") ]
+  in
+  let ts = "1000000" and gs = "0000000" in
+  let fresh kind =
+    let sim = Engine.create ~kind (passthrough 1 1) in
+    Engine.reset sim;
+    (sim, Prop.attach sim props)
+  in
+  let sim, whole = fresh Engine.Tape in
+  drive_ab sim ts gs;
+  List.iter
+    (fun kind ->
+      let sim, m = fresh Engine.Tape in
+      drive_ab sim (String.sub ts 0 2) (String.sub gs 0 2);
+      let st = Prop.export_state m in
+      Alcotest.(check (array int)) "pending trigger at cycle 0" [| 0; -1 |]
+        st.Prop.ms_pending;
+      let sim', m' = fresh kind in
+      Engine.import_state sim' (Engine.export_state sim);
+      Prop.import_state m' st;
+      drive_ab sim' (String.sub ts 2 5) (String.sub gs 2 5);
+      Alcotest.(check bool)
+        ("resumed on " ^ Engine.kind_to_string kind ^ " = uninterrupted")
+        true
+        (Prop.export_state m' = Prop.export_state whole))
+    Engine.all_kinds;
+  Alcotest.(check (list string)) "the resumed miss"
+    [ "cycle 4: w: a at cycle 0 was not followed by b within 3 cycle(s)" ]
+    (List.map render (Prop.violations whole));
+  let _, other = fresh Engine.Tape in
+  Alcotest.check_raises "checker count must match"
+    (Invalid_argument
+       "Prop.import_state: snapshot has 1 checkers, monitor has 2")
+    (fun () ->
+      Prop.import_state other
+        { (Prop.export_state other) with Prop.ms_pending = [| -1 |] })
+
+(* Attach rejects what the evaluator cannot read, naming the property
+   and the signal. *)
+let test_attach_rejects () =
+  let rejects ?(w = 63) what props needles =
+    match Prop.attach (Engine.create (passthrough w 4)) props with
+    | _ -> Alcotest.failf "%s: attached" what
+    | exception Invalid_argument msg ->
+        List.iter
+          (fun n ->
+            if not (contains msg n) then
+              Alcotest.failf "%s: %S does not name %S" what msg n)
+          needles
+  in
+  rejects "unknown signal"
+    [ Prop.always ~name:"ghost" (Prop.high "nope") ]
+    [ "ghost"; "nope" ];
+  rejects "wider than 62 bits"
+    [ Prop.never ~name:"wide" (Prop.conj (Prop.high "c") (Prop.high "a")) ]
+    [ "wide"; "a" ];
+  rejects ~w:8 "le_sig over unequal widths"
+    [ Prop.always ~name:"cmp" (Prop.le_sig "c" "a") ]
+    [ "cmp"; "c"; "a" ]
+
 let () =
   Alcotest.run "verify"
     [
+      ( "prop monitor",
+        List.map QCheck_alcotest.to_alcotest prop_verdicts
+        @ [
+            Alcotest.test_case "constants truncate to the signal width"
+              `Quick test_constants_truncate;
+            Alcotest.test_case "implies_within discharge, miss, re-arm"
+              `Quick test_implies_within;
+            Alcotest.test_case "violation text per shape and combinator"
+              `Quick test_violation_text;
+            Alcotest.test_case "state round-trips mid-obligation" `Quick
+              test_state_mid_obligation;
+            Alcotest.test_case "attach rejects unreadable signals" `Quick
+              test_attach_rejects;
+          ] );
       ( "property pack fault-free (10k cycles each)",
         List.map
           (fun ((name, _, _) as b) ->
