@@ -810,7 +810,12 @@ let soak_cmd =
         List.iter
           (fun v -> Format.printf "  %a@." Busgen_verify.Prop.pp_violation v)
           o.S.so_violations;
-        if o.S.so_stats.T.mismatches > 0 then 1 else 0
+        match o.S.so_wedged with
+        | Some why ->
+            flush stdout;
+            prerr_endline ("soak: " ^ why);
+            1
+        | None -> if o.S.so_stats.T.mismatches > 0 then 1 else 0
   in
   Cmd.v
     (Cmd.info "soak"

@@ -48,6 +48,7 @@ type outcome = {
   so_checkpoints : int;
   so_resumed_at : int option;
   so_skipped : (string * string) list;
+  so_wedged : string option;
 }
 
 let contains hay needle =
@@ -207,7 +208,7 @@ let run cfg =
        else ((at / cfg.sk_cadence) + 1) * cfg.sk_cadence)
   in
   let last_wall = ref (Unix.gettimeofday ()) in
-  let result =
+  let wedged =
     try
       while E.current_cycle live.sim < cfg.sk_cycles do
         T.step live.traffic;
@@ -226,22 +227,28 @@ let run cfg =
           last_wall := Unix.gettimeofday ()
         end
       done;
-      Ok ()
-    with Tb.Timeout reason ->
-      Error (diagnose live.sim ~at:(E.current_cycle live.sim) reason)
+      None
+    with Tb.Timeout reason -> Some reason
   in
-  let* () = result in
-  (* A final checkpoint at the end cycle, so a later invocation with a
-     larger horizon continues instead of starting over. *)
-  if cfg.sk_cadence > 0 then checkpoint ();
+  (* What the run recorded, read before the watchdog's probe steps the
+     design further. *)
   let cycles = E.current_cycle live.sim in
+  let stats = T.stats live.traffic ~cycles in
+  let violations =
+    match live.monitor with Some m -> P.violations m | None -> []
+  in
+  let wedged = Option.map (diagnose live.sim ~at:cycles) wedged in
+  (* A final checkpoint at the end cycle, so a later invocation with a
+     larger horizon continues instead of starting over.  A wedged run
+     writes none: its state is stuck in the middle of a transaction. *)
+  if wedged = None && cfg.sk_cadence > 0 then checkpoint ();
   Ok
     {
-      so_stats = T.stats live.traffic ~cycles;
+      so_stats = stats;
       so_cycles = cycles;
-      so_violations =
-        (match live.monitor with Some m -> P.violations m | None -> []);
+      so_violations = violations;
       so_checkpoints = !written;
       so_resumed_at = resumed_at;
       so_skipped = skipped;
+      so_wedged = wedged;
     }

@@ -53,10 +53,14 @@ type outcome = {
   so_resumed_at : int option; (** cycle of the checkpoint resumed from *)
   so_skipped : (string * string) list;
       (** corrupt/unreadable checkpoints skipped during recovery *)
+  so_wedged : string option;
+      (** the watchdog's diagnostic, naming the frozen control signals,
+          when the bus stopped answering; the run ended there, and the
+          fields above are what it recorded up to that cycle *)
 }
 
 val run : config -> (outcome, string) result
-(** Run (or resume) to [sk_cycles].  [Error] cases: a checkpoint whose
-    provenance (tool version, design hash, traffic seed) does not match
-    — see {!Ckpt.check_provenance} — or a tripped watchdog, whose
-    message names the frozen control signals. *)
+(** Run (or resume) to [sk_cycles], or until the watchdog trips
+    ([so_wedged]; no final checkpoint is written then).  [Error]: a
+    checkpoint whose provenance (tool version, design hash, traffic
+    seed) does not match — see {!Ckpt.check_provenance}. *)

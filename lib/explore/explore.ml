@@ -76,56 +76,128 @@ type score = {
 (* Scoring                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* One transaction boundary of the fault-free run: where a faulted run
+   resumes, and the state it must equal to rejoin the fault-free run. *)
+type boundary = {
+  bd_cycle : int;
+  bd_mark : E.mark;
+  bd_traffic : Traffic.state;
+  bd_flagged : int;  (* tap violations of the fault-free run so far *)
+}
+
+(* The most boundaries a fault-free run keeps past the first.  Each
+   holds a traffic state of up to ~15 KB on a 4-PE design, so one
+   candidate keeps a few MB at most. *)
+let max_boundaries = 256
+
 let score ?(engine = E.default_kind) ?(generate = G.generate) (p : Profile.t)
     c =
   let config = config_of p c in
   let r = generate c.ca_arch config in
   let top = r.G.generated.A.top in
   let sim = E.create ~kind:engine top in
-  (* One engine, many runs: each run restarts it instead of
-     recompiling. *)
-  let fresh_tb injs =
-    let tb = Tb.restart sim top in
-    if injs <> [] then E.inject sim injs;
-    tb
+  let n = p.Profile.transactions in
+  let faulted = p.Profile.faults > 0 in
+  let taps =
+    if not faulted then []
+    else
+      List.map
+        (fun s -> Prop.never ~name:s (Prop.high s))
+        (Busgen_verify.Check.protection_taps sim)
   in
-  let drive_traffic tb =
-    let tr = Traffic.create tb ~arch:c.ca_arch ~config ~seed:p.Profile.seed in
-    let ok =
-      try
-        for _ = 1 to p.Profile.transactions do
-          Traffic.step tr
-        done;
-        true
-      with Tb.Timeout _ -> false
+  let tb = Tb.restart sim top in
+  let traffic () =
+    Traffic.create tb ~arch:c.ca_arch ~config ~seed:p.Profile.seed
+  in
+  (* One [Prop.never] monitor per protection tap; an unprotected design
+     has none to watch. *)
+  let watch () = if taps = [] then None else Some (Prop.attach sim taps) in
+  let flagged = Option.fold ~none:0 ~some:Prop.violation_count in
+  (* The fault-free run.  Under a campaign it also watches the taps and
+     keeps transaction boundaries. *)
+  let tr = traffic () in
+  let golden_mon = watch () in
+  let boundary () =
+    {
+      bd_cycle = Tb.cycles tb;
+      bd_mark = E.mark sim;
+      bd_traffic = Traffic.export_state tr;
+      bd_flagged = flagged golden_mon;
+    }
+  in
+  (* Boundary [j] is the one after [j * every] transactions: every
+     boundary on a profile of up to [max_boundaries] transactions,
+     every [every]-th on a longer one, so that memory stays bounded.
+     Any subset of the boundaries gives the same verdicts. *)
+  let every = 1 + ((n - 1) / max_boundaries) in
+  let bounds =
+    if faulted then Array.make ((n / every) + 1) (boundary ()) else [||]
+  in
+  (try
+     for k = 1 to n do
+       Traffic.step tr;
+       if faulted && k mod every = 0 then bounds.(k / every) <- boundary ()
+     done
+   with Tb.Timeout _ -> failwith (label c ^ ": fault-free traffic timed out"));
+  let golden = Traffic.stats tr ~cycles:(Tb.cycles tb) in
+  let golden_flagged = flagged golden_mon in
+  (* One injection's (survived, detected).  Before [inj_start] the
+     faulted run is the fault-free one, so it resumes at the last
+     boundary at or before it.  After its fault window, once its engine
+     and traffic state equal the fault-free run's at the same boundary,
+     the two stay identical to the end: the rest of the verdict is the
+     fault-free run's. *)
+  let verdict (inj : Busgen_rtl.Flat.injection) =
+    let stop = inj.inj_start + inj.inj_cycles in
+    (* Boundary [lo] is at or before [inj_start], boundary [hi] (if any)
+       after it; boundary 0 is at cycle 0. *)
+    let rec last_before lo hi =
+      if hi - lo <= 1 then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if bounds.(mid).bd_cycle <= inj.inj_start then last_before mid hi
+        else last_before lo mid
     in
-    (ok, Traffic.stats tr ~cycles:(Tb.cycles tb))
+    let j0 = last_before 0 (Array.length bounds) in
+    Tb.resume tb bounds.(j0).bd_mark;
+    E.inject sim [ inj ];
+    let mon = watch () in
+    let tr = traffic () in
+    Traffic.import_state tr bounds.(j0).bd_traffic;
+    let rec go k =
+      if k = n then
+        let st = Traffic.stats tr ~cycles:(Tb.cycles tb) in
+        (st.Traffic.mismatches = 0, false)
+      else begin
+        Traffic.step tr;
+        let k = k + 1 in
+        let b = bounds.(k / every) in
+        if
+          k mod every = 0 && b.bd_cycle >= stop && E.matches sim b.bd_mark
+          && Traffic.export_state tr = b.bd_traffic
+        then (golden.Traffic.mismatches = 0, golden_flagged > b.bd_flagged)
+        else go k
+      end
+    in
+    let survived, flagged_later =
+      try go (j0 * every) with Tb.Timeout _ -> (false, false)
+    in
+    ( survived,
+      bounds.(j0).bd_flagged > 0 || flagged mon > 0 || flagged_later )
   in
-  let tb = fresh_tb [] in
-  let ok, golden = drive_traffic tb in
-  if not ok then
-    failwith (label c ^ ": fault-free traffic timed out");
   let rel_num, rel_den, detected =
-    if p.Profile.faults = 0 then (1, 1, 0)
+    if not faulted then (1, 1, 0)
     else begin
-      let horizon = max 1 golden.Traffic.cycles in
       let campaign =
         E.random_campaign sim ~seed:p.Profile.fault_seed ~n:p.Profile.faults
-          ~horizon
-      in
-      let taps =
-        List.map
-          (fun s -> Prop.never ~name:s (Prop.high s))
-          (Busgen_verify.Check.protection_taps sim)
+          ~horizon:(max 1 golden.Traffic.cycles)
       in
       let survived = ref 0 and det = ref 0 in
       List.iter
         (fun inj ->
-          let tb = fresh_tb [ inj ] in
-          let mon = Prop.attach sim taps in
-          let ok, st = drive_traffic tb in
-          if ok && st.Traffic.mismatches = 0 then incr survived;
-          if Prop.violation_count mon > 0 then incr det)
+          let s, d = verdict inj in
+          if s then incr survived;
+          if d then incr det)
         campaign;
       E.clear_observers sim;
       E.clear_injections sim;

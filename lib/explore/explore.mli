@@ -8,9 +8,17 @@
     transaction stream through a {!Busgen_rtl.Testbench} on the chosen
     engine and the elapsed cycle count is the performance score.  With
     [faults > 0] a deterministic fault campaign
-    ({!Busgen_rtl.Engine.random_campaign}) re-runs the same traffic
-    once per injection; reliability is the exact fraction of
-    injections survived (no timeout, no read-back mismatch).
+    ({!Busgen_rtl.Engine.random_campaign} over the fault-free run's
+    cycles) scores each injection as if the same traffic were re-run
+    from reset with it installed: reliability is the exact fraction of
+    injections survived (no timeout, no read-back mismatch), and
+    detection counts the injections whose run saw a protection tap
+    high.  The fault-free
+    run keeps a {!Busgen_rtl.Engine.mark} at every transaction
+    boundary; a faulted run resumes at the last one before its fault,
+    and stops at the first boundary after its fault window where its
+    engine and traffic state equal the fault-free run's, whose verdict
+    it then shares — identical runs from equal states.
 
     Determinism contract: the report, the ranked text and the JSON
     front are pure functions of (profile, engine) — byte-identical for

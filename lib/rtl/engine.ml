@@ -113,6 +113,28 @@ let import_state t st =
   | R s -> Interp_ref.import_state s st
   | T s -> Interp_tape.import_state s st
 
+type mark = Ref_mark of Interp_ref.mark | Tape_mark of Interp_tape.mark
+
+let mark = function
+  | R s -> Ref_mark (Interp_ref.mark s)
+  | T s -> Tape_mark (Interp_tape.mark s)
+
+let other_kind what =
+  invalid_arg
+    (Printf.sprintf "Engine.%s: the mark was taken on another engine" what)
+
+let rewind t m =
+  match (t, m) with
+  | R s, Ref_mark m -> Interp_ref.rewind s m
+  | T s, Tape_mark m -> Interp_tape.rewind s m
+  | _ -> other_kind "rewind"
+
+let matches t m =
+  match (t, m) with
+  | R s, Ref_mark m -> Interp_ref.matches s m
+  | T s, Tape_mark m -> Interp_tape.matches s m
+  | _ -> other_kind "matches"
+
 (* Every engine draws from the same (name, width) list, so the stream
    depends on the circuit and the arguments, never on the engine. *)
 let random_campaign t ~seed ~n ~horizon =

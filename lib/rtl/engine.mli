@@ -61,6 +61,35 @@ val current_cycle : t -> int
 
 val export_state : t -> Flat.state
 val import_state : t -> Flat.state -> unit
+(** The portable checkpoint: every flat signal and memory by name, so
+    a state exported by one engine imports into the other (and into a
+    later process, through {!Busgen_ckpt}).  For rewinding one engine
+    in process, {!mark} is far cheaper. *)
+
+type mark
+(** An in-process snapshot of one engine, for returning to a point of a
+    run and for asking whether another run has reached the same state.
+    On the tape engine it holds the cycle, the register and undriven
+    slots (top inputs, floating wires) and the memories, shared with
+    the previous mark except for the 16-word chunks written since.  On
+    the reference engine it is an {!export_state}.  A mark
+    is not a checkpoint: it is valid only on the engine that took it. *)
+
+val mark : t -> mark
+
+val rewind : t -> mark -> unit
+(** Return the engine to the mark: cycle, state and memories restored,
+    active faults dropped, combinational logic re-settled.  Installed
+    injections and observers stay, as with {!import_state}.
+    @raise Invalid_argument if the mark was taken on another engine. *)
+
+val matches : t -> mark -> bool
+(** The engine is in the mark's state: same cycle, registers, undriven
+    signals and memories (the reference engine compares every signal).
+    On a settled engine with no fault active this is {!export_state}
+    equality, so two runs that match at a cycle after their last fault
+    evolve identically from there under the same inputs.
+    @raise Invalid_argument if the mark was taken on another engine. *)
 
 val random_campaign :
   t -> seed:int -> n:int -> horizon:int -> Flat.injection list

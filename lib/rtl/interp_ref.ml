@@ -526,3 +526,31 @@ let import_state sim (st : Flat.state) =
     st.Flat.st_mems;
   Hashtbl.reset sim.active;
   sim.cycle <- st.Flat.st_cycle
+
+(* In-process marks: a snapshot and its owner.  This engine is the
+   oracle, so its mark compares every signal, not only the state. *)
+
+type mark = { mk_owner : sim; mk_state : Flat.state }
+
+let own what sim m =
+  if m.mk_owner != sim then
+    invalid_arg
+      (Printf.sprintf "Interp_ref.%s: the mark was taken on another engine"
+         what)
+
+let mark sim = { mk_owner = sim; mk_state = export_state sim }
+
+let rewind sim m =
+  own "rewind" sim m;
+  import_state sim m.mk_state;
+  settle_sim sim
+
+let matches sim m =
+  own "matches" sim m;
+  let st = export_state sim and mk = m.mk_state in
+  let same_named eq (n, v) (n', v') = n = n' && eq v v' in
+  st.Flat.st_cycle = mk.Flat.st_cycle
+  && Array.for_all2 (same_named Bits.equal) st.Flat.st_values mk.Flat.st_values
+  && Array.for_all2
+       (same_named (Array.for_all2 Bits.equal))
+       st.Flat.st_mems mk.Flat.st_mems

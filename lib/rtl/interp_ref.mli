@@ -64,3 +64,18 @@ val export_state : t -> Flat.state
 val import_state : t -> Flat.state -> unit
 (** Restore a snapshot into an engine created from the same circuit.
     @raise Invalid_argument on unknown names or width/depth mismatch. *)
+
+type mark
+(** An in-process snapshot: {!export_state} and the engine it was taken
+    on. *)
+
+val mark : t -> mark
+
+val rewind : t -> mark -> unit
+(** {!import_state} of the mark, then a settle.
+    @raise Invalid_argument if the mark was taken on another engine. *)
+
+val matches : t -> mark -> bool
+(** The engine's {!export_state} equals the mark's, signal by signal
+    ({!Bits.equal}) and word by word.
+    @raise Invalid_argument if the mark was taken on another engine. *)

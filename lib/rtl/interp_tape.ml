@@ -429,6 +429,18 @@ type t = {
   arrays : (string, Bits.t array) Hashtbl.t;
   mem_index : (string, int) Hashtbl.t;
   driven : bool array;
+  (* The state a mark holds besides the memories: every register slot
+     and every undriven slot (top inputs, floating wires), split by
+     representation.  The combinational cells are functions of these. *)
+  state_small : int array;
+  state_wide : int array;
+  (* Per memory: a change counter, bumped by every path that writes a
+     word, and the last copy handed to a mark (in chunks, see [mark])
+     with the counter it was taken at.  Marks share that copy until the
+     counter moves. *)
+  mem_gen : int array;
+  mem_copy : Bits.t array array array;
+  mem_copy_gen : int array;
   (* Dirty-node machinery: one bucket per level. *)
   buckets : int array array;
   bucket_len : int array;
@@ -687,6 +699,8 @@ let settle t =
 (* Clock edge                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let bump_mem t mi = t.mem_gen.(mi) <- t.mem_gen.(mi) + 1
+
 let clock_edge t =
   (* Sample every register next and memory port with pre-edge values
      (their target cells are private, so the tape segment cannot
@@ -735,7 +749,10 @@ let clock_edge t =
             end
           end)
         m.tm_writes;
-      if !touched then dirty_mem_fanout t m.tm_index)
+      if !touched then begin
+        dirty_mem_fanout t m.tm_index;
+        bump_mem t m.tm_index
+      end)
     t.mems
 
 (* ------------------------------------------------------------------ *)
@@ -1011,6 +1028,15 @@ let create top =
   let driven = Array.make (max 1 n_sig) false in
   Array.iteri (fun i s -> if i < n_nodes then driven.(s) <- true) node_slot;
   Array.iter (fun r -> driven.(r.tr_slot) <- true) regs;
+  let is_reg = Array.make (max 1 n_sig) false in
+  Array.iter (fun r -> is_reg.(r.tr_slot) <- true) regs;
+  let state_slots small =
+    List.init n_sig Fun.id
+    |> List.filter (fun s ->
+           (is_reg.(s) || not driven.(s))
+           && (widths.(s) <= small_limit) = small)
+    |> Array.of_list
+  in
   let calls_specs = Array.of_list (List.rev b.b_calls) in
   let t =
     {
@@ -1046,6 +1072,11 @@ let create top =
       arrays;
       mem_index;
       driven;
+      state_small = state_slots true;
+      state_wide = state_slots false;
+      mem_gen = Array.make n_mems 0;
+      mem_copy = Array.make n_mems [||];
+      mem_copy_gen = Array.make n_mems (-1);
       buckets;
       bucket_len = Array.make (max 1 n_levels) 0;
       node_dirty = Array.make (max 1 n_nodes) false;
@@ -1078,7 +1109,8 @@ let reset t =
         m.tm_arr.(i) <-
           (if i < Array.length m.tm_init then m.tm_init.(i)
            else Bits.zero m.tm_width)
-      done)
+      done;
+      bump_mem t m.tm_index)
     t.mems;
   t.all_dirty <- true;
   settle t
@@ -1132,7 +1164,9 @@ let poke_mem t name addr v =
       if addr < 0 || addr >= Array.length arr then
         invalid_arg "Interp_tape.poke_mem: address out of range";
       arr.(addr) <- v;
-      dirty_mem_fanout t (Hashtbl.find t.mem_index name)
+      let mi = Hashtbl.find t.mem_index name in
+      dirty_mem_fanout t mi;
+      bump_mem t mi
 
 let signal_names t =
   Array.to_list (Array.sub t.names 0 t.n_sig) |> List.sort compare
@@ -1247,7 +1281,8 @@ let import_state t (st : Flat.state) =
                  "Interp_tape.import_state: memory %s: snapshot depth %d, \
                   design depth %d"
                  name (Array.length words) (Array.length arr));
-          Array.blit words 0 arr 0 (Array.length arr))
+          Array.blit words 0 arr 0 (Array.length arr);
+          bump_mem t (Hashtbl.find t.mem_index name))
     st.st_mems;
   Hashtbl.reset t.active;
   t.n_active <- 0;
@@ -1255,3 +1290,112 @@ let import_state t (st : Flat.state) =
   (* The snapshot is settled, but the dirty bookkeeping no longer
      matches the cells: recompute once at the next settle. *)
   t.all_dirty <- true
+
+(* ------------------------------------------------------------------ *)
+(* In-process marks                                                    *)
+(* ------------------------------------------------------------------ *)
+
+type mark = {
+  mk_owner : t;
+  mk_cycle : int;
+  mk_small : int array; (* values of [state_small], in order *)
+  mk_wide : Bits.t array; (* values of [state_wide], in order *)
+  mk_mems : Bits.t array array array; (* per memory, its chunks *)
+}
+
+(* A mark holds a memory as chunks of [chunk_words] words.  A new copy
+   shares every chunk whose words did not change with the previous
+   copy, so a mark after a one-word write costs one chunk, not the
+   whole memory.  Chunks are never written. *)
+let chunk_words = 16
+
+let own what t m =
+  if m.mk_owner != t then
+    invalid_arg
+      (Printf.sprintf "Interp_tape.%s: the mark was taken on another engine"
+         what)
+
+(* The engine's memory [mi] holds exactly [chunks]: they are the last
+   copy taken or restored, and no word was written since. *)
+let holds t mi chunks =
+  t.mem_copy.(mi) == chunks && t.mem_copy_gen.(mi) = t.mem_gen.(mi)
+
+let copy_mem t mi =
+  let arr = t.mem_arrs.(mi) and prev = t.mem_copy.(mi) in
+  Array.init
+    ((Array.length arr + chunk_words - 1) / chunk_words)
+    (fun c ->
+      let lo = c * chunk_words in
+      let len = min chunk_words (Array.length arr - lo) in
+      let rec same chunk i =
+        i = len || (chunk.(i) == arr.(lo + i) && same chunk (i + 1))
+      in
+      if c < Array.length prev && same prev.(c) 0 then prev.(c)
+      else Array.sub arr lo len)
+
+let mark t =
+  {
+    mk_owner = t;
+    mk_cycle = t.cycle;
+    mk_small = Array.map (fun s -> t.ivals.(s)) t.state_small;
+    mk_wide = Array.map (fun s -> t.bvals.(s)) t.state_wide;
+    mk_mems =
+      Array.mapi
+        (fun mi _ ->
+          if t.mem_copy_gen.(mi) <> t.mem_gen.(mi) then begin
+            t.mem_copy.(mi) <- copy_mem t mi;
+            t.mem_copy_gen.(mi) <- t.mem_gen.(mi)
+          end;
+          t.mem_copy.(mi))
+        t.mems;
+  }
+
+let rewind t m =
+  own "rewind" t m;
+  Array.iteri (fun i s -> t.ivals.(s) <- m.mk_small.(i)) t.state_small;
+  Array.iteri (fun i s -> t.bvals.(s) <- m.mk_wide.(i)) t.state_wide;
+  Array.iteri
+    (fun mi chunks ->
+      if not (holds t mi chunks) then begin
+        Array.iteri
+          (fun c chunk ->
+            Array.blit chunk 0 t.mem_arrs.(mi) (c * chunk_words)
+              (Array.length chunk))
+          chunks;
+        bump_mem t mi;
+        t.mem_copy.(mi) <- chunks;
+        t.mem_copy_gen.(mi) <- t.mem_gen.(mi)
+      end)
+    m.mk_mems;
+  Hashtbl.reset t.active;
+  t.n_active <- 0;
+  t.cycle <- m.mk_cycle;
+  t.all_dirty <- true;
+  settle t
+
+let matches t m =
+  own "matches" t m;
+  let small = t.state_small and wide = t.state_wide in
+  let rec same_small i =
+    i = Array.length small
+    || (t.ivals.(small.(i)) = m.mk_small.(i) && same_small (i + 1))
+  in
+  let rec same_wide i =
+    i = Array.length wide
+    || (Bits.equal t.bvals.(wide.(i)) m.mk_wide.(i) && same_wide (i + 1))
+  in
+  let same_words arr chunks =
+    let rec go a =
+      a = Array.length arr
+      || Bits.equal arr.(a) chunks.(a / chunk_words).(a mod chunk_words)
+         && go (a + 1)
+    in
+    go 0
+  in
+  let rec same_mems mi =
+    mi = Array.length t.mems
+    || (let chunks = m.mk_mems.(mi) in
+        (holds t mi chunks || same_words t.mem_arrs.(mi) chunks)
+        && same_mems (mi + 1))
+  in
+  t.cycle = m.mk_cycle && same_small 0 && same_wide 0 && same_mems 0

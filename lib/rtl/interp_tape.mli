@@ -66,3 +66,22 @@ val export_state : t -> Flat.state
 val import_state : t -> Flat.state -> unit
 (** Restore a snapshot into an engine created from the same circuit.
     @raise Invalid_argument on unknown names or width/depth mismatch. *)
+
+type mark
+(** An in-process snapshot of this engine: the cycle, the register and
+    undriven slots (top inputs, floating wires) and the memories.  A
+    memory is kept in 16-word chunks, shared with the previous mark
+    except for the chunks written since. *)
+
+val mark : t -> mark
+
+val rewind : t -> mark -> unit
+(** Restore the mark's state, drop the active faults (installed
+    injections stay) and re-settle the combinational network.
+    @raise Invalid_argument if the mark was taken on another engine. *)
+
+val matches : t -> mark -> bool
+(** The engine's cycle, register and undriven slots and memories equal
+    the mark's.  The combinational cells are not compared: on a
+    settled engine with no fault active they follow from the rest.
+    @raise Invalid_argument if the mark was taken on another engine. *)

@@ -26,6 +26,12 @@ let restart sim circuit =
   Engine.settle sim;
   { sim; widths; cycle_count = 0 }
 
+let resume t mark =
+  Engine.clear_observers t.sim;
+  Engine.clear_injections t.sim;
+  Engine.rewind t.sim mark;
+  t.cycle_count <- Engine.current_cycle t.sim
+
 let create ?engine circuit =
   restart (Engine.create ?kind:engine circuit) circuit
 

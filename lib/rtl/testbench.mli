@@ -23,6 +23,14 @@ val restart : Engine.t -> Circuit.t -> t
     and memories reset, every input driven to zero, settled.  Lets one
     compiled engine serve many runs. *)
 
+val resume : t -> Engine.mark -> unit
+(** Bring the testbench's engine back to a mark it took: observers and
+    injections cleared, as {!restart} does, then {!Engine.rewind}.  The
+    inputs are the mark's, and {!cycles} reads the mark's cycle, so a
+    run resumed at a mark taken during a run that began at {!restart}
+    counts cycles as that run did.
+    @raise Invalid_argument if the mark was taken on another engine. *)
+
 val of_engine : Engine.t -> t
 (** Wrap an existing simulation (inputs are left as they are). *)
 

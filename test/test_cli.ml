@@ -667,6 +667,38 @@ let test_slot_checkpoint_resumes () =
         (List.nth lines (List.length lines - 1)))
     [ "tape"; "ref" ]
 
+(* A faulted soak that wedges still reports what it recorded before the
+   watchdog tripped: the stats line and the violation, then the
+   watchdog's diagnostic on stderr, and exit 1, on both engines. *)
+let test_soak_wedged_keeps_verdict () =
+  List.iter
+    (fun engine ->
+      let dir = in_tmp ("soak_wedged_" ^ engine) in
+      rm_rf dir;
+      let code, out, err =
+        run
+          [ "soak"; "-a"; "bfba"; "-p"; "2"; "--protect"; "--faults"; "7:40";
+            "--seed"; "3"; "--cycles"; "20000"; "--every"; "0"; "--engine";
+            engine; "--ckpt-dir"; dir ]
+      in
+      Alcotest.(check int) (engine ^ ": exit 1") 1 code;
+      Alcotest.(check (list string))
+        (engine ^ ": stdout")
+        [ "[soak] wrote 0 checkpoint(s) under " ^ dir;
+          "soak BFBA: 8092 cycles, 1639 transactions (543 reads, 1096 \
+           writes), 0 mismatch(es), 1 violation(s)";
+          "  cycle 7156: BAN_1$WDOG:no_timeout: forbidden condition \
+           BAN_1$WDOG$timeout holds" ]
+        (String.split_on_char '\n' (String.trim out));
+      Alcotest.(check string)
+        (engine ^ ": the watchdog line on stderr")
+        "soak: watchdog: run wedged at cycle 8092 (pe1: no acknowledge for \
+         address 0x300001); 6 control signal(s) frozen across a 64-cycle \
+         probe: BAN_1$CBI$bus_req, BAN_1$CBI$bus_sel, BAN_1$LMUX$m_sel, \
+         BAN_1$WDOG$req, BAN_1$w_lb_sel, BAN_1$w_self_gnt"
+        (String.trim err))
+    [ "tape"; "ref" ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -712,6 +744,8 @@ let () =
             test_inject_tape_jobs_identical;
           Alcotest.test_case "verify pinned on tape and ref" `Slow
             test_verify_pinned_engines;
+          Alcotest.test_case "wedged soak keeps its verdict" `Slow
+            test_soak_wedged_keeps_verdict;
           Alcotest.test_case "slot checkpoint resumes under tape and ref"
             `Quick test_slot_checkpoint_resumes;
         ] );

@@ -1,14 +1,24 @@
 (* Design-space exploration: the Pareto kernel (dominance, ties,
    ordering and permutation invariance on hand-built points), the
    profile file format (parse errors, canonical round-trip, stable
-   hash), the score codec, and the end-to-end determinism contract —
-   the JSON front emitted by a [jobs = 4] run must be byte-identical
-   to the [jobs = 1] run's. *)
+   hash), the score codec, the fault campaign's verdicts (pinned on
+   both engines, and held injection by injection against runs from
+   reset), and the end-to-end determinism contract — the JSON front
+   emitted by a [jobs = 4] run must be byte-identical to the
+   [jobs = 1] run's. *)
 
 module X = Busgen_explore.Explore
 module Xp = Busgen_explore.Profile
 module P = Busgen_explore.Pareto
 module Json = Busgen_json.Json
+module G = Bussyn.Generate
+module A = Bussyn.Archs
+module E = Busgen_rtl.Engine
+module F = Busgen_rtl.Flat
+module B = Busgen_rtl.Bits
+module Tb = Busgen_rtl.Testbench
+module Traffic = Busgen_verify.Traffic
+module Prop = Busgen_verify.Prop
 
 let pt ?(rel = (1, 1)) label cycles gates =
   {
@@ -224,6 +234,210 @@ let test_score_codec () =
   | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Fault campaign                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Eight faults on every architecture, with and without protection.
+   The draw holds the cases a campaign has to get right (the
+   differential below checks that it still does): faults starting at
+   cycle 0, faults starting inside the last transaction, faults whose
+   effect latches into state and never washes out, faults that wedge
+   the bus, and a fault that corrupts a read while the hardware washes
+   clean (only the traffic's shadow model remembers it).  It also holds,
+   unchecked, a fault whose window spans a transaction boundary at
+   which the state still equals the fault-free run's, and which does
+   its damage after that boundary: a campaign that rejoined there would
+   miss it. *)
+let campaign_profile () =
+  match
+    Xp.parse
+      "seed = 29\n\
+       transactions = 60\n\
+       pes = 4\n\
+       archs = bfba, gbavi, gbavii, gbaviii, hybrid, splitba, ggba, ccba\n\
+       widths = 16\n\
+       depths = 4\n\
+       arbs = priority\n\
+       protect = both\n\
+       faults = 8\n\
+       fault_seed = 31\n"
+  with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "campaign profile: %s" e
+
+(* (label, injections survived, injections detected) per candidate. *)
+let campaign_pins =
+  [
+    ("bfba/w16/d4/priority", 7, 0);
+    ("bfba/w16/d4/priority/prot", 8, 0);
+    ("gbavi/w16/d4/priority", 7, 0);
+    ("gbavi/w16/d4/priority/prot", 7, 0);
+    ("gbavii/w16/d4/priority", 8, 0);
+    ("gbavii/w16/d4/priority/prot", 8, 0);
+    ("gbaviii/w16/d4/priority", 8, 0);
+    ("gbaviii/w16/d4/priority/prot", 8, 0);
+    ("hybrid/w16/d4/priority", 8, 0);
+    ("hybrid/w16/d4/priority/prot", 8, 0);
+    ("splitba/w16/d4/priority", 8, 0);
+    ("splitba/w16/d4/priority/prot", 8, 1);
+    ("ggba/w16/d4/priority", 8, 0);
+    ("ggba/w16/d4/priority/prot", 8, 0);
+    ("ccba/w16/d4/priority", 6, 0);
+    ("ccba/w16/d4/priority/prot", 7, 1);
+  ]
+
+let test_campaign_pins engine () =
+  let p = campaign_profile () in
+  let got =
+    Array.to_list (X.run ~engine ~jobs:1 p).X.x_scores
+    |> List.map (function
+         | Some s -> (s.X.sc_label, s.X.sc_rel_num, s.X.sc_detected)
+         | None -> Alcotest.fail "casualty in the campaign profile")
+  in
+  Alcotest.(check (list (triple string int int)))
+    "(label, survived, detected)" campaign_pins got
+
+let state_equal (a : F.state) (b : F.state) =
+  a.F.st_cycle = b.F.st_cycle
+  && Array.for_all2
+       (fun (n, v) (m, w) -> n = m && B.equal v w)
+       a.F.st_values b.F.st_values
+  && Array.for_all2
+       (fun (n, v) (m, w) -> n = m && Array.for_all2 B.equal v w)
+       a.F.st_mems b.F.st_mems
+
+type from_reset = {
+  fr_ok : bool;  (** every transaction answered *)
+  fr_mismatches : int;
+  fr_detected : bool;  (** a protection tap was high on some cycle *)
+  fr_boundaries : int array;  (** cycle after each transaction *)
+  fr_final : F.state;
+}
+
+(* The oracle: each run restarts the design and drives the whole
+   transaction stream from reset, watched by one [Prop.never] monitor
+   per protection tap. *)
+let from_reset (p : Xp.t) (c : X.candidate) =
+  let config = X.config_of p c in
+  let top = (G.generate c.X.ca_arch config).G.generated.A.top in
+  let sim = E.create top in
+  let taps =
+    List.map
+      (fun s -> Prop.never ~name:s (Prop.high s))
+      (Busgen_verify.Check.protection_taps sim)
+  in
+  let run injs =
+    let tb = Tb.restart sim top in
+    if injs <> [] then E.inject sim injs;
+    let mon = Prop.attach sim taps in
+    let tr = Traffic.create tb ~arch:c.X.ca_arch ~config ~seed:p.Xp.seed in
+    let bounds = Array.make (p.Xp.transactions + 1) 0 in
+    let ok =
+      try
+        for k = 1 to p.Xp.transactions do
+          Traffic.step tr;
+          bounds.(k) <- Tb.cycles tb
+        done;
+        true
+      with Tb.Timeout _ -> false
+    in
+    let st = Traffic.stats tr ~cycles:(Tb.cycles tb) in
+    {
+      fr_ok = ok;
+      fr_mismatches = st.Traffic.mismatches;
+      fr_detected = Prop.violation_count mon > 0;
+      fr_boundaries = bounds;
+      fr_final = E.export_state sim;
+    }
+  in
+  (sim, run)
+
+(* Explore.score's verdict on each injection of [p], against the same
+   injection run from reset.  A campaign of k faults is the first k of
+   a campaign of n (same seed and horizon), so the scores of
+   consecutive campaign sizes differ by exactly one injection's
+   verdict.  Returns how many injections started at cycle 0, started
+   inside the last transaction, latched into state for good, wedged the
+   bus, and corrupted a read but left the hardware as the fault-free
+   run left it. *)
+let campaign_differential (p : Xp.t) =
+  let n = p.Xp.faults and last = p.Xp.transactions in
+  let start0 = ref 0 and in_last = ref 0 and latched = ref 0
+  and wedged = ref 0 and misread = ref 0 in
+  Array.iter
+    (fun c ->
+      let lbl = X.label c in
+      let sim, run = from_reset p c in
+      let golden = run [] in
+      let horizon = golden.fr_boundaries.(last) in
+      let campaign = E.random_campaign sim ~seed:p.Xp.fault_seed ~n ~horizon in
+      let counts k =
+        if k = 0 then (0, 0)
+        else
+          let s = X.score { p with Xp.faults = k } c in
+          Alcotest.(check int) (lbl ^ ": golden cycles") horizon s.X.sc_cycles;
+          (s.X.sc_rel_num, s.X.sc_detected)
+      in
+      List.iteri
+        (fun i (inj : F.injection) ->
+          let what =
+            Printf.sprintf "%s: %s at %d+%d" lbl inj.F.inj_signal
+              inj.F.inj_start inj.F.inj_cycles
+          in
+          Alcotest.(check bool) (what ^ ": prefix of the campaign") true
+            (E.random_campaign sim ~seed:p.Xp.fault_seed ~n:(i + 1) ~horizon
+            = List.filteri (fun j _ -> j <= i) campaign);
+          let r = run [ inj ] in
+          let s0, d0 = counts i and s1, d1 = counts (i + 1) in
+          Alcotest.(check bool) (what ^ ": survived")
+            (r.fr_ok && r.fr_mismatches = 0) (s1 - s0 = 1);
+          Alcotest.(check bool) (what ^ ": detected") r.fr_detected
+            (d1 - d0 = 1);
+          if inj.F.inj_start = 0 then incr start0;
+          if inj.F.inj_start >= golden.fr_boundaries.(last - 1) then
+            incr in_last;
+          let same_state = state_equal r.fr_final golden.fr_final in
+          if r.fr_ok && not same_state then incr latched;
+          if r.fr_ok && same_state && r.fr_mismatches > 0 then incr misread;
+          if not r.fr_ok then incr wedged)
+        campaign)
+    (X.candidates p);
+  (!start0, !in_last, !latched, !wedged, !misread)
+
+let test_campaign_differential () =
+  let start0, in_last, latched, wedged, misread =
+    campaign_differential (campaign_profile ())
+  in
+  Alcotest.(check bool) "a fault starts at cycle 0" true (start0 > 0);
+  Alcotest.(check bool) "a fault starts inside the last transaction" true
+    (in_last > 0);
+  Alcotest.(check bool) "a fault never washes out" true (latched > 0);
+  Alcotest.(check bool) "a fault wedges the bus" true (wedged > 0);
+  Alcotest.(check bool) "a fault corrupts a read and washes out" true
+    (misread > 0)
+
+(* A profile long enough that the fault-free run keeps only every
+   third transaction boundary: faulted runs resume further back and
+   rejoin later, with the same verdicts. *)
+let test_campaign_differential_long () =
+  match
+    Xp.parse
+      "seed = 31
+       transactions = 600
+       pes = 4
+       archs = gbavi, hybrid
+       widths = 16
+       depths = 4
+       arbs = rr
+       protect = both
+       faults = 8
+       fault_seed = 12
+"
+  with
+  | Error e -> Alcotest.failf "long campaign profile: %s" e
+  | Ok p -> ignore (campaign_differential p)
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end determinism                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -292,6 +506,17 @@ let () =
         ] );
       ( "codec",
         [ Alcotest.test_case "score round-trip" `Quick test_score_codec ] );
+      ( "campaign",
+        [
+          Alcotest.test_case "pinned verdicts, tape" `Quick
+            (test_campaign_pins E.Tape);
+          Alcotest.test_case "pinned verdicts, ref" `Slow
+            (test_campaign_pins E.Ref);
+          Alcotest.test_case "differential against runs from reset" `Slow
+            test_campaign_differential;
+          Alcotest.test_case "differential over sparse boundaries" `Slow
+            test_campaign_differential_long;
+        ] );
       ( "run",
         [
           Alcotest.test_case "grid order" `Quick test_grid_order;

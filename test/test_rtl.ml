@@ -314,23 +314,27 @@ let test_hierarchy () =
   (* Flat signal paths are visible. *)
   Alcotest.(check int) "flat path" 3 (Engine.peek_int sim "c1$q")
 
-let test_memory_interp () =
+(* 2^[addr_width] bytes of RAM with one write port and one read
+   port. *)
+let ram_circuit ?(addr_width = 4) () =
   let open Circuit.Builder in
   let b = create "ram_test" in
   let we = input b "we" 1 in
-  let waddr = input b "waddr" 4 in
+  let waddr = input b "waddr" addr_width in
   let wdata = input b "wdata" 8 in
-  let raddr = input b "raddr" 4 in
+  let raddr = input b "raddr" addr_width in
   output b "rdata" 8;
-  let reads =
-    memory b "ram" ~data_width:8 ~depth:16
-      ~writes:[ { Circuit.we; waddr; wdata } ]
-      ~reads:[ ("ram_q", raddr) ]
-  in
-  (match reads with
+  (match
+     memory b "ram" ~data_width:8 ~depth:(1 lsl addr_width)
+       ~writes:[ { Circuit.we; waddr; wdata } ]
+       ~reads:[ ("ram_q", raddr) ]
+   with
   | [ q ] -> assign b "rdata" q
   | _ -> assert false);
-  let sim = Engine.create (finish b) in
+  finish b
+
+let test_memory_interp () =
+  let sim = Engine.create (ram_circuit ()) in
   Engine.reset sim;
   Engine.set_input sim "we" (Bits.one 1);
   Engine.set_input sim "waddr" (Bits.of_int ~width:4 3);
@@ -1520,6 +1524,270 @@ let test_differential_faulty () =
   differential ~prepare:(campaign_prepare 77 top) "gbaviii+faults" top
 
 (* ------------------------------------------------------------------ *)
+(* In-process marks                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let state_equal (a : Flat.state) (b : Flat.state) =
+  a.Flat.st_cycle = b.Flat.st_cycle
+  && Array.for_all2
+       (fun (n, v) (m, w) -> n = m && Bits.equal v w)
+       a.Flat.st_values b.Flat.st_values
+  && Array.for_all2
+       (fun (n, v) (m, w) -> n = m && Array.for_all2 Bits.equal v w)
+       a.Flat.st_mems b.Flat.st_mems
+
+(* CPU transactions [lo, hi) of a fixed script over every PE: local
+   memory writes, and reads back; returns the read data. *)
+let cpu_script tb lo hi =
+  List.init (hi - lo) (fun j ->
+      let i = lo + j in
+      let pe = i mod 4
+      and addr = Bussyn.Addrmap.local_mem_base + (i * 7 mod 48) in
+      if i mod 3 = 2 then Testbench.Cpu.read tb ~pe ~addr
+      else begin
+        Testbench.Cpu.write tb ~pe ~addr (i * 37 land 0xFF);
+        -1
+      end)
+
+(* Every top output, as the observer sees it on each cycle. *)
+let record_outputs sim top =
+  let trace = ref [] in
+  let outputs =
+    List.map
+      (fun (p : Circuit.port) -> p.Circuit.port_name)
+      (Circuit.outputs top)
+  in
+  Engine.on_cycle sim (fun c ->
+      trace := (c, List.map (Engine.peek sim) outputs) :: !trace);
+  trace
+
+let same_trace a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (c, vs) (c', vs') -> c = c' && List.for_all2 Bits.equal vs vs')
+       a b
+
+let test_mark_rewind_replays kind () =
+  let top = generated_top Bussyn.Generate.Hybrid in
+  let tb = Testbench.create ~engine:kind top in
+  let sim = Testbench.engine tb in
+  ignore (cpu_script tb 0 12);
+  let m = Engine.mark sim and at_mark = Engine.export_state sim in
+  let cycle = Testbench.cycles tb in
+  let trace = record_outputs sim top in
+  let reads = cpu_script tb 12 40 in
+  let straight = !trace and final = Engine.export_state sim in
+  Alcotest.(check bool) "the run moved the memories" false
+    (Array.for_all2
+       (fun (_, a) (_, b) -> Array.for_all2 Bits.equal a b)
+       at_mark.Flat.st_mems final.Flat.st_mems);
+  Testbench.resume tb m;
+  Alcotest.(check bool) "rewind restores export_state" true
+    (state_equal at_mark (Engine.export_state sim));
+  Alcotest.(check int) "resume restores the cycle count" cycle
+    (Testbench.cycles tb);
+  let trace = record_outputs sim top in
+  Alcotest.(check (list int)) "same read data" reads (cpu_script tb 12 40);
+  Alcotest.(check bool) "same outputs on every cycle" true
+    (same_trace straight !trace);
+  Alcotest.(check bool) "same final export_state" true
+    (state_equal final (Engine.export_state sim))
+
+(* A design with a register and a memory: the counter's register, and
+   a RAM that stores the count at address 3 on every cycle. *)
+let counter_ram_circuit () =
+  let open Circuit.Builder in
+  let b = create "counter_ram" in
+  output b "count" 8;
+  output b "rdata" 8;
+  let q = reg b "q" 8 () in
+  set_next b "q" Expr.(q +: const8 1);
+  assign b "count" q;
+  (match
+     memory b "ram" ~data_width:8 ~depth:16
+       ~writes:
+         [
+           {
+             Circuit.we = Expr.const_int ~width:1 1;
+             waddr = Expr.const_int ~width:4 3;
+             wdata = Expr.var "count";
+           };
+         ]
+       ~reads:[ ("ram_q", Expr.const_int ~width:4 3) ]
+   with
+  | [ rd ] -> assign b "rdata" rd
+  | _ -> assert false);
+  finish b
+
+(* [matches] against the fault-free run's mark at cycle 12 must say
+   what export_state equality says, whether the fault washed out or
+   latched. *)
+let test_mark_matches_export kind () =
+  let top = counter_ram_circuit () in
+  let sim = Engine.create ~kind top in
+  Engine.reset sim;
+  let start = Engine.mark sim in
+  Engine.run sim 12;
+  let golden = Engine.mark sim and golden_st = Engine.export_state sim in
+  let case what signal fault ~masked =
+    Engine.clear_injections sim;
+    Engine.rewind sim start;
+    Engine.inject sim
+      [ { Flat.inj_signal = signal; inj_fault = fault; inj_start = 4;
+          inj_cycles = 2 } ];
+    Engine.run sim 12;
+    let same = state_equal golden_st (Engine.export_state sim) in
+    Alcotest.(check bool) (what ^ ": export_state equality") masked same;
+    Alcotest.(check bool) (what ^ ": matches agrees") same
+      (Engine.matches sim golden)
+  in
+  case "masked transient on a wire" "count" (Flat.Flip 0) ~masked:true;
+  case "masked transient on a read port" "rdata" Flat.Stuck_at_1
+    ~masked:true;
+  case "latched into the register" "q" Flat.Stuck_at_0 ~masked:false;
+  Engine.clear_injections sim;
+  Engine.rewind sim start;
+  Alcotest.(check bool) "rewound engine matches its start" true
+    (Engine.matches sim start);
+  Alcotest.(check bool) "and not the later mark" false
+    (Engine.matches sim golden)
+
+(* A fault that latches into a memory word only: the RAM circuit has no
+   register, so its state is its inputs and its words. *)
+let test_mark_matches_memory kind () =
+  let top = ram_circuit () in
+  let sim = Engine.create ~kind top in
+  Engine.reset sim;
+  let drive we waddr wdata =
+    Engine.set_input sim "we" (Bits.of_int ~width:1 we);
+    Engine.set_input sim "waddr" (Bits.of_int ~width:4 waddr);
+    Engine.set_input sim "wdata" (Bits.of_int ~width:8 wdata);
+    Engine.step sim
+  in
+  let script () =
+    drive 1 3 0x5A;
+    drive 1 4 0x11;
+    drive 0 0 0;
+    drive 0 0 0
+  in
+  let start = Engine.mark sim in
+  script ();
+  let golden = Engine.mark sim and golden_st = Engine.export_state sim in
+  List.iter
+    (fun (what, signal, inj_start, masked) ->
+      Engine.clear_injections sim;
+      Engine.rewind sim start;
+      Engine.inject sim
+        [ { Flat.inj_signal = signal; inj_fault = Flat.Flip 7; inj_start;
+            inj_cycles = 1 } ];
+      script ();
+      let same = state_equal golden_st (Engine.export_state sim) in
+      Alcotest.(check bool) (what ^ ": export_state equality") masked same;
+      Alcotest.(check bool) (what ^ ": matches agrees") same
+        (Engine.matches sim golden))
+    [
+      ("masked: read port", "ram_q", 1, true);
+      ("masked: data while not writing", "wdata", 2, true);
+      ("latched into a memory word", "wdata", 1, false);
+    ]
+
+(* Marks share a memory's words until they are written; no later
+   write, on any path, may reach back into a mark.  The RAM spans
+   several of a mark's chunks: words 3 and 5 share one, word 40 has
+   another. *)
+let test_mark_memory_isolation kind () =
+  let top = ram_circuit ~addr_width:6 () in
+  let sim = Engine.create ~kind top in
+  Engine.reset sim;
+  let word a = Bits.to_int_trunc (Engine.peek_mem sim "ram" a) in
+  let write a v =
+    Engine.set_input sim "we" (Bits.one 1);
+    Engine.set_input sim "waddr" (Bits.of_int ~width:6 a);
+    Engine.set_input sim "wdata" (Bits.of_int ~width:8 v);
+    Engine.step sim;
+    Engine.set_input sim "we" (Bits.zero 1)
+  in
+  write 3 0x11;
+  write 40 0x99;
+  let m1 = Engine.mark sim in
+  let m1_again = Engine.mark sim in
+  write 3 0x22;
+  Alcotest.(check bool) "a clock-edge write leaves the mark" false
+    (Engine.matches sim m1);
+  let m2 = Engine.mark sim in
+  Engine.poke_mem sim "ram" 40 (Bits.of_int ~width:8 0x33);
+  Alcotest.(check bool) "a poke leaves the mark" false (Engine.matches sim m2);
+  Engine.rewind sim m1;
+  Alcotest.(check (pair int int)) "rewind restores the words" (0x11, 0x99)
+    (word 3, word 40);
+  Alcotest.(check bool) "matches after rewind" true (Engine.matches sim m1);
+  Alcotest.(check bool) "a mark with no write between shares the state" true
+    (Engine.matches sim m1_again);
+  Alcotest.(check bool) "the later mark differs" false (Engine.matches sim m2);
+  write 3 0x44;
+  Engine.rewind sim m2;
+  Alcotest.(check (pair int int)) "the later mark kept its words" (0x22, 0x99)
+    (word 3, word 40);
+  Engine.rewind sim m1;
+  Alcotest.(check int) "writes after a rewind leave the mark" 0x11 (word 3);
+  Engine.reset sim;
+  Alcotest.(check bool) "reset leaves the mark" false (Engine.matches sim m1);
+  Engine.rewind sim m1;
+  Alcotest.(check bool) "rewind after reset" true (Engine.matches sim m1);
+  let st = Engine.export_state sim in
+  write 5 0x55;
+  let m3 = Engine.mark sim in
+  Engine.import_state sim st;
+  Alcotest.(check bool) "import_state leaves the mark" false
+    (Engine.matches sim m3);
+  Alcotest.(check int) "import_state restored the word" 0 (word 5);
+  Engine.rewind sim m3;
+  Alcotest.(check (list int)) "rewind after import_state" [ 0x11; 0x55; 0x99 ]
+    [ word 3; word 5; word 40 ]
+
+let test_mark_foreign kind () =
+  let top = ram_circuit () in
+  let a = Engine.create ~kind top and b = Engine.create ~kind top in
+  let other_kind =
+    Engine.create ~kind:(if kind = Engine.Tape then Engine.Ref else Engine.Tape)
+      top
+  in
+  let other_circuit = Engine.create ~kind (counter_circuit ()) in
+  let m = Engine.mark a in
+  List.iter
+    (fun (what, sim) ->
+      (match Engine.rewind sim m with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "rewind accepted a mark from %s" what);
+      match Engine.matches sim m with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "matches accepted a mark from %s" what)
+    [
+      ("another engine of the circuit", b);
+      ("the other engine kind", other_kind);
+      ("another circuit", other_circuit);
+    ];
+  Alcotest.(check bool) "its own engine accepts it" true (Engine.matches a m)
+
+let mark_cases =
+  List.concat_map
+    (fun kind ->
+      let k = Engine.kind_to_string kind in
+      [
+        Alcotest.test_case ("rewind replays the run, " ^ k) `Quick
+          (test_mark_rewind_replays kind);
+        Alcotest.test_case ("matches = export_state equality, " ^ k) `Quick
+          (test_mark_matches_export kind);
+        Alcotest.test_case ("matches on a memory fault, " ^ k) `Quick
+          (test_mark_matches_memory kind);
+        Alcotest.test_case ("later writes leave a mark, " ^ k) `Quick
+          (test_mark_memory_isolation kind);
+        Alcotest.test_case ("foreign marks rejected, " ^ k) `Quick
+          (test_mark_foreign kind);
+      ])
+    Engine.all_kinds
+
+(* ------------------------------------------------------------------ *)
 (* Idle-stretch batching: observers must fire at identical cycles with *)
 (* identical values whether or not [run] batches                       *)
 (* ------------------------------------------------------------------ *)
@@ -1756,5 +2024,6 @@ let () =
             test_random_campaign_pinned;
           Alcotest.test_case "current cycle" `Quick test_current_cycle;
         ] );
+      ("marks", mark_cases);
       ("properties", qcheck_cases);
     ]
