@@ -51,11 +51,6 @@ type outcome = {
   so_wedged : string option;
 }
 
-let contains hay needle =
-  let n = String.length hay and m = String.length needle in
-  let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
-  go 0
-
 (* The watchdog diagnostic: probe a window of cycles and name the
    handshake/arbitration signals that are asserted but frozen — on a
    wedged bus that is the request with no acknowledge, or the grant
@@ -64,11 +59,8 @@ let contains hay needle =
 let diagnose sim ~at reason =
   let window = 64 in
   let watch =
-    List.filter
-      (fun s ->
-        contains s "req" || contains s "ack" || contains s "grant"
-        || contains s "busy" || contains s "sel")
-      (E.signal_names sim)
+    Busgen_verify.Check.signals_containing sim
+      [ "req"; "ack"; "grant"; "busy"; "sel" ]
   in
   let before = List.map (fun s -> (s, E.peek sim s)) watch in
   (try E.run sim window with _ -> ());

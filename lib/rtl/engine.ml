@@ -73,9 +73,11 @@ let poke_mem t name addr v =
   | R s -> Interp_ref.poke_mem s name addr v
   | T s -> Interp_tape.poke_mem s name addr v
 
-let signal_names = function
-  | R s -> Interp_ref.signal_names s
-  | T s -> Interp_tape.signal_names s
+let signals = function
+  | R s -> Interp_ref.signals s
+  | T s -> Interp_tape.signals s
+
+let signal_names t = List.sort String.compare (List.map fst (signals t))
 
 let on_cycle t f =
   match t with
@@ -135,10 +137,8 @@ let matches t m =
   | T s, Tape_mark m -> Interp_tape.matches s m
   | _ -> other_kind "matches"
 
-(* Every engine draws from the same (name, width) list, so the stream
-   depends on the circuit and the arguments, never on the engine. *)
+(* Every engine holds the same (name, width) pairs, so the stream
+   depends on the circuit and the arguments, never on the engine.
+   [Flat.random_campaign] sorts them. *)
 let random_campaign t ~seed ~n ~horizon =
-  let signals =
-    List.map (fun name -> (name, Bits.width (peek t name))) (signal_names t)
-  in
-  Flat.random_campaign signals ~seed ~n ~horizon
+  Flat.random_campaign (signals t) ~seed ~n ~horizon

@@ -45,6 +45,7 @@ val peek_int : t -> string -> int
 val peek_mem : t -> string -> int -> Bits.t
 val poke_mem : t -> string -> int -> Bits.t -> unit
 val signal_names : t -> string list
+(** All flat signal names, sorted. *)
 
 val on_cycle : t -> (int -> unit) -> unit
 val clear_observers : t -> unit
@@ -56,6 +57,13 @@ val reader : t -> string -> unit -> int
     @raise Not_found if the signal is unknown. *)
 
 val inject : t -> Flat.injection list -> unit
+(** Install injections.  They accumulate across calls until
+    {!clear_injections}, and they stay across {!reset}, {!import_state}
+    and {!rewind}.  The whole list is checked before any of it is
+    installed, so a rejected list installs nothing.
+    @raise Invalid_argument on an unknown signal or a bad schedule; the
+    tape engine also rejects a flip bit outside the signal's width. *)
+
 val clear_injections : t -> unit
 val current_cycle : t -> int
 

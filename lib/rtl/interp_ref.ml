@@ -414,8 +414,7 @@ let poke_mem sim name addr v =
         invalid_arg "Interp_ref.poke_mem: address out of range";
       arr.(addr) <- v
 
-let signal_names sim =
-  Hashtbl.fold (fun n _ acc -> n :: acc) sim.base.widths [] |> List.sort compare
+let signals sim = Hashtbl.fold (fun n w acc -> (n, w) :: acc) sim.base.widths []
 
 let on_cycle sim f = sim.observers <- sim.observers @ [ f ]
 

@@ -31,8 +31,8 @@ val peek_int : t -> string -> int
 val peek_mem : t -> string -> int -> Bits.t
 val poke_mem : t -> string -> int -> Bits.t -> unit
 
-val signal_names : t -> string list
-(** All flat signal names, sorted. *)
+val signals : t -> (string * int) list
+(** Every flat signal as [(name, width)], in no particular order. *)
 
 val on_cycle : t -> (int -> unit) -> unit
 (** Register a per-cycle observer.  It runs after the combinational

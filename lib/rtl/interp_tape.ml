@@ -18,9 +18,14 @@
    commit, [set_input], memory write or fault transform changes a
    value, only the dependent schedule nodes are marked dirty (bucketed
    by level) and re-evaluated, level by level; combinational cones
-   whose inputs did not change are skipped entirely.  With faults
-   active the engine falls back to full re-evaluation in schedule
-   order, the semantics {!Interp_ref} specifies.
+   whose inputs did not change are skipped entirely.  The dirty set is
+   the only way the engine settles.  A node re-evaluated while a fault
+   is active on its slot takes the fault's transform right after its
+   ops run, and a node whose fault starts or stops is marked, so every
+   clean node holds what {!Interp_ref}'s full sweep would compute for
+   it: its expression over the current values, transformed by the
+   active fault.  Whole-state changes ([create], [reset],
+   [import_state], [rewind]) mark every node.
 
    The tape reads {!Flat.flatten}'s design: its slots are the first
    cells and its name -> slot and input tables are the tape's own, so
@@ -409,9 +414,10 @@ type t = {
   o_c : int array;
   o_m : int array;
   calls : (unit -> unit) array;
-  comb_hi : int; (* ops [0, comb_hi) = levelized combinational schedule *)
+  (* Ops [0, edge_lo) are the nodes' schedule, [edge_lo, edge_hi) the
+     pre-edge sampling. *)
   edge_lo : int;
-  edge_hi : int; (* ops [edge_lo, edge_hi) = pre-edge sampling *)
+  edge_hi : int;
   (* Schedule nodes (one per combinational target, in level order). *)
   node_slot : int array;
   node_lo : int array;
@@ -429,6 +435,7 @@ type t = {
   arrays : (string, Bits.t array) Hashtbl.t;
   mem_index : (string, int) Hashtbl.t;
   driven : bool array;
+  node_of : int array; (* slot -> the node that drives it, or -1 *)
   (* The state a mark holds besides the memories: every register slot
      and every undriven slot (top inputs, floating wires), split by
      representation.  The combinational cells are functions of these. *)
@@ -446,14 +453,11 @@ type t = {
   bucket_len : int array;
   node_dirty : bool array;
   mutable have_dirty : bool;
-  mutable all_dirty : bool;
   mutable cycle : int;
   mutable injections : cinj array;
-  mutable inj_pending : cinj list; (* newest first *)
   active : (int, Flat.fault) Hashtbl.t;
   mutable n_active : int;
   mutable observers : (int -> unit) array;
-  mutable obs_pending : (int -> unit) list; (* newest first *)
 }
 
 let get_cell t c =
@@ -623,32 +627,42 @@ let dirty_mem_fanout t mi =
     done
   end
 
+(* Mark the node that drives slot [s], if one does (registers and
+   undriven slots have none). *)
+let dirty_node_of t s =
+  let nd = t.node_of.(s) in
+  if nd >= 0 then begin
+    t.have_dirty <- true;
+    mark_node t nd
+  end
+
+(* Mark every node: the state changed as a whole. *)
+let dirty_all t =
+  for nd = 0 to Array.length t.node_slot - 1 do
+    mark_node t nd
+  done;
+  t.have_dirty <- true
+
+(* Cell [c] takes the transform of the fault active on slot [s], if
+   any. *)
+let fault_cell t s c =
+  match Hashtbl.find_opt t.active s with
+  | None -> ()
+  | Some f -> set_cell t c (Flat.apply_fault f (get_cell t c))
+
 let eval_node t nd =
   let s = t.node_slot.(nd) in
   if t.wide.(s) then begin
     let old = t.bvals.(s) in
     exec t t.node_lo.(nd) t.node_hi.(nd);
+    if t.n_active > 0 then fault_cell t s s;
     if not (Bits.equal old t.bvals.(s)) then dirty_fanout t s
   end
   else begin
     let old = t.ivals.(s) in
     exec t t.node_lo.(nd) t.node_hi.(nd);
+    if t.n_active > 0 then fault_cell t s s;
     if t.ivals.(s) <> old then dirty_fanout t s
-  end
-
-let clear_dirty t =
-  if t.have_dirty then begin
-    for lev = 0 to Array.length t.bucket_len - 1 do
-      let len = t.bucket_len.(lev) in
-      if len > 0 then begin
-        let bk = t.buckets.(lev) in
-        for i = 0 to len - 1 do
-          t.node_dirty.(bk.(i)) <- false
-        done;
-        t.bucket_len.(lev) <- 0
-      end
-    done;
-    t.have_dirty <- false
   end
 
 (* A producer always has a strictly lower level than its consumers, so
@@ -669,31 +683,7 @@ let settle_dirty t =
   done;
   t.have_dirty <- false
 
-(* Full re-evaluation with fault transforms: every node in schedule
-   order, transform after. *)
-let settle_full_faulty t =
-  for nd = 0 to Array.length t.node_slot - 1 do
-    exec t t.node_lo.(nd) t.node_hi.(nd);
-    let s = t.node_slot.(nd) in
-    match Hashtbl.find_opt t.active s with
-    | None -> ()
-    | Some f -> set_cell t s (Flat.apply_fault f (get_cell t s))
-  done
-
-let settle t =
-  if t.n_active > 0 then begin
-    clear_dirty t;
-    settle_full_faulty t;
-    (* Faulted values overwrote parts of the network: recompute
-       everything once the faults lift. *)
-    t.all_dirty <- true
-  end
-  else if t.all_dirty then begin
-    clear_dirty t;
-    exec t 0 t.comb_hi;
-    t.all_dirty <- false
-  end
-  else if t.have_dirty then settle_dirty t
+let settle t = if t.have_dirty then settle_dirty t
 
 (* ------------------------------------------------------------------ *)
 (* Clock edge                                                          *)
@@ -710,10 +700,7 @@ let clock_edge t =
   if t.n_active > 0 then
     for i = 0 to Array.length regs - 1 do
       let r = Array.unsafe_get regs i in
-      match Hashtbl.find_opt t.active r.tr_slot with
-      | None -> ()
-      | Some f ->
-          set_cell t r.tr_next (Flat.apply_fault f (get_cell t r.tr_next))
+      fault_cell t r.tr_slot r.tr_next
     done;
   for i = 0 to Array.length regs - 1 do
     let r = Array.unsafe_get regs i in
@@ -756,37 +743,29 @@ let clock_edge t =
     t.mems
 
 (* ------------------------------------------------------------------ *)
-(* Observers / injections: O(1) registration, lazy materialization     *)
+(* Fault activation                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let materialize_observers t =
-  (match t.obs_pending with
-  | [] -> ()
-  | pending ->
-      t.observers <-
-        Array.append t.observers (Array.of_list (List.rev pending));
-      t.obs_pending <- []);
-  t.observers
+(* Drop the active faults.  The nodes they transformed are marked, so
+   the next settle recomputes them without the transform. *)
+let drop_active t =
+  Hashtbl.iter (fun s _ -> dirty_node_of t s) t.active;
+  Hashtbl.reset t.active;
+  t.n_active <- 0
 
-let materialize_injections t =
-  match t.inj_pending with
-  | [] -> ()
-  | pending ->
-      t.injections <-
-        Array.append t.injections (Array.of_list (List.rev pending));
-      t.inj_pending <- []
-
+(* Rebuild the active set for this cycle.  Every node that held a fault
+   before or holds one now is marked: that covers each fault that
+   starts or stops, and a fault entered in mid-window after a
+   [rewind] or [import_state]. *)
 let refresh_active t =
-  materialize_injections t;
   if Array.length t.injections > 0 || t.n_active > 0 then begin
-    let was_active = t.n_active > 0 in
-    Hashtbl.reset t.active;
-    t.n_active <- 0;
+    drop_active t;
     Array.iter
       (fun ci ->
         if t.cycle >= ci.ci_start && t.cycle < ci.ci_stop then begin
           Hashtbl.replace t.active ci.ci_slot ci.ci_fault;
           t.n_active <- t.n_active + 1;
+          dirty_node_of t ci.ci_slot;
           if not ci.ci_driven then begin
             match ci.ci_fault with
             | Flat.Flip _ when t.cycle > ci.ci_start -> ()
@@ -796,8 +775,7 @@ let refresh_active t =
                 dirty_fanout t s
           end
         end)
-      t.injections;
-    if t.n_active > 0 || was_active then t.all_dirty <- true
+      t.injections
   end
 
 let step t =
@@ -805,11 +783,10 @@ let step t =
   settle t;
   (* Sampling point: observers see the settled pre-edge values, faults
      included — same as {!Interp_ref}. *)
-  (let obs = materialize_observers t in
-   if Array.length obs > 0 then
-     for i = 0 to Array.length obs - 1 do
-       (Array.unsafe_get obs i) t.cycle
-     done);
+  (let obs = t.observers in
+   for i = 0 to Array.length obs - 1 do
+     (Array.unsafe_get obs i) t.cycle
+   done);
   clock_edge t;
   settle t;
   t.cycle <- t.cycle + 1
@@ -869,12 +846,12 @@ let create top =
     fmems_arr;
   let nodes = Array.of_list (Flat.levelize d) in
   let n_nodes = Array.length nodes in
-  let node_slot = Array.make (max 1 n_nodes) 0 in
-  let node_lo = Array.make (max 1 n_nodes) 0 in
-  let node_hi = Array.make (max 1 n_nodes) 0 in
-  let node_level = Array.make (max 1 n_nodes) 0 in
-  let node_vars = Array.make (max 1 n_nodes) [] in
-  let node_mem = Array.make (max 1 n_nodes) (-1) in
+  let node_slot = Array.make n_nodes 0 in
+  let node_lo = Array.make n_nodes 0 in
+  let node_hi = Array.make n_nodes 0 in
+  let node_level = Array.make n_nodes 0 in
+  let node_vars = Array.make n_nodes [] in
+  let node_mem = Array.make n_nodes (-1) in
   Array.iteri
     (fun i (name, level) ->
       node_lo.(i) <- Ivec.length b.c_code;
@@ -906,9 +883,8 @@ let create top =
       node_slot.(i) <- slot name;
       node_level.(i) <- level)
     nodes;
-  let comb_hi = Ivec.length b.c_code in
   (* Clock-edge sampling segment: register nexts, then memory ports. *)
-  let edge_lo = comb_hi in
+  let edge_lo = Ivec.length b.c_code in
   let regs =
     Array.of_list
       (List.map
@@ -1018,18 +994,18 @@ let create top =
     end
   done;
   (* Per-level dirty buckets, sized to the node population per level. *)
-  let max_level = Array.fold_left max (-1) (Array.sub node_level 0 n_nodes) in
+  let max_level = Array.fold_left max (-1) node_level in
   let n_levels = max_level + 1 in
   let level_cnt = Array.make (max 1 n_levels) 0 in
   for i = 0 to n_nodes - 1 do
     level_cnt.(node_level.(i)) <- level_cnt.(node_level.(i)) + 1
   done;
   let buckets = Array.map (fun n -> Array.make (max 1 n) 0) level_cnt in
-  let driven = Array.make (max 1 n_sig) false in
-  Array.iteri (fun i s -> if i < n_nodes then driven.(s) <- true) node_slot;
-  Array.iter (fun r -> driven.(r.tr_slot) <- true) regs;
-  let is_reg = Array.make (max 1 n_sig) false in
+  let node_of = Array.make n_sig (-1) in
+  Array.iteri (fun nd s -> node_of.(s) <- nd) node_slot;
+  let is_reg = Array.make n_sig false in
   Array.iter (fun r -> is_reg.(r.tr_slot) <- true) regs;
+  let driven = Array.init n_sig (fun s -> node_of.(s) >= 0 || is_reg.(s)) in
   let state_slots small =
     List.init n_sig Fun.id
     |> List.filter (fun s ->
@@ -1055,7 +1031,6 @@ let create top =
       o_c = Ivec.to_array b.c_c;
       o_m = Ivec.to_array b.c_m;
       calls = Array.map (fun spec -> spec ivals bvals) calls_specs;
-      comb_hi;
       edge_lo;
       edge_hi;
       node_slot;
@@ -1072,6 +1047,7 @@ let create top =
       arrays;
       mem_index;
       driven;
+      node_of;
       state_small = state_slots true;
       state_wide = state_slots false;
       mem_gen = Array.make n_mems 0;
@@ -1079,18 +1055,16 @@ let create top =
       mem_copy_gen = Array.make n_mems (-1);
       buckets;
       bucket_len = Array.make (max 1 n_levels) 0;
-      node_dirty = Array.make (max 1 n_nodes) false;
+      node_dirty = Array.make n_nodes false;
       have_dirty = false;
-      all_dirty = true;
       cycle = 0;
       injections = [||];
-      inj_pending = [];
       active = Hashtbl.create 8;
       n_active = 0;
       observers = [||];
-      obs_pending = [];
     }
   in
+  dirty_all t;
   settle t;
   t
 
@@ -1100,8 +1074,7 @@ let create top =
 
 let reset t =
   t.cycle <- 0;
-  Hashtbl.reset t.active;
-  t.n_active <- 0;
+  drop_active t;
   Array.iter (fun r -> set_cell t r.tr_slot r.tr_init) t.regs;
   Array.iter
     (fun m ->
@@ -1112,7 +1085,7 @@ let reset t =
       done;
       bump_mem t m.tm_index)
     t.mems;
-  t.all_dirty <- true;
+  dirty_all t;
   settle t
 
 let set_input t name v =
@@ -1168,8 +1141,7 @@ let poke_mem t name addr v =
       dirty_mem_fanout t mi;
       bump_mem t mi
 
-let signal_names t =
-  Array.to_list (Array.sub t.names 0 t.n_sig) |> List.sort compare
+let signals t = List.init t.n_sig (fun s -> (t.names.(s), t.widths.(s)))
 
 let reader t name =
   match Hashtbl.find_opt t.slots name with
@@ -1180,11 +1152,8 @@ let reader t name =
         let ivals = t.ivals in
         fun () -> ivals.(s)
 
-let on_cycle t f = t.obs_pending <- f :: t.obs_pending
-
-let clear_observers t =
-  t.observers <- [||];
-  t.obs_pending <- []
+let on_cycle t f = t.observers <- Array.append t.observers [| f |]
+let clear_observers t = t.observers <- [||]
 
 let current_cycle t = t.cycle
 
@@ -1223,19 +1192,13 @@ let inject t injs =
       ci_driven = t.driven.(s);
     }
   in
-  List.iter
-    (fun inj -> t.inj_pending <- compile_inj inj :: t.inj_pending)
-    injs
+  (* Compile the whole list first: a rejected list installs nothing. *)
+  let compiled = Array.of_list (List.map compile_inj injs) in
+  t.injections <- Array.append t.injections compiled
 
 let clear_injections t =
   t.injections <- [||];
-  t.inj_pending <- [];
-  Hashtbl.reset t.active;
-  t.n_active <- 0;
-  (* Deactivated faults may have left transformed values behind on
-     driven slots; recompute at the next settle, like the full-sweep
-     engines do implicitly. *)
-  t.all_dirty <- true
+  drop_active t
 
 let export_state t : Flat.state =
   {
@@ -1284,12 +1247,9 @@ let import_state t (st : Flat.state) =
           Array.blit words 0 arr 0 (Array.length arr);
           bump_mem t (Hashtbl.find t.mem_index name))
     st.st_mems;
-  Hashtbl.reset t.active;
-  t.n_active <- 0;
+  drop_active t;
   t.cycle <- st.st_cycle;
-  (* The snapshot is settled, but the dirty bookkeeping no longer
-     matches the cells: recompute once at the next settle. *)
-  t.all_dirty <- true
+  dirty_all t
 
 (* ------------------------------------------------------------------ *)
 (* In-process marks                                                    *)
@@ -1367,10 +1327,9 @@ let rewind t m =
         t.mem_copy_gen.(mi) <- t.mem_gen.(mi)
       end)
     m.mk_mems;
-  Hashtbl.reset t.active;
-  t.n_active <- 0;
+  drop_active t;
   t.cycle <- m.mk_cycle;
-  t.all_dirty <- true;
+  dirty_all t;
   settle t
 
 let matches t m =

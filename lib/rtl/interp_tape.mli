@@ -35,8 +35,8 @@ val peek_int : t -> string -> int
 val peek_mem : t -> string -> int -> Bits.t
 val poke_mem : t -> string -> int -> Bits.t -> unit
 
-val signal_names : t -> string list
-(** All flat signal names, sorted. *)
+val signals : t -> (string * int) list
+(** Every flat signal as [(name, width)], in slot order. *)
 
 val on_cycle : t -> (int -> unit) -> unit
 (** Register a per-cycle observer.  It runs after the combinational
@@ -51,8 +51,11 @@ val reader : t -> string -> unit -> int
     @raise Not_found if the signal is unknown. *)
 
 val inject : t -> Flat.injection list -> unit
-(** Install injections (cumulative with previous calls).
-    @raise Invalid_argument on unknown signals or bad schedules. *)
+(** Install injections.  They accumulate across calls until
+    {!clear_injections}.  The whole list is checked before any of it is
+    installed, so a rejected list installs nothing.
+    @raise Invalid_argument on unknown signals, bad schedules or a flip
+    bit outside the signal's width. *)
 
 val clear_injections : t -> unit
 

@@ -35,17 +35,26 @@ let clean r = r.vr_violations = [] && r.vr_stats.Traffic.mismatches = 0
 (* Protection taps                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let contains hay needle =
-  let n = String.length hay and m = String.length needle in
-  let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
-  go 0
+(* [needle] occurs in [hay] at offset [i], from its [j]th character on.
+   Compares in place: no substring is built. *)
+let rec occurs_at hay needle i j =
+  j = String.length needle
+  || (hay.[i + j] = needle.[j] && occurs_at hay needle i (j + 1))
+
+(* [needle] occurs in [hay] at offset [i] or later. *)
+let rec occurs hay needle i =
+  i + String.length needle <= String.length hay
+  && (occurs_at hay needle i 0 || occurs hay needle (i + 1))
+
+let rec contains_any hay = function
+  | [] -> false
+  | needle :: rest -> occurs hay needle 0 || contains_any hay rest
+
+let signals_containing sim needles =
+  List.filter (fun s -> contains_any s needles) (E.signal_names sim)
 
 let protection_taps sim =
-  List.filter
-    (fun s ->
-      List.exists (contains s)
-        [ "parity_error"; "bus_timeout"; "par_err"; "wd_to" ])
-    (E.signal_names sim)
+  signals_containing sim [ "parity_error"; "bus_timeout"; "par_err"; "wd_to" ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injection campaign                                            *)

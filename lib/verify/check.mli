@@ -24,6 +24,11 @@ val clean : report -> bool
 
 (** {2 Protection taps} *)
 
+val signals_containing : Busgen_rtl.Engine.t -> string list -> string list
+(** [signals_containing sim needles] is the design's flat signals,
+    sorted by name, whose name contains one of [needles].  The scan
+    builds no substring. *)
+
 val protection_taps : Busgen_rtl.Engine.t -> string list
 (** The flat signals that carry the protection strobes of the PARITY_CHK
     and WATCHDOG instances.  They dangle into [nc_] wires at the system

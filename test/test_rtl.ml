@@ -1292,9 +1292,11 @@ let differential ?(prepare = fun _ _ -> ()) name top =
   Interp_tape.reset tape;
   prepare slow tape;
   let inputs = Circuit.inputs top in
-  let sigs = Interp_ref.signal_names slow in
-  Alcotest.(check (list string))
-    (name ^ ": tape same signal set") sigs (Interp_tape.signal_names tape);
+  let sigs = List.sort compare (Interp_ref.signals slow) in
+  Alcotest.(check (list (pair string int)))
+    (name ^ ": tape same signal set") sigs
+    (List.sort compare (Interp_tape.signals tape));
+  let sigs = List.map fst sigs in
   Alcotest.(check (list (pair string int)))
     (name ^ ": tape same memory set")
     (memory_set (Interp_ref.export_state slow))
@@ -1332,8 +1334,8 @@ let differential ?(prepare = fun _ _ -> ()) name top =
 let test_differential_counter () =
   differential "counter8" (counter_circuit ())
 
-let generated_top ?(protect = false) arch =
-  let config = Bussyn.Archs.small_config ~n_pes:4 in
+let generated_top ?(protect = false) ?(n_pes = 4) arch =
+  let config = Bussyn.Archs.small_config ~n_pes in
   let config = { config with Bussyn.Archs.protect } in
   let r = Bussyn.Generate.generate arch config in
   r.Bussyn.Generate.generated.Bussyn.Archs.top
@@ -1413,7 +1415,31 @@ let test_inject_flip_and_clear () =
   Engine.clear_injections sim;
   Engine.reset sim;
   Alcotest.(check (array int)) "clean after clear" golden
-    (counter_samples sim)
+    (counter_samples sim);
+  (* A clear in the middle of a fault window: the next settle drops the
+     transform from the combinational signal it sat on, on both
+     engines. *)
+  let top = generated_top ~n_pes:2 Bussyn.Generate.Gbaviii in
+  let req = "BAN_0$CBI$bus_req" in
+  List.iter
+    (fun kind ->
+      let name = Engine.kind_to_string kind in
+      let clean = Engine.create ~kind top in
+      Engine.reset clean;
+      Engine.run clean 3;
+      let sim = Engine.create ~kind top in
+      Engine.reset sim;
+      Engine.inject sim
+        [ { Flat.inj_signal = req; inj_fault = Flat.Stuck_at_1;
+            inj_start = 0; inj_cycles = 10 } ];
+      Engine.run sim 3;
+      Alcotest.(check int) (name ^ ": stuck in the window") 1
+        (Engine.peek_int sim req);
+      Engine.clear_injections sim;
+      Engine.settle sim;
+      Alcotest.(check int) (name ^ ": fault-free after a clear")
+        (Engine.peek_int clean req) (Engine.peek_int sim req))
+    Engine.all_kinds
 
 let test_inject_stuck_window () =
   let sim = Engine.create (counter_circuit ()) in
@@ -1429,24 +1455,57 @@ let test_inject_stuck_window () =
   Alcotest.(check int) "last cycle is healthy again" 10 samples.(9)
 
 let test_inject_validation () =
-  let sim = Engine.create (counter_circuit ()) in
-  let bad name inj =
-    match Engine.inject sim [ inj ] with
-    | exception Invalid_argument _ -> ()
-    | () -> Alcotest.failf "%s accepted" name
-  in
-  bad "unknown signal"
-    { Flat.inj_signal = "nonsense"; inj_fault = Flat.Stuck_at_0;
-      inj_start = 0; inj_cycles = 1 };
-  bad "negative start"
-    { Flat.inj_signal = "count"; inj_fault = Flat.Stuck_at_0;
-      inj_start = -1; inj_cycles = 1 };
-  bad "zero duration"
-    { Flat.inj_signal = "count"; inj_fault = Flat.Stuck_at_0;
-      inj_start = 0; inj_cycles = 0 };
-  bad "flip bit out of range"
-    { Flat.inj_signal = "count"; inj_fault = Flat.Flip 8;
-      inj_start = 0; inj_cycles = 1 }
+  List.iter
+    (fun kind ->
+      let sim = Engine.create ~kind (counter_circuit ()) in
+      let bad name inj =
+        match Engine.inject sim [ inj ] with
+        | exception Invalid_argument _ -> ()
+        | () ->
+            Alcotest.failf "%s: %s accepted" (Engine.kind_to_string kind) name
+      in
+      bad "unknown signal"
+        { Flat.inj_signal = "nonsense"; inj_fault = Flat.Stuck_at_0;
+          inj_start = 0; inj_cycles = 1 };
+      bad "negative start"
+        { Flat.inj_signal = "count"; inj_fault = Flat.Stuck_at_0;
+          inj_start = -1; inj_cycles = 1 };
+      bad "zero duration"
+        { Flat.inj_signal = "count"; inj_fault = Flat.Stuck_at_0;
+          inj_start = 0; inj_cycles = 0 };
+      (* The oracle takes a flip outside the width as a no-op transform;
+         only the tape rejects it. *)
+      if kind = Engine.Tape then
+        bad "flip bit out of range"
+          { Flat.inj_signal = "count"; inj_fault = Flat.Flip 8;
+            inj_start = 0; inj_cycles = 1 })
+    Engine.all_kinds;
+  (* A rejected list installs nothing, not even its valid prefix. *)
+  let top = generated_top ~n_pes:2 Bussyn.Generate.Gbaviii in
+  let req = "BAN_0$CBI$bus_req" in
+  List.iter
+    (fun kind ->
+      let name = Engine.kind_to_string kind in
+      let clean = Engine.create ~kind top in
+      Engine.reset clean;
+      Engine.run clean 5;
+      Alcotest.(check bool) (name ^ ": a stuck-at-1 would show") true
+        (Engine.peek_int clean req <> 1);
+      let sim = Engine.create ~kind top in
+      (match
+         Engine.inject sim
+           [ { Flat.inj_signal = req; inj_fault = Flat.Stuck_at_1;
+               inj_start = 0; inj_cycles = 10 };
+             { Flat.inj_signal = "nonsense"; inj_fault = Flat.Stuck_at_0;
+               inj_start = 0; inj_cycles = 1 } ]
+       with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s: unknown signal accepted" name);
+      Engine.reset sim;
+      Engine.run sim 5;
+      Alcotest.(check int) (name ^ ": nothing installed")
+        (Engine.peek_int clean req) (Engine.peek_int sim req))
+    Engine.all_kinds
 
 let test_random_campaign_deterministic () =
   let sim = Engine.create (generated_top Bussyn.Generate.Gbaviii) in
@@ -1652,6 +1711,31 @@ let test_mark_matches_export kind () =
   Alcotest.(check bool) "and not the later mark" false
     (Engine.matches sim golden)
 
+(* A rewind into the middle of a fault window: the fault is active
+   again from the next step, before its first settle, so the RAM's
+   write port samples the faulted count on the first cycle too. *)
+let test_mark_rewind_in_window kind () =
+  let sim = Engine.create ~kind (counter_ram_circuit ()) in
+  Engine.reset sim;
+  Engine.inject sim
+    [ { Flat.inj_signal = "count"; inj_fault = Flat.Stuck_at_1;
+        inj_start = 2; inj_cycles = 6 } ];
+  Engine.run sim 4;
+  let m = Engine.mark sim in
+  let states () =
+    List.init 5 (fun _ ->
+        Engine.step sim;
+        Engine.export_state sim)
+  in
+  let straight = states () in
+  Engine.rewind sim m;
+  List.iteri
+    (fun i (a, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "same state %d steps after the mark" (i + 1))
+        true (state_equal a b))
+    (List.combine straight (states ()))
+
 (* A fault that latches into a memory word only: the RAM circuit has no
    register, so its state is its inputs and its words. *)
 let test_mark_matches_memory kind () =
@@ -1778,6 +1862,8 @@ let mark_cases =
           (test_mark_rewind_replays kind);
         Alcotest.test_case ("matches = export_state equality, " ^ k) `Quick
           (test_mark_matches_export kind);
+        Alcotest.test_case ("rewind into a fault window, " ^ k) `Quick
+          (test_mark_rewind_in_window kind);
         Alcotest.test_case ("matches on a memory fault, " ^ k) `Quick
           (test_mark_matches_memory kind);
         Alcotest.test_case ("later writes leave a mark, " ^ k) `Quick
@@ -1870,7 +1956,7 @@ let test_idle_batching_observers () =
       if not (Bits.equal (Interp_ref.peek sim_ref s) (Interp_tape.peek tape s))
       then
         Alcotest.failf "final state diverged on %s" s)
-    (Interp_ref.signal_names sim_ref);
+    (List.map fst (Interp_ref.signals sim_ref));
   List.iter
     (fun (m, depth) ->
       for a = 0 to depth - 1 do
